@@ -13,13 +13,12 @@ import json
 import os
 import sys
 import time
-from math import comb
+from math import comb, factorial
 
-from . import algebra, exprs, laws
-from .algebra import Poly, ShaHandle
-from .coeffs import Ring, RingError, parse_ring, parse_scalar
+from . import exprs, laws
+from .coeffs import Ring, RingError, Scalar, parse_ring, parse_scalar
 from .exprs import EvalContext, EvalError, ParseError
-from .freerb import Tensor
+from .freerb import Tensor, distinct_symbol_factors
 
 SCHEMA = "rb-shuffle/1"
 BENCH_MAX = 8
@@ -42,12 +41,15 @@ def _usage_error(msg: str) -> int:
     return 2
 
 
-def _context(args, ring: Ring) -> EvalContext:
-    lam_text = args.weight if args.weight is not None else "0"
+def _weight(text: str, ring: Ring) -> Scalar:
     try:
-        lam = parse_scalar(lam_text, ring)
-    except (RingError, ValueError) as e:
-        raise SystemExit(_usage_error(f"bad weight {lam_text!r}: {e}"))
+        return parse_scalar(text, ring)
+    except (RingError, ValueError, ZeroDivisionError) as e:
+        raise SystemExit(_usage_error(f"bad weight {text!r}: {e}"))
+
+
+def _context(args, ring: Ring) -> EvalContext:
+    lam = _weight(args.weight if args.weight is not None else "0", ring)
     return EvalContext(ring=ring, weight=lam, precision=args.precision,
                        rb_choice=args.rb)
 
@@ -69,6 +71,8 @@ def cmd_eval(args) -> int:
         return _usage_error(str(e))
     except (EvalError, ValueError) as e:
         return _usage_error(str(e))
+    except ZeroDivisionError:
+        return _usage_error(f"division by zero in {args.expr!r}")
     if args.json:
         _json_print({"handle": str(value.handle), "ring": str(ring),
                      "weight": str(ctx.weight), "value": value.to_json()})
@@ -102,18 +106,17 @@ def cmd_repl(args) -> int:
             continue
         try:
             print(exprs.eval_text(line, handle, ctx))
-        except (ParseError, EvalError, ValueError) as e:
+        except (ParseError, EvalError, ValueError, ZeroDivisionError) as e:
             print(f"error: {e}")
     return 0
 
 
 def cmd_check(args) -> int:
     ring = _ring_of(args)
+    if args.precision < 0:
+        return _usage_error(f"precision must be >= 0, got {args.precision}")
     if args.weight is not None:
-        try:
-            parse_scalar(args.weight, ring)
-        except (RingError, ValueError) as e:
-            return _usage_error(f"bad weight {args.weight!r}: {e}")
+        _weight(args.weight, ring)
         lambdas: tuple[str, ...] = (args.weight,)
     else:
         lambdas = laws.default_lambdas(ring)
@@ -139,45 +142,56 @@ def cmd_check(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-def bench_product(m: int, n: int, ring: Ring, lam) -> dict:
+def bench_product(m: int, n: int, ring: Ring, lam: Scalar) -> dict:
     """Time one pure-tensor product of lengths m+1 and n+1 over distinct
-    symbols and report term counts by output length."""
-    names = tuple(f"a{k}" for k in range(m + 1)) + tuple(f"b{k}" for k in range(n + 1))
-    h = algebra.poly_handle(names, ring, lam)
-    s = ShaHandle(h)
-    left = Tensor.from_factors(s, tuple(Poly.variable(h, f"a{k}") for k in range(m + 1)))
-    right = Tensor.from_factors(s, tuple(Poly.variable(h, f"b{k}") for k in range(n + 1)))
+    symbols and check every stratum of it.  The terms with k merges have
+    length m+n+1-k; there are (m+n-k)!/(k!(m-k)!(n-k)!) of them, each with
+    coefficient lam^k, and none where lam^k is zero."""
+    s, av, bv = distinct_symbol_factors(m, n, ring, lam)
+    left, right = Tensor.from_factors(s, av), Tensor.from_factors(s, bv)
     started = time.perf_counter()
     product = left * right
     elapsed_ms = (time.perf_counter() - started) * 1e3
     by_length = product.lengths()
-    top = by_length.get(m + n + 1, 0)
+    total = sum(by_length.values())
+    weights = {k: lam.pow_nat(k) for k in range(min(m, n) + 1)}
+    expected = {m + n + 1 - k: factorial(m + n - k)
+                // (factorial(k) * factorial(m - k) * factorial(n - k))
+                for k, w in weights.items() if not w.is_zero}
+    bad = sum(1 for t, c in product.terms.items()
+              if weights.get(m + n + 1 - len(t)) != c)
     return {"m": m, "n": n, "weight": str(lam),
-            "total_terms": sum(by_length.values()),
+            "total_terms": total,
             "terms_by_length": {str(k): v for k, v in sorted(by_length.items())},
-            "top_terms": top, "top_expected": comb(m + n, n),
-            "elapsed_ms": round(elapsed_ms, 3)}
+            "expected_by_length": {str(k): v for k, v in sorted(expected.items())},
+            "bad_coefficients": bad,
+            "strata_ok": by_length == expected and bad == 0,
+            "top_terms": by_length.get(m + n + 1, 0), "top_expected": comb(m + n, n),
+            "elapsed_ms": round(elapsed_ms, 3),
+            "us_per_term": round(elapsed_ms * 1e3 / max(total, 1), 3)}
 
 
 def cmd_bench(args) -> int:
     if args.m > BENCH_MAX or args.n > BENCH_MAX or args.m < 0 or args.n < 0:
         return _usage_error(f"tensor tail lengths must be between 0 and {BENCH_MAX}")
     ring = _ring_of(args)
-    try:
-        lam = parse_scalar(args.weight if args.weight is not None else "1", ring)
-    except (RingError, ValueError) as e:
-        return _usage_error(f"bad weight: {e}")
+    lam = _weight(args.weight if args.weight is not None else "1", ring)
     report = bench_product(args.m, args.n, ring, lam)
     if args.json:
         _json_print(report)
     else:
         print(f"lengths {args.m + 1} x {args.n + 1}, weight {report['weight']}: "
-              f"{report['total_terms']} terms in {report['elapsed_ms']:.2f} ms")
-        for k, v in report["terms_by_length"].items():
-            print(f"  length {k}: {v}")
+              f"{report['total_terms']} terms in {report['elapsed_ms']:.2f} ms "
+              f"({report['us_per_term']:.1f} us/term)")
+        got, want = report["terms_by_length"], report["expected_by_length"]
+        for k in sorted(got.keys() | want.keys(), key=int):
+            print(f"  length {k}: {got.get(k, 0)} (expected {want.get(k, 0)})")
         print(f"  top stratum {report['top_terms']} (expected {report['top_expected']})")
-    if report["top_terms"] != report["top_expected"]:
-        print("error: top-stratum count mismatch", file=sys.stderr)
+        if report["bad_coefficients"]:
+            print(f"  {report['bad_coefficients']} terms with a coefficient other than "
+                  f"weight^merges")
+    if not report["strata_ok"]:
+        print("error: stratum count or coefficient mismatch", file=sys.stderr)
         return 1
     return 0
 

@@ -1,10 +1,15 @@
 """Free commutative Rota-Baxter carrier on an algebra: tensors and products.
 
 Elements of ``sha(A)`` are finite linear combinations of pure tensors
-(tuples of at least one factor from A).  The product interleaves two pure
-tensors recursively: heads multiply in A, and the tails combine in three
-branches, two shuffle-style and one weighted merge.  The weight-w branch is
-what distinguishes this from the plain shuffle product.
+(tuples of at least one factor from A).  The product is the mixable shuffle
+of Guo-Keigher: for pure tensors a0 # a' and b0 # b',
+
+    (a0 # a') * (b0 # b') = a0*b0 # (a' ⧢ b'),
+
+where a word of the tail shuffle starts with the first letter of a', or the
+first letter of b', or their product in A with the handle weight as its
+coefficient, and goes on with the shuffle of what remains.  The weighted
+merge is what distinguishes this from the plain shuffle product.
 
 Canonical form: factors are expanded to basis monomials of A wherever A has
 a basis (polynomial and tensor carriers); factors over sequence carriers are
@@ -14,16 +19,17 @@ tuples and zeros dropped, so equality is syntactic.
 
 from __future__ import annotations
 
+from operator import add, mul
 from typing import Iterator, Mapping
 
 from . import algebra
-from .algebra import (Derivation, Handle, HandleMismatchError, Hom, RBOperator,
-                      ShaHandle, check_same_handle)
-from .coeffs import Scalar
+from .algebra import (Derivation, Handle, HandleMismatchError, Hom, Poly,
+                      PolyHandle, RBOperator, ShaHandle, check_same_handle)
+from .coeffs import Ring, Scalar
 
 
 def _merge_weight(handle: ShaHandle) -> Scalar:
-    """Coefficient of the merged-tails branch in the recursive product."""
+    """Coefficient of each merge of two tail letters in the product."""
     return handle.weight
 
 
@@ -36,40 +42,28 @@ def _acc(out: dict, key, c: Scalar) -> None:
         out[key] = s
 
 
-def _diamond_pure(a: tuple, b: tuple, handle: ShaHandle, memo: dict) -> dict:
-    """Product of two pure tensors, as tensor-tuple -> coefficient.
+def _shuffle_tails(u: tuple, v: tuple, merge, lam: Scalar, memo: dict) -> dict:
+    """Mixable shuffle of two words of basis keys, as word -> coefficient.
 
-    Base cases merge the heads in A and keep the remaining tail; otherwise
-    recurse on strictly smaller tail pairs.  Factors may come out composite;
-    callers normalize afterwards.
+    The first letter is u's, or v's, or (with coefficient lam) the merge of
+    both; the rest is the shuffle of what remains.  ``memo`` is keyed on the
+    suffix pair and may be shared by every call with the same merge and lam.
     """
-    key = (a, b)
-    hit = memo.get(key)
+    hit = memo.get((u, v))
     if hit is not None:
         return hit
-    one_c = handle.ring.one()
-    head = a[0] * b[0]
-    if head.is_zero:
-        memo[key] = {}
-        return {}
-    if len(a) == 1 or len(b) == 1:
-        tail = b[1:] if len(a) == 1 else a[1:]
-        out = {(head,) + tail: one_c}
-        memo[key] = out
-        return out
-    one_a = algebra.unit(handle.inner)
-    ta, tb = a[1:], b[1:]
-    lam = _merge_weight(handle)
-    acc: dict = {}
-    for t, c in _diamond_pure(ta, (one_a,) + tb, handle, memo).items():
-        _acc(acc, t, c)
-    for t, c in _diamond_pure((one_a,) + ta, tb, handle, memo).items():
-        _acc(acc, t, c)
-    if not lam.is_zero:
-        for t, c in _diamond_pure(ta, tb, handle, memo).items():
-            _acc(acc, t, c * lam)
-    out = {(head,) + t: c for t, c in acc.items()}
-    memo[key] = out
+    if not u or not v:
+        out = {u or v: lam.ring.one()}
+    else:
+        x, y = u[0], v[0]
+        out = {(x,) + w: c for w, c in _shuffle_tails(u[1:], v, merge, lam, memo).items()}
+        for w, c in _shuffle_tails(u, v[1:], merge, lam, memo).items():
+            _acc(out, (y,) + w, c)
+        if not lam.is_zero:
+            z = merge(x, y)
+            for w, c in _shuffle_tails(u[1:], v[1:], merge, lam, memo).items():
+                _acc(out, (z,) + w, c * lam)
+    memo[(u, v)] = out
     return out
 
 
@@ -80,6 +74,39 @@ def _expand_tensor(factors: tuple) -> list[tuple[Scalar, tuple]]:
     out = [(ring.one(), ())]
     for exp in expansions:
         out = [(c * ci, t + (m,)) for c, t in out for ci, m in exp]
+    return out
+
+
+def _exponent_word(factors: tuple) -> tuple:
+    """Letters of a canonical pure tensor over polynomials: the exponent
+    vectors of its monic monomial factors."""
+    return tuple(next(iter(f.terms)) for f in factors)
+
+
+def _add_exponents(e1: tuple, e2: tuple) -> tuple:
+    return tuple(map(add, e1, e2))
+
+
+def _monomial_terms(inner: PolyHandle, words: dict) -> dict:
+    """Exponent-vector words as tensor terms, one Poly per distinct vector."""
+    one = inner.ring.one()
+    monomials: dict = {}
+
+    def monomial(e: tuple) -> Poly:
+        p = monomials.get(e)
+        if p is None:
+            p = monomials[e] = Poly(inner, {e: one})
+        return p
+
+    return {tuple(map(monomial, w)): c for w, c in words.items()}
+
+
+def _expanded_terms(words: dict) -> dict:
+    """Words of arbitrary factors as canonical tensor terms."""
+    out: dict = {}
+    for w, c in words.items():
+        for ci, t in _expand_tensor(w):
+            _acc(out, t, c * ci)
     return out
 
 
@@ -138,22 +165,33 @@ class Tensor:
         return Tensor(self.handle, {t: c * v for t, v in self.terms.items()})
 
     def __mul__(self, other: Tensor) -> Tensor:
-        """The interleaving product, extended bilinearly from pure tensors."""
+        """The mixable-shuffle product, extended bilinearly from pure tensors.
+
+        Each pair of terms gives merge(a0, b0) followed by every word of the
+        tail shuffle ``_shuffle_tails``, whose memo all pairs share.  Over a
+        polynomial carrier the letters are the factors' exponent vectors and
+        merging adds them, so output words are canonical as they stand.  Other
+        carriers have no monomial basis: the letters are the factors, merging
+        is their product, and output words are expanded back to canonical
+        factors, which drops every word with a zero factor.
+        """
         check_same_handle(self, other)
+        handle = self.handle
+        lam = _merge_weight(handle)
+        basis = isinstance(handle.inner, PolyHandle)
+        word_of, merge = (_exponent_word, _add_exponents) if basis else (tuple, mul)
+        right = [(word_of(t), c) for t, c in other.terms.items()]
         memo: dict = {}
-        expansion_cache: dict = {}
-        out: dict = {}
+        words: dict = {}
         for ta, ca in self.terms.items():
-            for tb, cb in other.terms.items():
+            a = word_of(ta)
+            for b, cb in right:
+                head = (merge(a[0], b[0]),)
                 scale = ca * cb
-                for t, c in _diamond_pure(ta, tb, self.handle, memo).items():
-                    expanded = expansion_cache.get(t)
-                    if expanded is None:
-                        expanded = _expand_tensor(t)
-                        expansion_cache[t] = expanded
-                    for ci, tt in expanded:
-                        _acc(out, tt, scale * c * ci)
-        return Tensor(self.handle, out)
+                for w, c in _shuffle_tails(a[1:], b[1:], merge, lam, memo).items():
+                    _acc(words, head + w, scale * c)
+        return Tensor(handle, _monomial_terms(handle.inner, words) if basis
+                      else _expanded_terms(words))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Tensor) and self.handle == other.handle
@@ -350,7 +388,19 @@ def free_derivation(handle: ShaHandle, d: Derivation) -> Derivation:
 
 
 # --------------------------------------------------------------------------
-# Brute-force oracle for the weight-0 stratum
+# Distinct-symbol products and the brute-force oracle for their weight-0 stratum
+
+
+def distinct_symbol_factors(m: int, n: int, ring: Ring,
+                            lam: Scalar) -> tuple[ShaHandle, tuple, tuple]:
+    """Factors a0..am and b0..bn, each a variable of poly(a0..am, b0..bn) at
+    weight lam, and the tensor handle over that algebra.  No two words of a
+    product of such pure tensors coincide, so its stratum sizes are exact
+    combinatorial numbers."""
+    names = tuple(f"a{k}" for k in range(m + 1)) + tuple(f"b{k}" for k in range(n + 1))
+    h = algebra.poly_handle(names, ring, lam)
+    return (ShaHandle(h), tuple(Poly.variable(h, f"a{k}") for k in range(m + 1)),
+            tuple(Poly.variable(h, f"b{k}") for k in range(n + 1)))
 
 
 def interleavings(xs: tuple, ys: tuple) -> Iterator[tuple]:

@@ -405,11 +405,7 @@ def _check_shuffle_counts(rng: random.Random, cfg: SampleConfig, i: int):
     grid = [(m, n) for m in range(5) for n in range(5)]
     m, n = grid[i % len(grid)]
     lam = cfg.ring.one()
-    names = tuple(f"a{k}" for k in range(m + 1)) + tuple(f"b{k}" for k in range(n + 1))
-    h = poly_handle(names, cfg.ring, lam)
-    s = ShaHandle(h)
-    av = tuple(Poly.variable(h, f"a{k}") for k in range(m + 1))
-    bv = tuple(Poly.variable(h, f"b{k}") for k in range(n + 1))
+    s, av, bv = freerb.distinct_symbol_factors(m, n, cfg.ring, lam)
     prod = Tensor.from_factors(s, av) * Tensor.from_factors(s, bv)
     top_len = m + n + 1
     top = {t: c for t, c in prod.terms.items() if len(t) == top_len}
@@ -418,7 +414,7 @@ def _check_shuffle_counts(rng: random.Random, cfg: SampleConfig, i: int):
     for weave in freerb.interleavings(av[1:], bv[1:]):
         key = (head,) + weave
         seen = expected.get(key)
-        expected[key] = h.ring.one() if seen is None else seen + h.ring.one()
+        expected[key] = s.ring.one() if seen is None else seen + s.ring.one()
     if top != expected:
         return _ce(i, lam, f"shuffle-top-terms[m={m},n={n}]",
                    got=sorted(str(k) for k in top),

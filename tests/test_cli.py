@@ -3,10 +3,11 @@
 import json
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
-from rbshuffle import exprs
+from rbshuffle import exprs, freerb
 from rbshuffle.algebra import (HurwitzHandle, Poly, SampleBudget, ShaHandle,
                                alg_eq, random_element)
 from rbshuffle.cli import bench_product, main
@@ -131,12 +132,49 @@ def test_print_parse_round_trip_residue_ring():
         assert alg_eq(element, eval_text(str(element), handle, c))
 
 
+def _delannoy(m, n):
+    return sum(comb(m, k) * comb(n, k) * 2 ** k for k in range(min(m, n) + 1))
+
+
 def test_bench_counts_match_brute_force():
-    for m in range(6):
-        for n in range(6):
-            report = bench_product(m, n, Q, Q.one())
-            weaves = list(interleavings(tuple(range(m)), tuple(range(m, m + n))))
-            assert report["top_terms"] == len(weaves) == report["top_expected"]
+    for lam in (Q.zero(), Q.one(), HALF):
+        for m in range(6):
+            for n in range(6):
+                report = bench_product(m, n, Q, lam)
+                weaves = list(interleavings(tuple(range(m)), tuple(range(m, m + n))))
+                assert report["top_terms"] == len(weaves) == report["top_expected"]
+                assert report["strata_ok"] and report["bad_coefficients"] == 0
+                assert report["total_terms"] == (len(weaves) if lam.is_zero
+                                                 else _delannoy(m, n))
+                assert report["us_per_term"] > 0
+    # a weight whose square is zero empties every stratum with two merges
+    z4 = residues(4)
+    report = bench_product(3, 3, z4, z4.from_int(2))
+    assert report["strata_ok"]
+    assert report["terms_by_length"] == {"6": 30, "7": 20}
+
+
+def test_bench_gate_trips_on_wrong_merge_weight(monkeypatch, capsys):
+    monkeypatch.setattr(freerb, "_merge_weight",
+                        lambda handle: handle.weight + handle.ring.one())
+    report = bench_product(2, 2, Q, Q.one())
+    assert not report["strata_ok"] and report["bad_coefficients"] > 0
+    assert report["terms_by_length"] == report["expected_by_length"]
+    assert main(["bench", "-m", "2", "-n", "2"]) == 1
+    assert "mismatch" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--handle", "poly(x)", "1/0"],
+    ["eval", "--handle", "poly(x)", "--lambda", "1/0", "x"],
+    ["check", "--precision", "-1", "--suite", "hurwitz_algebra"],
+], ids=["eval-literal", "eval-weight", "check-precision"])
+def test_bad_input_exits_2_with_one_line(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
 
 
 def test_cli_eval_and_exit_codes(capsys):

@@ -9,14 +9,18 @@ import pytest
 from rbshuffle.algebra import (Hom, HandleMismatchError, Poly, SampleBudget,
                                ShaHandle, alg_eq, integration_on, poly_handle,
                                random_element, scaled_identity_on, subst_hom)
-from rbshuffle.coeffs import RATIONALS
+from rbshuffle.coeffs import INTEGERS, RATIONALS, residues
 from rbshuffle.freerb import (Tensor, counit_eval, eta, eta_hom,
                               free_derivation, free_rb_operator,
                               induced_rb_hom, interleavings, mu, rb_prepend,
                               sha_hom, sha_map, structure_hom)
 from rbshuffle import algebra
+from rbshuffle.exprs import parse_handle
+from rbshuffle.hurwitz import Series
 
 Q = RATIONALS
+Z = INTEGERS
+Z6 = residues(6)
 HALF = Q.from_fraction(Fraction(1, 2))
 LAMBDAS = (Q.zero(), Q.one(), HALF)
 
@@ -235,10 +239,12 @@ def _weighted_weaves(xs, ys):
         yield k + 1, (xs[0] * ys[0],) + rest
 
 
-@pytest.mark.parametrize("lam", (Q.one(), HALF), ids=str)
+# 2 and 3 are zero divisors mod 6: coefficients cancel and terms vanish
+@pytest.mark.parametrize("lam", (Q.one(), HALF, Z.from_int(2), Z.from_int(3),
+                                 Z6.from_int(2), Z6.from_int(3)), ids=str)
 def test_product_matches_weighted_weave_enumeration(lam):
     # every stratum of the recursive product, rebuilt combinatorially
-    h = poly_handle(("x", "y"), Q, lam)
+    h = poly_handle(("x", "y"), lam.ring, lam)
     s = ShaHandle(h)
     rng = random.Random(29)
     budget = SampleBudget()
@@ -269,6 +275,84 @@ def test_weight_zero_stratum_matches_interleavings_with_repeats():
         expect[key] = expect.get(key, Q.zero()) + one
     assert prod.terms == expect
     assert prod == Tensor.from_factors(s, (x * x, x, x), Q.from_int(2))
+
+
+@pytest.mark.parametrize("lam", (Q.one(), Z6.from_int(2), Z6.from_int(3)), ids=str)
+def test_repeated_letters_collect_coefficients(lam):
+    # (x # x # x)^2: the tails x#x and x#x weave into x#x#x#x six ways, into
+    # each word with one x^2 twice, and into x^2 # x^2 once
+    h = poly_handle(("x",), lam.ring, lam)
+    s = ShaHandle(h)
+    x = Poly.variable(h, "x")
+    x2 = x * x
+    u = Tensor.from_factors(s, (x, x, x))
+    ring = lam.ring
+    expect = (Tensor.from_factors(s, (x2, x, x, x, x), ring.from_int(6))
+              + Tensor.from_factors(s, (x2, x2, x, x), lam * ring.from_int(2))
+              + Tensor.from_factors(s, (x2, x, x2, x), lam * ring.from_int(2))
+              + Tensor.from_factors(s, (x2, x, x, x2), lam * ring.from_int(2))
+              + Tensor.from_factors(s, (x2, x2, x2), lam * lam))
+    assert u * u == expect
+    if ring == Z6 and lam.value == 3:
+        # 6, 2*3 and 3*3 mod 6: only the doubly merged word survives
+        assert (u * u).terms == {(x2, x2, x2): Z6.from_int(3)}
+
+
+def _recursive_product(a, b, lam, one):
+    """Reference product of two pure tensors as factor tuple -> coefficient,
+    from the defining recursion with no memo and no basis keys:
+    (a0 # a') * (b0 # b') = a0*b0 # (a' * (1 # b') + (1 # a') * b' + lam a' * b'),
+    where a pure tensor of one factor multiplies as a0*b0 # b'."""
+    head = a[0] * b[0]
+    if len(a) == 1 or len(b) == 1:
+        return {(head,) + (b[1:] if len(a) == 1 else a[1:]): lam.ring.one()}
+    out = {}
+    ta, tb = a[1:], b[1:]
+    for sub, w in ((_recursive_product(ta, (one,) + tb, lam, one), lam.ring.one()),
+                   (_recursive_product((one,) + ta, tb, lam, one), lam.ring.one()),
+                   (_recursive_product(ta, tb, lam, one), lam)):
+        for t, c in sub.items():
+            key = (head,) + t
+            out[key] = out.get(key, lam.ring.zero()) + w * c
+    return out
+
+
+@pytest.mark.parametrize("spec,lam", [
+    ("sha(sha(poly(x)))", Q.zero()), ("sha(sha(poly(x)))", HALF),
+    ("sha(hur(poly(x),3))", Q.one()), ("sha(hur(poly(x),3))", HALF),
+    ("sha(hur(poly(x),3))", Z6.from_int(3)),
+], ids=lambda p: str(p))
+def test_product_over_non_basis_factors_matches_recursion(spec, lam):
+    # factors that are tensors or series have no monomial basis: the kernel
+    # multiplies them whole and expands its output words afterwards
+    s = parse_handle(spec, lam.ring, lam, 3)
+    one = algebra.unit(s.inner)
+    rng = random.Random(31)
+    budget = SampleBudget(max_tensor_len=3, max_terms=3, precision=3)
+    for _ in range(25):
+        u = random_element(s, budget, rng)
+        v = random_element(s, budget, rng)
+        expect = Tensor.zero(s)
+        for ta, ca in u.terms.items():
+            for tb, cb in v.terms.items():
+                for t, c in _recursive_product(ta, tb, lam, one).items():
+                    expect = expect + Tensor.from_factors(s, t, ca * cb * c)
+        assert u * v == expect
+
+
+def test_words_with_zero_factors_vanish():
+    # 2 * 3 = 0 mod 6, so the constant series 2 and 3 multiply to zero
+    lam = Z6.from_int(3)
+    s = parse_handle("sha(hur(poly(x),3))", Z6, lam, 3)
+    hh = s.inner
+    f = Series.constant(Poly.constant(hh.inner, Z6.from_int(2)), hh)
+    g = Series.constant(Poly.constant(hh.inner, Z6.from_int(3)), hh)
+    one = algebra.unit(hh)
+    assert (f * g).is_zero
+    assert (Tensor.from_factors(s, (f, g)) * Tensor.from_factors(s, (g, f))).is_zero
+    # the merged word 1 # f*g vanishes and the two shuffled words stay
+    assert (Tensor.from_factors(s, (one, f)) * Tensor.from_factors(s, (one, g))
+            == Tensor.from_factors(s, (one, f, g)) + Tensor.from_factors(s, (one, g, f)))
 
 
 def test_handle_mismatch():
