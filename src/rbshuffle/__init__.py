@@ -3,13 +3,11 @@ Hurwitz series, and the distributive map between them, with a seeded law
 suite that machine-checks the defining identities on random small instances.
 """
 
-from .coeffs import (INTEGERS, RATIONALS, Ring, RingError, Scalar, Weight,
-                     parse_ring, parse_scalar, residues, scalar_add, scalar_eq,
-                     scalar_mul)
-from .algebra import (Derivation, ExpSpan, Handle, HandleMismatchError, Hom,
-                      HurwitzHandle, MAX_NESTING, Poly, PolyHandle, RBOperator,
-                      SampleBudget, ShaHandle, WeightError, alg_add, alg_eq,
-                      alg_mul, alg_scale, difference_quotient,
+from .coeffs import (INTEGERS, RATIONALS, Ring, RingError, Scalar, parse_ring,
+                     parse_scalar, residues)
+from .algebra import (ExpSpan, Handle, HandleMismatchError, Hom, HurwitzHandle,
+                      MAX_NESTING, Poly, PolyHandle, SampleBudget, ShaHandle,
+                      WeightError, alg_eq, difference_quotient,
                       difference_quotient_on, derivative_on, exp_span_rb,
                       hurwitz as hurwitz_handle, integration_on, poly_derivative,
                       poly_handle, poly_integrate, random_element, scaled_identity,
@@ -24,7 +22,7 @@ from .hurwitz import (PrecisionError, Series, comult, comult_hom,
                       higher_leibniz, lifted_rb, map_pointwise, pointwise_hom,
                       rb_lift_apply, shift, shift_derivation)
 from .distlaw import (beta, beta_hom, check_mixed_compat, lift_costructure,
-                      lift_costructure_hom, lift_t_structure, phi_swap)
+                      lift_costructure_hom, lift_t_structure)
 from .reports import LawReport, LawSuite
 
 __version__ = "0.1.0"

@@ -133,6 +133,16 @@ def check_same_handle(x, y) -> None:
         raise HandleMismatchError(f"handle mismatch: {x.handle} vs {y.handle}")
 
 
+def accumulate(terms: dict, key, c: Scalar) -> None:
+    """Add c to terms[key] in place; a key whose sum is zero is dropped."""
+    s = terms.get(key)
+    s = c if s is None else s + c
+    if s.is_zero:
+        terms.pop(key, None)
+    else:
+        terms[key] = s
+
+
 # --------------------------------------------------------------------------
 # Polynomials
 
@@ -188,6 +198,7 @@ class Poly:
     def total_degree(self) -> int:
         return max((sum(m) for m in self.terms), default=0)
 
+    # + and * sum inline: a call to accumulate() per term slows series products
     def __add__(self, other: Poly) -> Poly:
         check_same_handle(self, other)
         out = dict(self.terms)
@@ -232,7 +243,7 @@ class Poly:
 
     def substitute(self, images: Mapping[str, Poly]) -> Poly:
         """Evaluate at variable -> polynomial (same handle), exactly."""
-        out = Poly.zero(self.handle)
+        out: dict[tuple[int, ...], Scalar] = {}
         for m, c in self.terms.items():
             term = Poly.constant(self.handle, c)
             for name, e in zip(self.handle.variables, m):
@@ -241,8 +252,9 @@ class Poly:
                 img = images.get(name, Poly.variable(self.handle, name))
                 for _ in range(e):
                     term = term * img
-            out = out + term
-        return out
+            for mt, ct in term.terms.items():
+                accumulate(out, mt, ct)
+        return Poly(self.handle, out)
 
     def _monomial_str(self, exps: tuple[int, ...]) -> str:
         parts = []
@@ -282,10 +294,6 @@ class Poly:
 # --------------------------------------------------------------------------
 # Generic dispatch over handle kinds
 
-# Element is Poly | freerb.Tensor | hurwitz.Series; spelled loosely to avoid
-# import cycles (the concrete modules import this one).
-Element = object
-
 
 def unit(handle: Handle):
     """Multiplicative identity of the algebra named by the handle."""
@@ -306,20 +314,6 @@ def zero(handle: Handle):
     return hur.Series.zero(handle)
 
 
-def alg_add(x, y):
-    check_same_handle(x, y)
-    return x + y
-
-
-def alg_mul(x, y):
-    check_same_handle(x, y)
-    return x * y
-
-
-def alg_scale(c: Scalar, x):
-    return x.scale(c)
-
-
 def alg_eq(x, y) -> bool:
     """Equality of canonical forms; series compare up to the smaller precision."""
     if x.handle != y.handle:
@@ -336,7 +330,15 @@ def alg_eq(x, y) -> bool:
 
 @dataclass(frozen=True)
 class Hom:
-    """Algebra homomorphism between handles, as a checked callable."""
+    """Map between handles, as a checked callable.
+
+    Algebra homomorphisms and (co)structure maps are Homs, and so are
+    Rota-Baxter operators and derivations, which have src == dst.  The laws
+    a map must obey, such as the Rota-Baxter identity
+    P(x)P(y) = P(xP(y)) + P(yP(x)) + w*P(xy) or the weighted Leibniz rule
+    d(xy) = d(x)y + xd(y) + w*d(x)d(y) with d(1) = 0 (w the handle weight),
+    are enforced by the law suites, not by construction.
+    """
 
     src: Handle
     dst: Handle
@@ -358,44 +360,8 @@ class Hom:
     def identity(handle: Handle) -> Hom:
         return Hom(handle, handle, lambda x: x, name="id")
 
-
-@dataclass(frozen=True)
-class RBOperator:
-    """Linear endomorphism asserted to satisfy the Rota-Baxter identity.
-
-    The identity itself, P(x)P(y) = P(xP(y)) + P(yP(x)) + w*P(xy) with w the
-    handle weight, is enforced by the law suites, not by construction.
-    """
-
-    handle: Handle
-    fn: Callable
-    name: str = ""
-
-    def __call__(self, x):
-        if x.handle != self.handle:
-            raise HandleMismatchError(f"{self.name or 'operator'} expects {self.handle}")
-        return self.fn(x)
-
-
-@dataclass(frozen=True)
-class Derivation:
-    """Linear endomorphism asserted to satisfy the weighted Leibniz rule.
-
-    The rule, d(xy) = d(x)y + xd(y) + w*d(x)d(y) together with d(1) = 0, is
-    enforced by the law suites.
-    """
-
-    handle: Handle
-    fn: Callable
-    name: str = ""
-
-    def __call__(self, x):
-        if x.handle != self.handle:
-            raise HandleMismatchError(f"{self.name or 'derivation'} expects {self.handle}")
-        return self.fn(x)
-
     def power(self, x, n: int):
-        """Apply the derivation n times."""
+        """Apply an endomorphism n times."""
         for _ in range(n):
             x = self(x)
         return x
@@ -421,8 +387,8 @@ def poly_derivative(f: Poly, var: str) -> Poly:
     return Poly(handle, out)
 
 
-def derivative_on(handle: PolyHandle, var: str) -> Derivation:
-    return Derivation(handle, lambda f: poly_derivative(f, var), name=f"d/d{var}")
+def derivative_on(handle: PolyHandle, var: str) -> Hom:
+    return Hom(handle, handle, lambda f: poly_derivative(f, var), name=f"d/d{var}")
 
 
 def difference_quotient(f: Poly, var: str) -> Poly:
@@ -441,12 +407,13 @@ def difference_quotient(f: Poly, var: str) -> Poly:
     return Poly(handle, {m: c.exact_div(lam) for m, c in diff.terms.items()})
 
 
-def difference_quotient_on(handle: PolyHandle, var: str) -> Derivation:
-    return Derivation(handle, lambda f: difference_quotient(f, var), name=f"diffq({var})")
+def difference_quotient_on(handle: PolyHandle, var: str) -> Hom:
+    return Hom(handle, handle, lambda f: difference_quotient(f, var),
+               name=f"diffq({var})")
 
 
-def zero_derivation(handle: Handle) -> Derivation:
-    return Derivation(handle, lambda f: zero(handle), name="0")
+def zero_derivation(handle: Handle) -> Hom:
+    return Hom(handle, handle, lambda f: zero(handle), name="0")
 
 
 def poly_integrate(f: Poly, var: str) -> Poly:
@@ -468,8 +435,8 @@ def poly_integrate(f: Poly, var: str) -> Poly:
     return Poly(handle, out)
 
 
-def integration_on(handle: PolyHandle, var: str) -> RBOperator:
-    return RBOperator(handle, lambda f: poly_integrate(f, var), name=f"int({var})")
+def integration_on(handle: PolyHandle, var: str) -> Hom:
+    return Hom(handle, handle, lambda f: poly_integrate(f, var), name=f"int({var})")
 
 
 def scaled_identity(x):
@@ -477,8 +444,8 @@ def scaled_identity(x):
     return x.scale(-x.handle.weight)
 
 
-def scaled_identity_on(handle: Handle) -> RBOperator:
-    return RBOperator(handle, scaled_identity, name="-w*id")
+def scaled_identity_on(handle: Handle) -> Hom:
+    return Hom(handle, handle, scaled_identity, name="-w*id")
 
 
 def subst_hom(handle: PolyHandle, images: Mapping[str, Poly]) -> Hom:
@@ -519,17 +486,14 @@ class ExpSpan:
     def __add__(self, other: ExpSpan) -> ExpSpan:
         out = dict(self.terms)
         for k, c in other.terms.items():
-            s = out.get(k)
-            out[k] = c if s is None else s + c
+            accumulate(out, k, c)
         return ExpSpan(out)
 
     def __mul__(self, other: ExpSpan) -> ExpSpan:
         out: dict[int, Scalar] = {}
         for j, cj in self.terms.items():
             for k, ck in other.terms.items():
-                c = cj * ck
-                s = out.get(j + k)
-                out[j + k] = c if s is None else s + c
+                accumulate(out, j + k, cj * ck)
         return ExpSpan(out)
 
     def __eq__(self, other) -> bool:
@@ -584,31 +548,29 @@ def _random_monomial(handle: PolyHandle, budget: SampleBudget, rng: random.Rando
     return tuple(exps)
 
 
-def random_element(handle: Handle, budget: SampleBudget, seed) -> Element:
+def random_element(handle: Handle, budget: SampleBudget, seed):
     """Pseudo-random element within the budget; pure in (handle, budget, seed)."""
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
+    out: dict = {}
     if isinstance(handle, PolyHandle):
-        out = Poly.zero(handle)
         for _ in range(rng.randint(0, budget.max_terms)):
             m = _random_monomial(handle, budget, rng)
-            out = out + Poly.monomial(handle, m, _random_coeff(handle, budget, rng))
-        return out
+            accumulate(out, m, _random_coeff(handle, budget, rng))
+        return Poly(handle, out)
     from . import freerb, hurwitz as hur
     if isinstance(handle, ShaHandle):
-        out = freerb.Tensor.zero(handle)
         for _ in range(rng.randint(0, budget.max_terms)):
             length = rng.randint(1, budget.max_tensor_len)
             factors = tuple(random_basis_factor(handle.inner, budget, rng)
                             for _ in range(length))
-            out = out + freerb.Tensor.from_factors(handle, factors,
-                                                   _random_coeff(handle, budget, rng))
-        return out
+            freerb.add_pure_tensor(out, handle, factors, _random_coeff(handle, budget, rng))
+        return freerb.Tensor(handle, out)
     values = tuple(random_element(handle.inner, budget.with_(max_terms=2), rng)
                    for _ in range(budget.precision + 1))
     return hur.Series(handle, values)
 
 
-def random_basis_factor(handle: Handle, budget: SampleBudget, rng: random.Random) -> Element:
+def random_basis_factor(handle: Handle, budget: SampleBudget, rng: random.Random):
     """Random tensor factor: a basis monomial where the carrier has a basis,
     otherwise (sequence carriers) a small random element."""
     if isinstance(handle, PolyHandle):

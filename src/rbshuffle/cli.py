@@ -113,8 +113,6 @@ def cmd_repl(args) -> int:
 
 def cmd_check(args) -> int:
     ring = _ring_of(args)
-    if args.precision < 0:
-        return _usage_error(f"precision must be >= 0, got {args.precision}")
     if args.weight is not None:
         _weight(args.weight, ring)
         lambdas: tuple[str, ...] = (args.weight,)
@@ -247,6 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    if not 0 <= args.precision <= exprs.MAX_PRECISION:
+        return _usage_error(f"precision must be 0 to {exprs.MAX_PRECISION}, got {args.precision}")
     try:
         return args.fn(args)
     except SystemExit as e:

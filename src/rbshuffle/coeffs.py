@@ -174,24 +174,6 @@ class Scalar:
         return str(self.value)
 
 
-# The weight is an ordinary scalar fixed per handle; every weighted operation
-# reads it from the handle it acts on.
-Weight = Scalar
-
-
-def scalar_add(a: Scalar, b: Scalar) -> Scalar:
-    return a + b
-
-
-def scalar_mul(a: Scalar, b: Scalar) -> Scalar:
-    return a * b
-
-
-def scalar_eq(a: Scalar, b: Scalar) -> bool:
-    a._check(b)
-    return a.value == b.value
-
-
 def parse_scalar(text: str, ring: Ring) -> Scalar:
     """Parse "p", "p/q", or "r mod m" in the given ring."""
     text = text.strip()

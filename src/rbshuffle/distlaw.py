@@ -118,9 +118,3 @@ def check_mixed_compat(h: Hom, f: Hom, samples, seed: str = "-") -> LawReport:
                 wall_ms=(time.perf_counter() - started) * 1e3)
     return LawReport(law="mixed-compatibility", samples=count, seed=seed,
                      passed=True, wall_ms=(time.perf_counter() - started) * 1e3)
-
-
-def phi_swap(pair):
-    """Swap the roles in a nested pair ((carrier, h), f) -> ((carrier, f), h)."""
-    (carrier, h), f = pair
-    return ((carrier, f), h)

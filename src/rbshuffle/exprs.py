@@ -27,11 +27,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from . import algebra, distlaw, freerb, hurwitz
-from .algebra import (Derivation, Handle, HurwitzHandle, Poly,
-                      PolyHandle, RBOperator, ShaHandle)
+from .algebra import (MAX_NESTING, Handle, Hom, HurwitzHandle, Poly,
+                      PolyHandle, ShaHandle, accumulate)
 from .coeffs import Ring, RingError, Scalar
 from .freerb import Tensor
 from .hurwitz import Series
+
+# Input budgets, checked before evaluation: parentheses, brackets, calls and
+# unary minus each nest one level; the exponents of nested powers multiply.
+MAX_PARSE_DEPTH = 100
+MAX_EXPONENT = 256
+MAX_PRECISION = 64  # a series product at precision 64 takes about a second
 
 
 class ParseError(ValueError):
@@ -148,6 +154,7 @@ class _Parser:
         self.src = src
         self.tokens = _tokenize(src)
         self.k = 0
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.tokens[self.k]
@@ -169,7 +176,25 @@ class _Parser:
         t = self.peek()
         if t.kind != "end":
             raise ParseError(f"unexpected {t.text!r}", self.src, t.pos)
+        _check_exponents(node, self.src)
         return node
+
+    def nested(self, t: Token, parse):
+        """Run parse one nesting level down, within MAX_PARSE_DEPTH."""
+        if self.depth >= MAX_PARSE_DEPTH:
+            raise ParseError(f"nested deeper than {MAX_PARSE_DEPTH} levels", self.src, t.pos)
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
+
+    def listing(self, sep: str) -> tuple:
+        """One or more expressions separated by sep."""
+        items = [self.tensor()]
+        while self.peek().kind == sep:
+            self.next()
+            items.append(self.tensor())
+        return tuple(items)
 
     def tensor(self):
         node = self.sum()
@@ -196,7 +221,7 @@ class _Parser:
         t = self.peek()
         if t.kind == "-":
             self.next()
-            return Neg(self.unary(), t.pos)
+            return Neg(self.nested(t, self.unary), t.pos)
         return self.power()
 
     def power(self):
@@ -223,28 +248,36 @@ class _Parser:
                 if t.text not in _FUNCTIONS:
                     raise ParseError(f"unknown function {t.text!r}", self.src, t.pos)
                 self.next()
-                args = [self.tensor()]
-                while self.peek().kind == ",":
-                    self.next()
-                    args.append(self.tensor())
+                args = self.nested(t, lambda: self.listing(","))
                 self.expect(")")
-                return Call(t.text, tuple(args), t.pos)
+                return Call(t.text, args, t.pos)
             return Var(t.text, t.pos)
         if t.kind == "(":
             self.next()
-            node = self.tensor()
+            node = self.nested(t, self.tensor)
             self.expect(")")
             return node
         if t.kind == "[":
             self.next()
-            items = [self.tensor()]
-            while self.peek().kind == ";":
-                self.next()
-                items.append(self.tensor())
+            items = self.nested(t, lambda: self.listing(";"))
             self.expect("]")
-            return SeriesLit(tuple(items), t.pos)
+            return SeriesLit(items, t.pos)
         shown = t.text or "end of input"
         raise ParseError(f"expected an expression, found {shown!r}", self.src, t.pos)
+
+
+def _check_exponents(node, src: str) -> None:
+    """Reject nested powers whose exponents multiply past MAX_EXPONENT."""
+    stack = [(node, 1)]
+    while stack:
+        node, load = stack.pop()
+        if isinstance(node, Pow):
+            load *= max(node.exponent, 1)
+            if load > MAX_EXPONENT:
+                raise ParseError(f"exponents multiply past {MAX_EXPONENT}", src, node.pos)
+        kids = [getattr(node, f) for f in ("base", "lhs", "rhs", "arg") if hasattr(node, f)]
+        kids += getattr(node, "args", ()) + getattr(node, "items", ())
+        stack.extend((kid, load) for kid in kids)
 
 
 def parse(src: str):
@@ -274,8 +307,10 @@ def parse_handle(src: str, ring: Ring, weight: Scalar, precision: int) -> Handle
             raise ParseError(f"expected {kind!r}, found {shown!r}", src, t.pos)
         return t
 
-    def handle() -> Handle:
+    def handle(depth: int = 0) -> Handle:
         t = expect("name")
+        if depth > MAX_NESTING:
+            raise ParseError(f"carrier nested deeper than {MAX_NESTING}", src, t.pos)
         if t.text == "poly":
             expect("(")
             names = [expect("name").text]
@@ -286,16 +321,18 @@ def parse_handle(src: str, ring: Ring, weight: Scalar, precision: int) -> Handle
             return algebra.poly_handle(names, ring, weight)
         if t.text == "sha":
             expect("(")
-            inner = handle()
+            inner = handle(depth + 1)
             expect(")")
             return ShaHandle(inner)
         if t.text == "hur":
             expect("(")
-            inner = handle()
+            inner = handle(depth + 1)
             n = precision
             if tokens[k].kind == ",":
                 next_tok()
                 n = int(expect("int").text)
+            if n > MAX_PRECISION:
+                raise ParseError(f"precision {n} is above {MAX_PRECISION}", src, t.pos)
             expect(")")
             return HurwitzHandle(inner, n)
         raise ParseError(f"unknown carrier {t.text!r}", src, t.pos)
@@ -334,7 +371,7 @@ class EvalContext:
             handle = handle.inner
         return handle.variables
 
-    def rb_for(self, handle: Handle) -> RBOperator:
+    def rb_for(self, handle: Handle) -> Hom:
         if isinstance(handle, ShaHandle):
             return freerb.free_rb_operator(handle)
         if isinstance(handle, HurwitzHandle):
@@ -345,7 +382,7 @@ class EvalContext:
             return algebra.integration_on(handle, handle.variables[0])
         return algebra.scaled_identity_on(handle)
 
-    def derivation_for(self, handle: Handle) -> Derivation:
+    def derivation_for(self, handle: Handle) -> Hom:
         if isinstance(handle, ShaHandle):
             return freerb.free_derivation(handle, self.derivation_for(handle.inner))
         if isinstance(handle, HurwitzHandle):
@@ -367,11 +404,11 @@ def _embed(x, expected: Handle, pos: int):
 
 
 def _tensor_concat(u: Tensor, v: Tensor) -> Tensor:
-    out = Tensor.zero(u.handle)
+    out: dict = {}
     for t1, c1 in u.terms.items():
         for t2, c2 in v.terms.items():
-            out = out + Tensor(u.handle, {t1 + t2: c1 * c2})
-    return out
+            accumulate(out, t1 + t2, c1 * c2)
+    return Tensor(u.handle, out)
 
 
 def evaluate(node, handle: Handle, ctx: EvalContext):

@@ -23,23 +23,14 @@ from operator import add, mul
 from typing import Iterator, Mapping
 
 from . import algebra
-from .algebra import (Derivation, Handle, HandleMismatchError, Hom, Poly,
-                      PolyHandle, RBOperator, ShaHandle, check_same_handle)
+from .algebra import (Handle, HandleMismatchError, Hom, Poly, PolyHandle,
+                      ShaHandle, accumulate, check_same_handle)
 from .coeffs import Ring, Scalar
 
 
 def _merge_weight(handle: ShaHandle) -> Scalar:
     """Coefficient of each merge of two tail letters in the product."""
     return handle.weight
-
-
-def _acc(out: dict, key, c: Scalar) -> None:
-    s = out.get(key)
-    s = c if s is None else s + c
-    if s.is_zero:
-        out.pop(key, None)
-    else:
-        out[key] = s
 
 
 def _shuffle_tails(u: tuple, v: tuple, merge, lam: Scalar, memo: dict) -> dict:
@@ -58,23 +49,26 @@ def _shuffle_tails(u: tuple, v: tuple, merge, lam: Scalar, memo: dict) -> dict:
         x, y = u[0], v[0]
         out = {(x,) + w: c for w, c in _shuffle_tails(u[1:], v, merge, lam, memo).items()}
         for w, c in _shuffle_tails(u, v[1:], merge, lam, memo).items():
-            _acc(out, (y,) + w, c)
+            accumulate(out, (y,) + w, c)
         if not lam.is_zero:
             z = merge(x, y)
             for w, c in _shuffle_tails(u[1:], v[1:], merge, lam, memo).items():
-                _acc(out, (z,) + w, c * lam)
+                accumulate(out, (z,) + w, c * lam)
     memo[(u, v)] = out
     return out
 
 
-def _expand_tensor(factors: tuple) -> list[tuple[Scalar, tuple]]:
-    """Multilinear expansion of a factor tuple into canonical factor tuples."""
-    ring = factors[0].handle.ring
-    expansions = [f.basis_expansion() for f in factors]
-    out = [(ring.one(), ())]
-    for exp in expansions:
-        out = [(c * ci, t + (m,)) for c, t in out for ci, m in exp]
-    return out
+def add_pure_tensor(terms: dict, handle: ShaHandle, factors: tuple, coeff: Scalar) -> None:
+    """Add coeff times a pure tensor with arbitrary factors into a term dict,
+    expanded multilinearly into canonical factor tuples."""
+    for f in factors:
+        if f.handle != handle.inner:
+            raise HandleMismatchError(f"factor over {f.handle}, expected {handle.inner}")
+    expanded = [(coeff, ())]
+    for f in factors:
+        expanded = [(c * ci, t + (m,)) for c, t in expanded for ci, m in f.basis_expansion()]
+    for c, t in expanded:
+        accumulate(terms, t, c)
 
 
 def _exponent_word(factors: tuple) -> tuple:
@@ -101,12 +95,11 @@ def _monomial_terms(inner: PolyHandle, words: dict) -> dict:
     return {tuple(map(monomial, w)): c for w, c in words.items()}
 
 
-def _expanded_terms(words: dict) -> dict:
+def _expanded_terms(handle: ShaHandle, words: dict) -> dict:
     """Words of arbitrary factors as canonical tensor terms."""
     out: dict = {}
     for w, c in words.items():
-        for ci, t in _expand_tensor(w):
-            _acc(out, t, c * ci)
+        add_pure_tensor(out, handle, w, c)
     return out
 
 
@@ -136,12 +129,8 @@ class Tensor:
             coeff = handle.ring.one()
         if not factors:
             raise ValueError("pure tensors have at least one factor")
-        for f in factors:
-            if f.handle != handle.inner:
-                raise HandleMismatchError(f"factor over {f.handle}, expected {handle.inner}")
         out: dict = {}
-        for c, t in _expand_tensor(tuple(factors)):
-            _acc(out, t, c * coeff)
+        add_pure_tensor(out, handle, tuple(factors), coeff)
         return cls(handle, out)
 
     @property
@@ -152,7 +141,7 @@ class Tensor:
         check_same_handle(self, other)
         out = dict(self.terms)
         for t, c in other.terms.items():
-            _acc(out, t, c)
+            accumulate(out, t, c)
         return Tensor(self.handle, out)
 
     def __neg__(self) -> Tensor:
@@ -189,9 +178,9 @@ class Tensor:
                 head = (merge(a[0], b[0]),)
                 scale = ca * cb
                 for w, c in _shuffle_tails(a[1:], b[1:], merge, lam, memo).items():
-                    _acc(words, head + w, scale * c)
+                    accumulate(words, head + w, scale * c)
         return Tensor(handle, _monomial_terms(handle.inner, words) if basis
-                      else _expanded_terms(words))
+                      else _expanded_terms(handle, words))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Tensor) and self.handle == other.handle
@@ -279,8 +268,8 @@ def rb_prepend(u: Tensor) -> Tensor:
     return Tensor(u.handle, {(one_a,) + t: c for t, c in u.terms.items()})
 
 
-def free_rb_operator(handle: ShaHandle) -> RBOperator:
-    return RBOperator(handle, rb_prepend, name="P")
+def free_rb_operator(handle: ShaHandle) -> Hom:
+    return Hom(handle, handle, rb_prepend, name="P")
 
 
 def sha_map(f: Hom, u: Tensor) -> Tensor:
@@ -288,10 +277,10 @@ def sha_map(f: Hom, u: Tensor) -> Tensor:
     if u.handle.inner != f.src:
         raise HandleMismatchError(f"map from {f.src} cannot act on {u.handle}")
     target = ShaHandle(f.dst)
-    out = Tensor.zero(target)
+    out: dict = {}
     for t, c in u.terms.items():
-        out = out + Tensor.from_factors(target, tuple(f(x) for x in t), c)
-    return out
+        add_pure_tensor(out, target, tuple(f(x) for x in t), c)
+    return Tensor(target, out)
 
 
 def sha_hom(f: Hom) -> Hom:
@@ -299,7 +288,7 @@ def sha_hom(f: Hom) -> Hom:
                name=f"sha({f.name})")
 
 
-def induced_rb_hom(phi: Hom, rb: RBOperator, u: Tensor):
+def induced_rb_hom(phi: Hom, rb: Hom, u: Tensor):
     """Evaluate a tensor in a Rota-Baxter algebra through phi.
 
     A pure tensor (a_0, ..., a_n) maps to phi(a_0) * P(phi(a_1) * P(... *
@@ -308,7 +297,7 @@ def induced_rb_hom(phi: Hom, rb: RBOperator, u: Tensor):
     """
     if phi.src != u.handle.inner:
         raise HandleMismatchError(f"phi maps {phi.src}, tensor is over {u.handle.inner}")
-    if rb.handle != phi.dst:
+    if rb.src != phi.dst:
         raise HandleMismatchError("operator must live on phi's target")
     out = algebra.zero(phi.dst)
     for t, c in u.terms.items():
@@ -319,19 +308,19 @@ def induced_rb_hom(phi: Hom, rb: RBOperator, u: Tensor):
     return out
 
 
-def induced_hom(phi: Hom, rb: RBOperator) -> Hom:
+def induced_hom(phi: Hom, rb: Hom) -> Hom:
     return Hom(ShaHandle(phi.src), phi.dst,
                lambda u: induced_rb_hom(phi, rb, u), name=f"induced({phi.name})")
 
 
-def counit_eval(u: Tensor, rb: RBOperator):
+def counit_eval(u: Tensor, rb: Hom):
     """Evaluate a tensor over (R, P) back into R: nested operator application."""
     return induced_rb_hom(Hom.identity(u.handle.inner), rb, u)
 
 
-def structure_hom(rb: RBOperator) -> Hom:
+def structure_hom(rb: Hom) -> Hom:
     """The evaluation structure sha(R) -> R attached to a Rota-Baxter operator."""
-    return Hom(ShaHandle(rb.handle), rb.handle,
+    return Hom(ShaHandle(rb.src), rb.src,
                lambda u: counit_eval(u, rb), name=f"eval({rb.name})")
 
 
@@ -351,7 +340,7 @@ def mu_hom(inner: ShaHandle) -> Hom:
 # The free derivation
 
 
-def _free_derivation_terms(factors: tuple, d: Derivation, lam: Scalar) -> list:
+def _free_derivation_terms(factors: tuple, d: Hom, lam: Scalar) -> list:
     """Raw (weight, factors) terms of the free derivation on one pure tensor.
 
     Degree one: differentiate the only factor.  Longer tensors: differentiate
@@ -370,21 +359,21 @@ def _free_derivation_terms(factors: tuple, d: Derivation, lam: Scalar) -> list:
     return out
 
 
-def free_derivation_apply(u: Tensor, d: Derivation) -> Tensor:
+def free_derivation_apply(u: Tensor, d: Hom) -> Tensor:
     """The derivation on sha(A) induced by a derivation d on A."""
-    if d.handle != u.handle.inner:
-        raise HandleMismatchError(f"derivation on {d.handle} cannot act on {u.handle}")
+    if d.src != u.handle.inner:
+        raise HandleMismatchError(f"derivation on {d.src} cannot act on {u.handle}")
     lam = u.handle.weight
-    out = Tensor.zero(u.handle)
+    out: dict = {}
     for t, c in u.terms.items():
         for w, factors in _free_derivation_terms(t, d, lam):
-            out = out + Tensor.from_factors(u.handle, factors, c * w)
-    return out
+            add_pure_tensor(out, u.handle, factors, c * w)
+    return Tensor(u.handle, out)
 
 
-def free_derivation(handle: ShaHandle, d: Derivation) -> Derivation:
-    return Derivation(handle, lambda u: free_derivation_apply(u, d),
-                      name=f"free({d.name})")
+def free_derivation(handle: ShaHandle, d: Hom) -> Hom:
+    return Hom(handle, handle, lambda u: free_derivation_apply(u, d),
+               name=f"free({d.name})")
 
 
 # --------------------------------------------------------------------------

@@ -18,8 +18,8 @@ from math import comb
 from typing import Sequence
 
 from . import algebra
-from .algebra import (Derivation, Handle, HandleMismatchError, Hom,
-                      HurwitzHandle, RBOperator, check_same_handle)
+from .algebra import (Handle, HandleMismatchError, Hom, HurwitzHandle,
+                      check_same_handle)
 from .coeffs import Scalar
 
 
@@ -143,7 +143,7 @@ class Series:
 
 
 # --------------------------------------------------------------------------
-# Derivation, counit, comultiplication
+# Shift derivation, counit, comultiplication
 
 
 def shift(f: Series) -> Series:
@@ -153,8 +153,8 @@ def shift(f: Series) -> Series:
     return Series(f.handle, f.values[1:])
 
 
-def shift_derivation(handle: HurwitzHandle) -> Derivation:
-    return Derivation(handle, shift, name="shift")
+def shift_derivation(handle: HurwitzHandle) -> Hom:
+    return Hom(handle, handle, shift, name="shift")
 
 
 def counit(f: Series):
@@ -185,15 +185,15 @@ def comult_hom(handle: HurwitzHandle) -> Hom:
 # The Rota-Baxter lift
 
 
-def rb_lift_apply(f: Series, rb: RBOperator) -> Series:
+def rb_lift_apply(f: Series, rb: Hom) -> Series:
     """Shift values up one slot and close index 0 with the base operator."""
-    if rb.handle != f.handle.inner:
-        raise HandleMismatchError(f"base operator on {rb.handle} cannot lift over {f.handle}")
+    if rb.src != f.handle.inner:
+        raise HandleMismatchError(f"base operator on {rb.src} cannot lift over {f.handle}")
     return Series(f.handle, (rb(f.values[0]),) + f.values)
 
 
-def lifted_rb(handle: HurwitzHandle, rb: RBOperator) -> RBOperator:
-    return RBOperator(handle, lambda f: rb_lift_apply(f, rb), name=f"lift({rb.name})")
+def lifted_rb(handle: HurwitzHandle, rb: Hom) -> Hom:
+    return Hom(handle, handle, lambda f: rb_lift_apply(f, rb), name=f"lift({rb.name})")
 
 
 # --------------------------------------------------------------------------
@@ -218,30 +218,30 @@ def pointwise_hom(h: Hom, precision: int) -> Hom:
 # Iterated derivations
 
 
-def derivation_series(a, d: Derivation, n: int) -> Series:
+def derivation_series(a, d: Hom, n: int) -> Series:
     """(a, d(a), d^2(a), ..., d^n(a)): the series a derivation attaches to a."""
-    if a.handle != d.handle:
-        raise HandleMismatchError(f"derivation on {d.handle} cannot act on {a.handle}")
+    if a.handle != d.src:
+        raise HandleMismatchError(f"derivation on {d.src} cannot act on {a.handle}")
     values = [a]
     for _ in range(n):
         values.append(d(values[-1]))
-    return Series(HurwitzHandle(d.handle, n), values)
+    return Series(HurwitzHandle(d.src, n), values)
 
 
-def costructure_hom(d: Derivation, n: int) -> Hom:
+def costructure_hom(d: Hom, n: int) -> Hom:
     """The map a -> (d^k(a))_k into series at precision n."""
-    return Hom(d.handle, HurwitzHandle(d.handle, n),
+    return Hom(d.src, HurwitzHandle(d.src, n),
                lambda a: derivation_series(a, d, n), name=f"iter({d.name})")
 
 
-def higher_leibniz(x, y, d: Derivation, n: int):
+def higher_leibniz(x, y, d: Hom, n: int):
     """Closed form for the n-th derivative of a product:
 
         sum_{k=0}^{n} sum_{j=0}^{n-k} C(n,k) C(n-k,j) w^k d^(n-j)(x) d^(k+j)(y)
 
     Contract: equals d applied n times to x*y.
     """
-    if x.handle != d.handle or y.handle != d.handle:
+    if x.handle != d.src or y.handle != d.src:
         raise HandleMismatchError("operands must live on the derivation's handle")
     ring = x.handle.ring
     lam = x.handle.weight

@@ -17,10 +17,9 @@ from math import comb
 from typing import Sequence
 
 from . import algebra, distlaw, freerb, hurwitz
-from .algebra import (Derivation, ExpSpan, HurwitzHandle, Poly, PolyHandle,
-                      RBOperator, SampleBudget, ShaHandle, alg_eq,
-                      exp_span_rb, poly_handle, random_element,
-                      random_subst_hom)
+from .algebra import (ExpSpan, Hom, HurwitzHandle, Poly, PolyHandle,
+                      SampleBudget, ShaHandle, alg_eq, exp_span_rb,
+                      poly_handle, random_element, random_subst_hom)
 from .coeffs import RATIONALS, Ring, Scalar, parse_scalar
 from .freerb import Tensor
 from .hurwitz import Series
@@ -81,7 +80,7 @@ def _poly_x(cfg: SampleConfig, lam: Scalar) -> PolyHandle:
     return poly_handle(("x",), cfg.ring, lam)
 
 
-def weighted_derivation(handle: PolyHandle) -> Derivation:
+def weighted_derivation(handle: PolyHandle) -> Hom:
     """The canonical test-bed derivation at the handle's weight: the formal
     derivative at weight zero, the difference quotient otherwise."""
     if handle.weight.is_zero:
@@ -89,7 +88,7 @@ def weighted_derivation(handle: PolyHandle) -> Derivation:
     return algebra.difference_quotient_on(handle, handle.variables[0])
 
 
-def _rb_targets(cfg: SampleConfig, lam: Scalar) -> list[tuple[str, object, RBOperator]]:
+def _rb_targets(cfg: SampleConfig, lam: Scalar) -> list[tuple[str, object, Hom]]:
     """Concrete (name, handle, operator) pairs expected to satisfy the
     Rota-Baxter identity at the active weight."""
     h2 = _poly_xy(cfg, lam)
@@ -107,7 +106,7 @@ def _ce(i: int, lam: Scalar, law: str, **parts) -> dict:
     return out
 
 
-def _rb_identity_holds(P: RBOperator, x, y, lam: Scalar) -> bool:
+def _rb_identity_holds(P: Hom, x, y, lam: Scalar) -> bool:
     lhs = P(x) * P(y)
     rhs = P(x * P(y)) + P(y * P(x)) + P(x * y).scale(lam)
     return alg_eq(lhs, rhs)
@@ -344,7 +343,7 @@ def _check_t_structure(rng: random.Random, cfg: SampleConfig, i: int):
     nb = cfg.nested_budget()
     for name, op in _t_structure_targets(cfg, lam):
         h = freerb.structure_hom(op)
-        a = random_element(op.handle, b, rng)
+        a = random_element(op.src, b, rng)
         if not alg_eq(h(freerb.eta(a)), a):
             return _ce(i, lam, f"structure-unit[{name}]", a=a)
         big = random_element(ShaHandle(h.src), nb, rng)

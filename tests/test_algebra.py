@@ -5,15 +5,17 @@ from fractions import Fraction
 
 import pytest
 
-from rbshuffle.algebra import (ExpSpan, HandleMismatchError, HurwitzHandle,
+from rbshuffle.algebra import (ExpSpan, HandleMismatchError, Hom, HurwitzHandle,
                                Poly, SampleBudget, ShaHandle, WeightError,
-                               alg_eq, difference_quotient, exp_span_rb,
-                               poly_derivative, poly_handle, poly_integrate,
-                               random_element, scaled_identity, subst_hom,
-                               unit, zero)
+                               alg_eq, derivative_on, difference_quotient,
+                               exp_span_rb, poly_derivative, poly_handle,
+                               poly_integrate, random_element, scaled_identity,
+                               subst_hom, unit, zero)
 from rbshuffle.coeffs import RATIONALS, RingError, residues
+from rbshuffle.exprs import parse_handle
 
 Q = RATIONALS
+Z6 = residues(6)
 HALF = Q.from_fraction(Fraction(1, 2))
 
 
@@ -178,6 +180,55 @@ def test_random_element_contract():
     # pinned regression snapshots, first run fixes them
     assert str(random_element(h, budget, 42)) == "0"
     assert str(random_element(h, budget, 48)) == "2*x*y + 1"
+
+
+# Two draws each from random.Random(seed), rendered at the commit before the
+# term maps were built in place; a change in how random_element consumes its
+# generator changes these strings.
+RANDOM_DRAWS = [
+    ("poly(x,y)", Q, 0, ["3*y^2 - x - y", "-2*x*y"]),
+    ("poly(x,y)", Q, 1, ["-3*x*y", "2*y"]),
+    ("sha(poly(x,y))", Q, 0, ["1 - (y # x^2)", "1 # y # x"]),
+    ("sha(poly(x,y))", Q, 1, ["0", "y + 2*y^2"]),
+    ("sha(hur(poly(x),2))", Q, 0, [
+        "-3*([2*x^2 + 3*x; 3*x^2; 2; x^2; 0] # [0; 0; -6*x; x^2; 0])"
+        " - ([-x; 0; 0; 0; 0] # [-3*x^2 + 2; 0; 0; 0; 0]"
+        " # [x^2 + 3; 0; -3*x; x^2; -2*x + 2])", "0"]),
+    ("sha(hur(poly(x),2))", Q, 1, [
+        "2*([0; 0; 3*x; 0; 0] # [3; 2*x; x; 0; -3] # [0; 2*x^2; 4; -x; 0])", "0"]),
+    ("sha(poly(x,y))", Z6, 0, ["1 + 5*(y # x^2)", "1 # y # x"]),
+    ("sha(poly(x,y))", Z6, 3, ["5*(x*y # x*y # x*y)", "0"]),
+]
+
+
+@pytest.mark.parametrize("spec,ring,seed,want", RANDOM_DRAWS,
+                         ids=[f"{d[0]}-{d[1]}-{d[2]}" for d in RANDOM_DRAWS])
+def test_random_element_draws_are_pinned(spec, ring, seed, want):
+    lam = ring.from_fraction(Fraction(1, 2)) if ring is Q else ring.one()
+    h = parse_handle(spec, ring, lam, 4)
+    rng = random.Random(seed)
+    assert [str(random_element(h, SampleBudget(), rng)) for _ in want] == want
+
+
+@pytest.mark.parametrize("ring,a,b", ((Q, 1, -1), (Z6, 2, 4)), ids=str)
+def test_substitution_with_cancelling_pieces(ring, a, b):
+    # a + b = 0 in the ring, so the images of a*x and b*y cancel
+    h = poly_handle(("x", "y"), ring)
+    x, y = Poly.variable(h, "x"), Poly.variable(h, "y")
+    f = x.scale(ring.from_int(a)) + y.scale(ring.from_int(b)) + x * y
+    out = f.substitute({"x": y})
+    assert out == y * y and out.terms == {(0, 2): ring.one()}
+    assert (f - x * y).substitute({"x": y}).is_zero
+
+
+def test_hom_power_iterates_an_endomorphism():
+    h = handle(variables=("x",))
+    d = derivative_on(h, "x")
+    x3 = Poly.monomial(h, (3,))
+    assert d.power(x3, 0) == x3
+    assert d.power(x3, 2) == Poly.monomial(h, (1,), Q.from_int(6))
+    assert d.power(x3, 4).is_zero
+    assert isinstance(d, Hom) and d.src == d.dst == h
 
 
 def test_alg_eq_is_precision_bounded_for_series():

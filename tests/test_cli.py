@@ -1,12 +1,17 @@
 """Expression language and command-line behavior."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 
+import rbshuffle
 from rbshuffle import exprs, freerb
 from rbshuffle.algebra import (HurwitzHandle, Poly, SampleBudget, ShaHandle,
                                alg_eq, random_element)
@@ -175,6 +180,66 @@ def test_bad_input_exits_2_with_one_line(argv, capsys):
     assert captured.out == ""
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--handle", "poly(x)", "(" * 3000 + "x" + ")" * 3000],
+    ["eval", "--handle", "poly(x)", "0+" + "-" * 3000],
+    ["eval", "--handle", "sha(" * 3000 + "poly(x)" + ")" * 3000, "x"],
+    ["eval", "--handle", "poly(x)", "x^99999999"],
+    ["eval", "--handle", "poly(x)", "((x^40)^40)^40"],
+    ["eval", "--handle", "hur(poly(x),100000)", "x*x"],
+    ["eval", "--precision", "100000", "--handle", "hur(poly(x))", "x*x"],
+    ["check", "--precision", "100000", "--suite", "hurwitz_algebra"],
+], ids=["parentheses", "unary-minus", "carrier-nesting", "exponent",
+        "nested-exponents", "handle-precision", "eval-precision", "check-precision"])
+def test_input_budgets_exit_2_promptly(argv):
+    # a fresh interpreter under a timeout, so a lost budget fails instead of hanging
+    env = dict(os.environ, PYTHONPATH=str(Path(rbshuffle.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-m", "rbshuffle", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2 and done.stdout == ""
+    lines = done.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def test_input_budgets_admit_their_limits():
+    c = ctx()
+    h = parse_handle("poly(x)", Q, c.weight, 4)
+    x = Poly.variable(h, "x")
+    depth = exprs.MAX_PARSE_DEPTH
+    assert eval_text("(" * depth + "x" + ")" * depth, h, c) == x
+    assert eval_text("-" * depth + "x", h, c) == x
+    hh = parse_handle("hur(poly(x))", Q, c.weight, 4)
+    lifted = eval_text("P(" * (depth - 1) + "[x]" + ")" * (depth - 1), hh, c)
+    assert lifted.precision == depth - 1
+    for src in ("(" * (depth + 1) + "x" + ")" * (depth + 1), "-" * (depth + 1) + "x"):
+        with pytest.raises(ParseError):
+            parse(src)
+    top = exprs.MAX_EXPONENT
+    assert eval_text(f"(x^2)^{top // 2}", h, c) == Poly.monomial(h, (top,))
+    for src in (f"x^{top + 1}", f"(x^2 + 1)^{top // 2 + 1}", f"x^2^{top // 2 + 1}",
+                f"[x^0^{top + 1}]"):
+        with pytest.raises(ParseError):
+            parse(src)
+    n = exprs.MAX_PRECISION
+    assert parse_handle(f"hur(poly(x),{n})", Q, c.weight, 4).precision == n
+    with pytest.raises(ParseError):
+        parse_handle(f"hur(poly(x),{n + 1})", Q, c.weight, 4)
+    with pytest.raises(ParseError):
+        parse_handle("hur(poly(x))", Q, c.weight, n + 1)
+
+
+@pytest.mark.parametrize("ring,a,b", ((Q, 1, -1), (residues(6), 2, 4)), ids=str)
+def test_tensor_concatenation_with_cancelling_pieces(ring, a, b):
+    # a + b = 0 in the ring: x # (y # z) and (x # y) # z are the same word
+    c = ctx(ring=ring)
+    h = parse_handle("sha(poly(x,y,z))", ring, c.weight, 4)
+    out = eval_text(f"({a}*x + (x # y)) # ((y # z) + {b}*z)", h, c)
+    x, y, z = (Poly.variable(h.inner, v) for v in "xyz")
+    assert out == (Tensor.from_factors(h, (x, z), ring.from_int(a * b))
+                   + Tensor.from_factors(h, (x, y, y, z)))
+    assert out.lengths() == {2: 1, 4: 1}
 
 
 def test_cli_eval_and_exit_codes(capsys):

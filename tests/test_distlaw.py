@@ -12,7 +12,7 @@ from rbshuffle.algebra import (Hom, HandleMismatchError, HurwitzHandle, Poly,
                                zero_derivation)
 from rbshuffle.coeffs import RATIONALS
 from rbshuffle.distlaw import (beta, beta_hom, check_mixed_compat,
-                               lift_costructure, lift_t_structure, phi_swap)
+                               lift_costructure, lift_t_structure)
 from rbshuffle.freerb import Tensor
 from rbshuffle.hurwitz import PrecisionError, Series
 
@@ -233,11 +233,3 @@ def test_mixed_compat_vacuous_on_empty_samples():
     costr = hurwitz.costructure_hom(zero_derivation(h), 4)
     report = check_mixed_compat(evaluation, costr, [])
     assert report.passed and report.samples == 0
-
-
-def test_phi_swap_involution():
-    pair = (("carrier", "structure"), "costructure")
-    swapped = phi_swap(pair)
-    assert swapped == (("carrier", "costructure"), "structure")
-    assert phi_swap(swapped) == pair
-    assert swapped[0][0] == pair[0][0]

@@ -107,6 +107,24 @@ def test_sha_map_functorial():
         s, (x + one, x + one))
 
 
+@pytest.mark.parametrize("ring,a,b", ((Q, 1, -1), (Z6, 2, 4)), ids=str)
+def test_factorwise_map_and_free_derivation_with_cancelling_pieces(ring, a, b):
+    # a + b = 0 in the ring, so the pieces of each sum below cancel
+    h = poly_handle(("x", "y"), ring)
+    s = ShaHandle(h)
+    x, y, one = Poly.variable(h, "x"), Poly.variable(h, "y"), Poly.one(h)
+    ca, cb = ring.from_int(a), ring.from_int(b)
+    u = (Tensor.from_factors(s, (x, one), ca) + Tensor.from_factors(s, (y, one), cb)
+         + Tensor.from_factors(s, (x, x)))
+    out = sha_map(subst_hom(h, {"x": y}), u)
+    assert out == Tensor.from_factors(s, (y, y)) and len(out.terms) == 1
+    # D(x # 1) = (1 # 1) + x and D(1 # x) = x: the length-1 pieces cancel
+    dfree = free_derivation(s, algebra.derivative_on(h, "x"))
+    v = Tensor.from_factors(s, (x, one), ca) + Tensor.from_factors(s, (one, x), cb)
+    assert dfree(v) == Tensor.from_factors(s, (one, one), ca)
+    assert dfree(v).lengths() == {2: 1}
+
+
 def test_induced_hom_evaluation():
     h = poly_handle(("x",), Q, Q.zero())
     s = ShaHandle(h)

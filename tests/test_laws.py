@@ -6,7 +6,7 @@ import random
 import pytest
 
 from rbshuffle import freerb, hurwitz, laws
-from rbshuffle.algebra import Poly, RBOperator, poly_handle
+from rbshuffle.algebra import Hom, Poly, poly_handle
 from rbshuffle.coeffs import INTEGERS, RATIONALS, residues
 from rbshuffle.laws import (LAW_COVERAGE, SampleConfig, default_lambdas,
                             registry, run_all, run_suite)
@@ -94,7 +94,7 @@ def test_identity_operator_fails_rb_identity():
     # the identity map is not a weight-0 operator: at x = y = 1 the left
     # side is 1 while the right side is 2
     h = poly_handle(("x",), RATIONALS, RATIONALS.zero())
-    bad = RBOperator(h, lambda f: f, name="id")
+    bad = Hom(h, h, lambda f: f, name="id")
     one = Poly.one(h)
     assert not laws._rb_identity_holds(bad, one, one, h.weight)
 
