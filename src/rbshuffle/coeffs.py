@@ -55,6 +55,7 @@ class Ring:
         return self.from_int(1)
 
     def from_int(self, n: int) -> Scalar:
+        """The image of n; on q, n may also be a Fraction (a bare value)."""
         if self.kind == _RATIONAL:
             return Scalar(self, Fraction(n))
         if self.kind == _RESIDUE:

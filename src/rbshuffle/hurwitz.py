@@ -1,26 +1,31 @@
 """Weighted Hurwitz series over an algebra, at explicit finite precision.
 
 A series is the prefix (f(0), ..., f(N)) of a sequence with values in the
-inner algebra; N is the precision.  The product carries binomial weights and
-a weight-power correction:
+inner algebra; N is the precision.  The product is the weighted (lambda-)
+Hurwitz product in the pair form of Guo and Keigher:
 
-    (fg)(n) = sum_{k=0}^{n} sum_{j=0}^{n-k} C(n,k) C(n-k,j) w^k f(n-j) g(k+j)
+    (fg)(n) = sum_{i, l <= n <= i+l} n! / (k! (n-i)! (n-l)!) w^k f(i) g(l),
+    k = i + l - n,
 
-which at weight 0 collapses to the classical binomial convolution.  Every
-operation records its exact output precision: products take the minimum,
-the shift loses one, the Rota-Baxter lift gains one, comultiplication fills
-the triangle m+n <= N.  Comparisons are relative to the common precision.
+which at weight 0 collapses to the classical binomial convolution
+(only i + l = n survives).  ``Series.__mul__`` and ``higher_leibniz`` are
+the two callers of one kernel, ``_pair_sums``, over one cached table of
+these coefficients.  Every operation records its exact output precision:
+products take the minimum, the shift loses one, the Rota-Baxter lift gains
+one, comultiplication fills the triangle m+n <= N.  Comparisons are
+relative to the common precision.
 """
 
 from __future__ import annotations
 
-from math import comb
+from functools import lru_cache
+from math import factorial
 from typing import Sequence
 
 from . import algebra
 from .algebra import (Handle, HandleMismatchError, Hom, HurwitzHandle,
                       check_same_handle)
-from .coeffs import Scalar
+from .coeffs import RingError, Scalar
 
 
 class PrecisionError(ValueError):
@@ -30,6 +35,77 @@ class PrecisionError(ValueError):
 def _lambda_power(lam: Scalar, k: int) -> Scalar:
     """w**k with w**0 = 1, including at weight 0."""
     return lam.pow_nat(k)
+
+
+@lru_cache(maxsize=None)
+def _pair_row(n: int) -> tuple[tuple[int, int, int, int], ...]:
+    """The pair table's row n: (i, l, k, n! / (k! (n-i)! (n-l)!)) for every
+    i, l <= n <= i + l, with k = i + l - n the weight exponent."""
+    fact = [factorial(j) for j in range(n + 1)]
+    return tuple((i, l, i + l - n, fact[n] // (fact[i + l - n] * fact[n - i] * fact[n - l]))
+                 for i in range(n + 1) for l in range(n - i, n + 1))
+
+
+def _narrow(v):
+    """A whole rational as an int, whose arithmetic is far cheaper."""
+    return v.numerator if v.denominator == 1 else v
+
+
+def _bare_terms(p, ring) -> list:
+    """The (key, bare value) pairs of a term map, after checking that every
+    coefficient lives in the ring."""
+    out = []
+    for key, c in p.terms.items():
+        if c.ring != ring:
+            raise RingError(f"ring mismatch: {c.ring} vs {ring}")
+        out.append((key, _narrow(c.value)))
+    return out
+
+
+def _pair_sums(f: Sequence, g: Sequence, inner: Handle, indices: Sequence[int]) -> list:
+    """The values (fg)(n), n in indices, of the weighted product of the value
+    prefixes f and g over the inner algebra, in pair form.
+
+    Each product f(i)g(l) is formed at most once, and only where some row
+    gives it a nonzero coefficient.  Over carriers with a term map the scaled
+    products are summed as bare coefficient values and each sum becomes a
+    Scalar once; series-valued inners, which have no term map, are summed as
+    elements, so each value keeps the smallest precision that enters it.
+    """
+    ring = inner.ring
+    m = ring.modulus
+    powers = [_narrow(_lambda_power(inner.weight, k).value) for k in range(max(indices) + 1)]
+    generic = isinstance(inner, HurwitzHandle)
+    products: dict = {}
+
+    def weighted(n: int):
+        """(bare coefficient, product) for each pair of row n that survives."""
+        for i, l, k, count in _pair_row(n):
+            c = count * powers[k] % m if m else count * powers[k]
+            if not c:
+                continue
+            p = products.get((i, l))
+            if p is None:
+                p = products[i, l] = f[i] * g[l] if generic else _bare_terms(f[i] * g[l], ring)
+            yield c, p
+
+    out = []
+    if generic:
+        for n in indices:
+            acc = algebra.zero(inner)
+            for c, p in weighted(n):
+                acc = acc + p.scale(ring.from_int(c))
+            out.append(acc)
+        return out
+    make = type(f[0])
+    for n in indices:
+        sums: dict = {}
+        for c, p in weighted(n):
+            for key, v in p:
+                s = sums.get(key)
+                sums[key] = c * v if s is None else s + c * v
+        out.append(make(inner, {key: ring.from_int(v) for key, v in sums.items()}))
+    return out
 
 
 class Series:
@@ -96,23 +172,9 @@ class Series:
 
     def __mul__(self, other: Series) -> Series:
         check_same_handle(self, other)
-        ring = self.handle.ring
-        lam = self.handle.weight
         n_out = min(self.precision, other.precision)
-        values = []
-        for n in range(n_out + 1):
-            acc = algebra.zero(self.handle.inner)
-            for k in range(n + 1):
-                wk = _lambda_power(lam, k)
-                if wk.is_zero:
-                    continue
-                for j in range(n - k + 1):
-                    c = ring.from_int(comb(n, k) * comb(n - k, j)) * wk
-                    if c.is_zero:
-                        continue
-                    acc = acc + (self.values[n - j] * other.values[k + j]).scale(c)
-            values.append(acc)
-        return Series(self.handle, values)
+        return Series(self.handle, _pair_sums(self.values, other.values,
+                                              self.handle.inner, range(n_out + 1)))
 
     def __eq__(self, other) -> bool:
         # strict: same precision and identical values (hash-compatible);
@@ -235,29 +297,21 @@ def costructure_hom(d: Hom, n: int) -> Hom:
 
 
 def higher_leibniz(x, y, d: Hom, n: int):
-    """Closed form for the n-th derivative of a product:
+    """Closed form for the n-th derivative of a product, in pair form:
 
-        sum_{k=0}^{n} sum_{j=0}^{n-k} C(n,k) C(n-k,j) w^k d^(n-j)(x) d^(k+j)(y)
+        sum_{i, l <= n <= i+l} n! / (k! (n-i)! (n-l)!) w^k d^i(x) d^l(y),
+        k = i + l - n,
+
+    the index-n value of the weighted product of the derivation series of x
+    and y; it shares the product's kernel and coefficient table.
 
     Contract: equals d applied n times to x*y.
     """
     if x.handle != d.src or y.handle != d.src:
         raise HandleMismatchError("operands must live on the derivation's handle")
-    ring = x.handle.ring
-    lam = x.handle.weight
     dx = [x]
     dy = [y]
     for _ in range(n):
         dx.append(d(dx[-1]))
         dy.append(d(dy[-1]))
-    acc = algebra.zero(x.handle)
-    for k in range(n + 1):
-        wk = _lambda_power(lam, k)
-        if wk.is_zero:
-            continue
-        for j in range(n - k + 1):
-            c = ring.from_int(comb(n, k) * comb(n - k, j)) * wk
-            if c.is_zero:
-                continue
-            acc = acc + (dx[n - j] * dy[k + j]).scale(c)
-    return acc
+    return _pair_sums(dx, dy, x.handle, (n,))[0]

@@ -203,6 +203,29 @@ def test_input_budgets_exit_2_promptly(argv):
     assert len(lines) == 1 and lines[0].startswith("error:")
 
 
+@pytest.mark.parametrize("op,printed", [("+", "3000*x"), ("*", "x^3000")], ids=["sum", "product"])
+def test_flat_operator_chain_evaluates_without_recursion(op, printed):
+    # 3,000 operands at one precedence level, each a separate binary node
+    env = dict(os.environ, PYTHONPATH=str(Path(rbshuffle.__file__).resolve().parents[1]))
+    src = op.join(["x"] * 3000)
+    done = subprocess.run([sys.executable, "-m", "rbshuffle", "eval", "--handle", "poly(x)", src],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0 and done.stderr == ""
+    assert done.stdout.strip() == printed
+
+
+def test_operator_chains_associate_left():
+    c = ctx()
+    h = parse_handle("sha(poly(x,y))", Q, c.weight, 4)
+    x, y = (Poly.variable(h.inner, v) for v in "xy")
+    one = Tensor.one(h)
+    tx, ty = Tensor.from_factors(h, (x,)), Tensor.from_factors(h, (y,))
+    assert eval_text("x - y + x - 1 - y", h, c) == tx + tx - ty - ty - one
+    assert eval_text("x # y - x # 1 * y", h, c) == Tensor.from_factors(h, (x, y - x, y))
+    assert eval_text("y # x # y * x # 1", h, c) == Tensor.from_factors(
+        h, (y, x, y * x, Poly.one(h.inner)))
+
+
 def test_input_budgets_admit_their_limits():
     c = ctx()
     h = parse_handle("poly(x)", Q, c.weight, 4)

@@ -2,14 +2,15 @@
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from rbshuffle.algebra import (HurwitzHandle, Poly, SampleBudget, ShaHandle,
                                alg_eq, derivative_on, difference_quotient_on,
                                integration_on, poly_handle, random_element,
-                               scaled_identity_on)
-from rbshuffle.coeffs import RATIONALS
+                               scaled_identity_on, zero)
+from rbshuffle.coeffs import INTEGERS, RATIONALS, RingError, residues
 from rbshuffle.hurwitz import (PrecisionError, Series, comult, comult_hom,
                                costructure_hom, counit, counit_hom,
                                derivation_series, higher_leibniz, lifted_rb,
@@ -193,3 +194,95 @@ def test_comonad_structure_on_samples():
         assert alg_eq(counit(split), f)
         assert alg_eq(map_pointwise(counit_hom(hh), split), f)
         assert alg_eq(comult(split), map_pointwise(comult_hom(hh), split))
+
+
+# --------------------------------------------------------------------------
+# The pair-form product against the triple sum it replaced
+
+
+def triple_sum_product(f, g):
+    """The weighted product as a triple sum over (n, k, j):
+    (fg)(n) = sum C(n,k) C(n-k,j) w^k f(n-j) g(k+j).  Series-valued inner
+    products recurse into this sum too, so no product goes through the
+    kernel under test."""
+    if not isinstance(f, Series):
+        return f * g
+    ring, lam = f.handle.ring, f.handle.weight
+    values = []
+    for n in range(min(f.precision, g.precision) + 1):
+        acc = zero(f.handle.inner)
+        for k in range(n + 1):
+            wk = lam.pow_nat(k)
+            for j in range(n - k + 1):
+                c = ring.from_int(comb(n, k) * comb(n - k, j)) * wk
+                if not c.is_zero:
+                    acc = acc + triple_sum_product(f.values[n - j], g.values[k + j]).scale(c)
+        values.append(acc)
+    return Series(f.handle, values)
+
+
+ORACLE_RINGS = (RATIONALS, INTEGERS, residues(6))
+
+
+def oracle_weights(ring):
+    out = [ring.from_int(w) for w in (0, 1, 2, -1)]
+    if ring.is_rational:
+        out.append(HALF)
+    return out
+
+
+def oracle_cases():
+    for ring in ORACLE_RINGS:
+        for lam in oracle_weights(ring):
+            yield pytest.param(ring, lam, id=f"{ring}-{lam.render_bare()}")
+
+
+def oracle_carriers(ring, lam):
+    """(carrier, largest operand precision drawn) for hur(poly(x,y),N) with
+    N in {0, 1, 5}, hur(sha(poly(x)),3) and hur(hur(poly(x),2),3)."""
+    xy = poly_handle(("x", "y"), ring, lam)
+    x = poly_handle(("x",), ring, lam)
+    return [(HurwitzHandle(xy, 0), 0), (HurwitzHandle(xy, 1), 1), (HurwitzHandle(xy, 5), 5),
+            (HurwitzHandle(ShaHandle(x), 3), 3),
+            (HurwitzHandle(HurwitzHandle(x, 2), 3), 2)]
+
+
+@pytest.mark.parametrize("ring,lam", oracle_cases())
+def test_product_matches_triple_sum(ring, lam):
+    rng = random.Random(f"pair-form:{ring}:{lam.value}")
+    for hh, top in oracle_carriers(ring, lam):
+        for _ in range(4):
+            pf, pg = rng.randint(0, top), rng.randint(0, top)
+            f = random_element(hh, SampleBudget(precision=pf), rng)
+            g = random_element(hh, SampleBudget(precision=pg), rng)
+            fg = f * g
+            assert fg.precision == min(pf, pg)
+            assert fg == triple_sum_product(f, g)
+
+
+@pytest.mark.parametrize("ring,lam", oracle_cases())
+def test_higher_leibniz_matches_iteration_over_rings(ring, lam):
+    rng = random.Random(f"leibniz:{ring}:{lam.value}")
+    h = poly_handle(("x", "y"), ring, lam)
+    derivations = [shift_derivation(HurwitzHandle(h, 5))]
+    if lam.is_zero:
+        derivations.append(derivative_on(h, "x"))
+    elif not ring.is_residue or lam.is_one or (-lam).is_one:
+        derivations.append(difference_quotient_on(h, "x"))
+    for d in derivations:
+        for n in range(5):
+            x = random_element(d.src, SampleBudget(), rng)
+            y = random_element(d.src, SampleBudget(), rng)
+            assert higher_leibniz(x, y, d, n) == d.power(x * y, n)
+
+
+def test_mixed_ring_coefficients_rejected():
+    # a q carrier holding z coefficients: every product of two values stays
+    # in z, so only the check against the carrier's ring can catch it
+    h = poly_handle(("x",), Q, Q.one())
+    p = Poly(h, {(1,): INTEGERS.from_int(2)})
+    f = Series(HurwitzHandle(h, 2), (p, p, p))
+    with pytest.raises(RingError):
+        f * f
+    with pytest.raises(RingError):
+        higher_leibniz(p, p, derivative_on(h, "x"), 0)
