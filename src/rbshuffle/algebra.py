@@ -10,13 +10,16 @@ Elements are immutable, hashable, and kept in canonical form: polynomials
 as sparse exponent-vector maps with no zero coefficients, tensors as linear
 combinations of tuples of basis factors, series as value prefixes of
 explicit precision.  Canonical form makes equality a syntactic check
-(precision-bounded for series).
+(precision-bounded for series).  Polynomials and tensors are both term maps
+(key -> nonzero scalar): ``Terms`` holds their shared sum, scaling,
+equality, hashing, basis expansion and printing, and alone owns the
+coefficient format, including the bare-value view that fast kernels sum.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence, Union
 
 from .coeffs import RATIONALS, Ring, RingError, Scalar
@@ -144,27 +147,116 @@ def accumulate(terms: dict, key, c: Scalar) -> None:
 
 
 # --------------------------------------------------------------------------
-# Polynomials
+# Term maps
 
 
-def _sort_key(exps: tuple[int, ...]):
-    # graded lexicographic, used for printing and serialization order
-    return (sum(exps), exps)
+class Terms:
+    """Linear combination over basis keys: key -> nonzero scalar.
 
-
-class Poly:
-    """Sparse multivariate polynomial: exponent vector -> nonzero scalar."""
+    The one owner of the coefficient format, shared by polynomials and
+    tensors: construction drops zero coefficients, so equal elements have
+    equal term maps.  Subclasses give the product, the key order
+    (``_key_order``) and the text of one term (``_term_str``).
+    """
 
     __slots__ = ("handle", "terms", "_hash")
+    _TEXT_REVERSED = False  # print terms against key order
 
-    def __init__(self, handle: PolyHandle, terms: Mapping[tuple[int, ...], Scalar]):
+    def __init__(self, handle: Handle, terms: Mapping):
         self.handle = handle
-        self.terms = {m: c for m, c in terms.items() if not c.is_zero}
+        self.terms = {k: c for k, c in terms.items() if not c.is_zero}
         self._hash = None
 
     @classmethod
-    def zero(cls, handle: PolyHandle) -> Poly:
+    def zero(cls, handle: Handle):
         return cls(handle, {})
+
+    @classmethod
+    def from_bare(cls, handle: Handle, values: Mapping):
+        """The element with bare coefficient values (see ``Scalar.bare``)."""
+        ring = handle.ring
+        return cls(handle, {k: ring.from_int(v) for k, v in values.items()})
+
+    def bare_items(self) -> list:
+        """The (key, bare value) pairs, after checking that every coefficient
+        lives in the handle's ring."""
+        ring = self.handle.ring
+        out = []
+        for key, c in self.terms.items():
+            if c.ring != ring:
+                raise RingError(f"ring mismatch: {c.ring} vs {ring}")
+            out.append((key, c.bare))
+        return out
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    # sums inline: a call to accumulate() per term slows series products
+    def __add__(self, other):
+        check_same_handle(self, other)
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            s = out.get(k)
+            out[k] = c if s is None else s + c
+        return type(self)(self.handle, out)
+
+    def __neg__(self):
+        return type(self)(self.handle, {k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c: Scalar):
+        return type(self)(self.handle, {k: c * v for k, v in self.terms.items()})
+
+    def __eq__(self, other) -> bool:
+        return (type(other) is type(self) and self.handle == other.handle
+                and self.terms == other.terms)
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash((self.handle, frozenset(self.terms.items())))
+        return self._hash
+
+    def _ordered_terms(self, reverse: bool = False) -> list:
+        return sorted(self.terms.items(), key=lambda kv: self._key_order(kv[0]),
+                      reverse=reverse)
+
+    def basis_expansion(self) -> list:
+        """Decompose into (coefficient, basis element) pairs, in key order."""
+        one = self.handle.ring.one()
+        return [(c, type(self)(self.handle, {k: one})) for k, c in self._ordered_terms()]
+
+    def __str__(self) -> str:
+        if self.is_zero:
+            return "0"
+        chunks: list[str] = []
+        for k, c in self._ordered_terms(self._TEXT_REVERSED):
+            cs = c.render_bare()
+            negative = cs.startswith("-")
+            body = self._term_str(k, cs[1:] if negative else cs, negative)
+            if not chunks:
+                chunks.append(("-" if negative else "") + body)
+            else:
+                chunks.append((" - " if negative else " + ") + body)
+        return "".join(chunks)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self})"
+
+
+# --------------------------------------------------------------------------
+# Polynomials
+
+
+class Poly(Terms):
+    """Sparse multivariate polynomial: exponent vector -> nonzero scalar."""
+
+    __slots__ = ()
+    _TEXT_REVERSED = True
+    # an entry of Poly's own, so that tracing can wrap the polynomial sum alone
+    __add__ = Terms.__add__
 
     @classmethod
     def one(cls, handle: PolyHandle) -> Poly:
@@ -191,28 +283,6 @@ class Poly:
         exps = tuple(1 if v == name else 0 for v in handle.variables)
         return cls.monomial(handle, exps)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def total_degree(self) -> int:
-        return max((sum(m) for m in self.terms), default=0)
-
-    # + and * sum inline: a call to accumulate() per term slows series products
-    def __add__(self, other: Poly) -> Poly:
-        check_same_handle(self, other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m)
-            out[m] = c if s is None else s + c
-        return Poly(self.handle, out)
-
-    def __neg__(self) -> Poly:
-        return Poly(self.handle, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: Poly) -> Poly:
-        return self + (-other)
-
     def __mul__(self, other: Poly) -> Poly:
         check_same_handle(self, other)
         out: dict[tuple[int, ...], Scalar] = {}
@@ -223,23 +293,6 @@ class Poly:
                 s = out.get(m)
                 out[m] = c if s is None else s + c
         return Poly(self.handle, out)
-
-    def scale(self, c: Scalar) -> Poly:
-        return Poly(self.handle, {m: c * v for m, v in self.terms.items()})
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Poly) and self.handle == other.handle
-                and self.terms == other.terms)
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.handle, frozenset(self.terms.items())))
-        return self._hash
-
-    def basis_expansion(self) -> list[tuple[Scalar, Poly]]:
-        """Decompose into (coefficient, monic basis monomial) pairs."""
-        return [(c, Poly.monomial(self.handle, m))
-                for m, c in sorted(self.terms.items(), key=lambda kv: _sort_key(kv[0]))]
 
     def substitute(self, images: Mapping[str, Poly]) -> Poly:
         """Evaluate at variable -> polynomial (same handle), exactly."""
@@ -256,39 +309,19 @@ class Poly:
                 accumulate(out, mt, ct)
         return Poly(self.handle, out)
 
-    def _monomial_str(self, exps: tuple[int, ...]) -> str:
-        parts = []
-        for name, e in zip(self.handle.variables, exps):
-            if e == 1:
-                parts.append(name)
-            elif e > 1:
-                parts.append(f"{name}^{e}")
-        return "*".join(parts)
+    @staticmethod
+    def _key_order(exps: tuple[int, ...]):
+        return (sum(exps), exps)  # graded lexicographic
 
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        chunks: list[str] = []
-        for m, c in sorted(self.terms.items(), key=lambda kv: _sort_key(kv[0]), reverse=True):
-            mono = self._monomial_str(m)
-            cs = c.render_bare()
-            negative = cs.startswith("-")
-            body = cs[1:] if negative else cs
-            if mono:
-                body = mono if body == "1" else f"{body}*{mono}"
-            sign = " - " if negative else " + "
-            if not chunks:
-                chunks.append(("-" if negative else "") + body)
-            else:
-                chunks.append(sign + body)
-        return "".join(chunks)
-
-    def __repr__(self) -> str:
-        return f"Poly({self})"
+    def _term_str(self, exps: tuple[int, ...], mag: str, negative: bool) -> str:
+        mono = "*".join(name if e == 1 else f"{name}^{e}"
+                        for name, e in zip(self.handle.variables, exps) if e)
+        if not mono:
+            return mag
+        return mono if mag == "1" else f"{mag}*{mono}"
 
     def to_json(self) -> list:
-        return [{"exponents": list(m), "coeff": str(c)}
-                for m, c in sorted(self.terms.items(), key=lambda kv: _sort_key(kv[0]))]
+        return [{"exponents": list(m), "coeff": str(c)} for m, c in self._ordered_terms()]
 
 
 # --------------------------------------------------------------------------
@@ -412,6 +445,15 @@ def difference_quotient_on(handle: PolyHandle, var: str) -> Hom:
                name=f"diffq({var})")
 
 
+def weighted_derivation(handle: PolyHandle) -> Hom:
+    """The canonical derivation at the handle's weight, in its first
+    variable: the formal derivative at weight zero, the difference quotient
+    otherwise."""
+    if handle.weight.is_zero:
+        return derivative_on(handle, handle.variables[0])
+    return difference_quotient_on(handle, handle.variables[0])
+
+
 def zero_derivation(handle: Handle) -> Hom:
     return Hom(handle, handle, lambda f: zero(handle), name="0")
 
@@ -528,11 +570,6 @@ class SampleBudget:
     max_tensor_len: int = 3
     precision: int = 4
 
-    def with_(self, **kw) -> SampleBudget:
-        d = {f: getattr(self, f) for f in self.__dataclass_fields__}
-        d.update(kw)
-        return SampleBudget(**d)
-
 
 def _random_coeff(handle: Handle, budget: SampleBudget, rng: random.Random) -> Scalar:
     return handle.ring.from_int(rng.randint(budget.coeff_lo, budget.coeff_hi))
@@ -565,7 +602,7 @@ def random_element(handle: Handle, budget: SampleBudget, seed):
                             for _ in range(length))
             freerb.add_pure_tensor(out, handle, factors, _random_coeff(handle, budget, rng))
         return freerb.Tensor(handle, out)
-    values = tuple(random_element(handle.inner, budget.with_(max_terms=2), rng)
+    values = tuple(random_element(handle.inner, replace(budget, max_terms=2), rng)
                    for _ in range(budget.precision + 1))
     return hur.Series(handle, values)
 
@@ -581,7 +618,7 @@ def random_basis_factor(handle: Handle, budget: SampleBudget, rng: random.Random
         factors = tuple(random_basis_factor(handle.inner, budget, rng)
                         for _ in range(length))
         return freerb.Tensor.from_factors(handle, factors)
-    return random_element(handle, budget.with_(max_terms=2), rng)
+    return random_element(handle, replace(budget, max_terms=2), rng)
 
 
 def random_subst_hom(handle: PolyHandle, budget: SampleBudget, rng: random.Random) -> Hom:

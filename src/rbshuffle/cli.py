@@ -67,9 +67,7 @@ def cmd_eval(args) -> int:
     handle = _declared_handle(args, ring, ctx)
     try:
         value = exprs.eval_text(args.expr, handle, ctx)
-    except ParseError as e:
-        return _usage_error(str(e))
-    except (EvalError, ValueError) as e:
+    except (ParseError, EvalError, ValueError) as e:
         return _usage_error(str(e))
     except ZeroDivisionError:
         return _usage_error(f"division by zero in {args.expr!r}")
@@ -113,20 +111,22 @@ def cmd_repl(args) -> int:
 
 def cmd_check(args) -> int:
     ring = _ring_of(args)
+    lambdas = None
     if args.weight is not None:
         _weight(args.weight, ring)
-        lambdas: tuple[str, ...] = (args.weight,)
-    else:
-        lambdas = laws.default_lambdas(ring)
-    cfg = laws.SampleConfig(ring=ring, lambdas=lambdas, precision=args.precision)
+        lambdas = (args.weight,)
+    cfg = laws.SampleConfig.for_ring(ring, lambdas, args.precision)
     names = args.suite or None
     try:
         reports = laws.run_all(args.seed, cfg, names)
     except KeyError as e:
         return _usage_error(e.args[0])
+    except RingError as e:
+        # a weight the ring cannot divide by leaves a suite undefined
+        return _usage_error(f"weights {', '.join(cfg.lambdas)} over {ring}: {e}")
     if args.json:
         _json_print({"seed": args.seed, "ring": str(ring),
-                     "lambdas": list(lambdas),
+                     "lambdas": list(cfg.lambdas),
                      "reports": [r.to_json() for r in reports]})
     else:
         for r in reports:

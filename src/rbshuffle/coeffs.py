@@ -130,6 +130,13 @@ class Scalar:
     def is_one(self) -> bool:
         return self.value == 1
 
+    @property
+    def bare(self) -> Union[Fraction, int]:
+        """The value as a plain number, a whole rational as an int, whose
+        arithmetic is far cheaper; ``Ring.from_int`` turns it back."""
+        v = self.value
+        return v.numerator if v.denominator == 1 else v
+
     def inverse(self) -> Scalar:
         if self.is_zero:
             raise ZeroDivisionError("scalar has no inverse: 0")

@@ -49,11 +49,13 @@ class ParseError(ValueError):
         self.msg = msg
         self.src = src
         self.pos = pos
-        line = src.count("\n", 0, pos) + 1
-        col = pos - (src.rfind("\n", 0, pos) + 1) + 1
-        self.line = line
-        self.col = col
-        super().__init__(f"line {line}, col {col}: {msg}")
+        self.line, self.col = _line_col(src, pos)
+        super().__init__(f"line {self.line}, col {self.col}: {msg}")
+
+
+def _line_col(src: str, pos: int) -> tuple[int, int]:
+    """1-based line and column of a source offset."""
+    return src.count("\n", 0, pos) + 1, pos - src.rfind("\n", 0, pos)
 
 
 # --------------------------------------------------------------------------
@@ -175,11 +177,14 @@ class _Parser:
 
     def parse(self):
         node = self.tensor()
+        self.end()
+        _check_exponents(node, self.src)
+        return node
+
+    def end(self) -> None:
         t = self.peek()
         if t.kind != "end":
             raise ParseError(f"unexpected {t.text!r}", self.src, t.pos)
-        _check_exponents(node, self.src)
-        return node
 
     def nested(self, t: Token, parse):
         """Run parse one nesting level down, within MAX_PARSE_DEPTH."""
@@ -293,56 +298,40 @@ def parse(src: str):
 
 def parse_handle(src: str, ring: Ring, weight: Scalar, precision: int) -> Handle:
     """Parse "poly(x,y)", "sha(H)", or "hur(H[,N])", nested up to the limit."""
-    tokens = _tokenize(src)
-    k = 0
-
-    def next_tok() -> Token:
-        nonlocal k
-        t = tokens[k]
-        k += 1
-        return t
-
-    def expect(kind: str) -> Token:
-        t = next_tok()
-        if t.kind != kind:
-            shown = t.text or "end of input"
-            raise ParseError(f"expected {kind!r}, found {shown!r}", src, t.pos)
-        return t
+    p = _Parser(src)
 
     def handle(depth: int = 0) -> Handle:
-        t = expect("name")
+        t = p.expect("name")
         if depth > MAX_NESTING:
             raise ParseError(f"carrier nested deeper than {MAX_NESTING}", src, t.pos)
         if t.text == "poly":
-            expect("(")
-            names = [expect("name").text]
-            while tokens[k].kind == ",":
-                next_tok()
-                names.append(expect("name").text)
-            expect(")")
+            p.expect("(")
+            names = [p.expect("name").text]
+            while p.peek().kind == ",":
+                p.next()
+                names.append(p.expect("name").text)
+            p.expect(")")
             return algebra.poly_handle(names, ring, weight)
         if t.text == "sha":
-            expect("(")
+            p.expect("(")
             inner = handle(depth + 1)
-            expect(")")
+            p.expect(")")
             return ShaHandle(inner)
         if t.text == "hur":
-            expect("(")
+            p.expect("(")
             inner = handle(depth + 1)
             n = precision
-            if tokens[k].kind == ",":
-                next_tok()
-                n = int(expect("int").text)
+            if p.peek().kind == ",":
+                p.next()
+                n = int(p.expect("int").text)
             if n > MAX_PRECISION:
                 raise ParseError(f"precision {n} is above {MAX_PRECISION}", src, t.pos)
-            expect(")")
+            p.expect(")")
             return HurwitzHandle(inner, n)
         raise ParseError(f"unknown carrier {t.text!r}", src, t.pos)
 
     out = handle()
-    t = tokens[k]
-    if t.kind != "end":
-        raise ParseError(f"unexpected {t.text!r}", src, t.pos)
+    p.end()
     return out
 
 
@@ -389,9 +378,7 @@ class EvalContext:
             return freerb.free_derivation(handle, self.derivation_for(handle.inner))
         if isinstance(handle, HurwitzHandle):
             return hurwitz.shift_derivation(handle)
-        if handle.weight.is_zero:
-            return algebra.derivative_on(handle, handle.variables[0])
-        return algebra.difference_quotient_on(handle, handle.variables[0])
+        return algebra.weighted_derivation(handle)
 
 
 def _embed(x, expected: Handle, pos: int):
@@ -523,6 +510,5 @@ def eval_text(src: str, handle: Handle, ctx: EvalContext):
     try:
         return evaluate(parse(src), handle, ctx)
     except EvalError as e:
-        line = src.count("\n", 0, e.pos) + 1
-        col = e.pos - (src.rfind("\n", 0, e.pos) + 1) + 1
+        line, col = _line_col(src, e.pos)
         raise EvalError(f"line {line}, col {col}: {e.msg}", e.pos) from None

@@ -20,11 +20,11 @@ tuples and zeros dropped, so equality is syntactic.
 from __future__ import annotations
 
 from operator import add, mul
-from typing import Iterator, Mapping
+from typing import Iterator
 
 from . import algebra
 from .algebra import (Handle, HandleMismatchError, Hom, Poly, PolyHandle,
-                      ShaHandle, accumulate, check_same_handle)
+                      ShaHandle, Terms, accumulate, check_same_handle)
 from .coeffs import Ring, Scalar
 
 
@@ -103,19 +103,10 @@ def _expanded_terms(handle: ShaHandle, words: dict) -> dict:
     return out
 
 
-class Tensor:
+class Tensor(Terms):
     """Linear combination of pure tensors over the inner algebra."""
 
-    __slots__ = ("handle", "terms", "_hash")
-
-    def __init__(self, handle: ShaHandle, terms: Mapping[tuple, Scalar]):
-        self.handle = handle
-        self.terms = {t: c for t, c in terms.items() if not c.is_zero}
-        self._hash = None
-
-    @classmethod
-    def zero(cls, handle: ShaHandle) -> Tensor:
-        return cls(handle, {})
+    __slots__ = ()
 
     @classmethod
     def one(cls, handle: ShaHandle) -> Tensor:
@@ -132,26 +123,6 @@ class Tensor:
         out: dict = {}
         add_pure_tensor(out, handle, tuple(factors), coeff)
         return cls(handle, out)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: Tensor) -> Tensor:
-        check_same_handle(self, other)
-        out = dict(self.terms)
-        for t, c in other.terms.items():
-            accumulate(out, t, c)
-        return Tensor(self.handle, out)
-
-    def __neg__(self) -> Tensor:
-        return Tensor(self.handle, {t: -c for t, c in self.terms.items()})
-
-    def __sub__(self, other: Tensor) -> Tensor:
-        return self + (-other)
-
-    def scale(self, c: Scalar) -> Tensor:
-        return Tensor(self.handle, {t: c * v for t, v in self.terms.items()})
 
     def __mul__(self, other: Tensor) -> Tensor:
         """The mixable-shuffle product, extended bilinearly from pure tensors.
@@ -182,20 +153,6 @@ class Tensor:
         return Tensor(handle, _monomial_terms(handle.inner, words) if basis
                       else _expanded_terms(handle, words))
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Tensor) and self.handle == other.handle
-                and self.terms == other.terms)
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.handle, frozenset(self.terms.items())))
-        return self._hash
-
-    def basis_expansion(self) -> list[tuple[Scalar, Tensor]]:
-        """Decompose into (coefficient, single pure tensor) pairs."""
-        return [(c, Tensor(self.handle, {t: self.handle.ring.one()}))
-                for t, c in self._ordered_terms()]
-
     def lengths(self) -> dict[int, int]:
         """Term counts grouped by tensor length."""
         out: dict[int, int] = {}
@@ -203,41 +160,19 @@ class Tensor:
             out[len(t)] = out.get(len(t), 0) + 1
         return out
 
-    def _ordered_terms(self) -> list[tuple[tuple, Scalar]]:
-        return sorted(self.terms.items(),
-                      key=lambda kv: (len(kv[0]), tuple(str(f) for f in kv[0])))
+    @staticmethod
+    def _key_order(t: tuple):
+        return (len(t), tuple(str(f) for f in t))
 
-    def __str__(self) -> str:
-        """Canonical text: factors joined by '#', one parenthesized chunk per
-        term ('#' binds loosest in the expression grammar), inner-tensor
-        factors wrapped in eta(...) to mark their level."""
-        if self.is_zero:
-            return "0"
-
-        def factor_str(f) -> str:
-            if isinstance(f, Tensor):
-                return f"eta({f})"
-            return str(f)
-
-        chunks: list[str] = []
-        for t, c in self._ordered_terms():
-            body = " # ".join(factor_str(f) for f in t)
-            cs = c.render_bare()
-            negative = cs.startswith("-")
-            mag = cs[1:] if negative else cs
-            plain = mag == "1"
-            if len(t) > 1 and not (plain and len(self.terms) == 1 and not negative):
-                body = f"({body})"
-            if not plain:
-                body = f"{mag}*{body}"
-            if not chunks:
-                chunks.append(("-" if negative else "") + body)
-            else:
-                chunks.append((" - " if negative else " + ") + body)
-        return "".join(chunks)
-
-    def __repr__(self) -> str:
-        return f"Tensor({self})"
+    def _term_str(self, t: tuple, mag: str, negative: bool) -> str:
+        """Factors joined by '#', parenthesized unless the tensor is one plain
+        term ('#' binds loosest in the expression grammar); inner-tensor
+        factors are wrapped in eta(...) to mark their level."""
+        body = " # ".join(f"eta({f})" if isinstance(f, Tensor) else str(f) for f in t)
+        plain = mag == "1"
+        if len(t) > 1 and not (plain and len(self.terms) == 1 and not negative):
+            body = f"({body})"
+        return body if plain else f"{mag}*{body}"
 
     def to_json(self) -> list:
         return [{"coeff": str(c), "factors": [f.to_json() for f in t]}

@@ -25,7 +25,7 @@ from typing import Sequence
 from . import algebra
 from .algebra import (Handle, HandleMismatchError, Hom, HurwitzHandle,
                       check_same_handle)
-from .coeffs import RingError, Scalar
+from .coeffs import Scalar
 
 
 class PrecisionError(ValueError):
@@ -46,35 +46,20 @@ def _pair_row(n: int) -> tuple[tuple[int, int, int, int], ...]:
                  for i in range(n + 1) for l in range(n - i, n + 1))
 
 
-def _narrow(v):
-    """A whole rational as an int, whose arithmetic is far cheaper."""
-    return v.numerator if v.denominator == 1 else v
-
-
-def _bare_terms(p, ring) -> list:
-    """The (key, bare value) pairs of a term map, after checking that every
-    coefficient lives in the ring."""
-    out = []
-    for key, c in p.terms.items():
-        if c.ring != ring:
-            raise RingError(f"ring mismatch: {c.ring} vs {ring}")
-        out.append((key, _narrow(c.value)))
-    return out
-
-
 def _pair_sums(f: Sequence, g: Sequence, inner: Handle, indices: Sequence[int]) -> list:
     """The values (fg)(n), n in indices, of the weighted product of the value
     prefixes f and g over the inner algebra, in pair form.
 
     Each product f(i)g(l) is formed at most once, and only where some row
     gives it a nonzero coefficient.  Over carriers with a term map the scaled
-    products are summed as bare coefficient values and each sum becomes a
-    Scalar once; series-valued inners, which have no term map, are summed as
-    elements, so each value keeps the smallest precision that enters it.
+    products are summed as bare coefficient values, and each sum is rebuilt
+    into a term map once; series-valued inners, which have no term map, are
+    summed as elements, so each value keeps the smallest precision that
+    enters it.
     """
     ring = inner.ring
     m = ring.modulus
-    powers = [_narrow(_lambda_power(inner.weight, k).value) for k in range(max(indices) + 1)]
+    powers = [_lambda_power(inner.weight, k).bare for k in range(max(indices) + 1)]
     generic = isinstance(inner, HurwitzHandle)
     products: dict = {}
 
@@ -86,7 +71,7 @@ def _pair_sums(f: Sequence, g: Sequence, inner: Handle, indices: Sequence[int]) 
                 continue
             p = products.get((i, l))
             if p is None:
-                p = products[i, l] = f[i] * g[l] if generic else _bare_terms(f[i] * g[l], ring)
+                p = products[i, l] = f[i] * g[l] if generic else (f[i] * g[l]).bare_items()
             yield c, p
 
     out = []
@@ -104,7 +89,7 @@ def _pair_sums(f: Sequence, g: Sequence, inner: Handle, indices: Sequence[int]) 
             for key, v in p:
                 s = sums.get(key)
                 sums[key] = c * v if s is None else s + c * v
-        out.append(make(inner, {key: ring.from_int(v) for key, v in sums.items()}))
+        out.append(make.from_bare(inner, sums))
     return out
 
 

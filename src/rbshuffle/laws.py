@@ -12,14 +12,15 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
-from math import comb
+from dataclasses import dataclass, replace
+from math import comb, gcd
 from typing import Sequence
 
 from . import algebra, distlaw, freerb, hurwitz
 from .algebra import (ExpSpan, Hom, HurwitzHandle, Poly, PolyHandle,
                       SampleBudget, ShaHandle, alg_eq, exp_span_rb,
-                      poly_handle, random_element, random_subst_hom)
+                      poly_handle, random_element, random_subst_hom,
+                      weighted_derivation)
 from .coeffs import RATIONALS, Ring, Scalar, parse_scalar
 from .freerb import Tensor
 from .hurwitz import Series
@@ -27,49 +28,44 @@ from .reports import LawReport, LawSuite
 
 
 def default_lambdas(ring: Ring) -> tuple[str, ...]:
-    """Weight values cycled per sample: zero, one, and a proper fraction
-    where the ring can divide by two."""
-    if ring.is_rational:
+    """Weight values cycled per sample: zero, one, and a third value the
+    difference quotient can divide by: 1/2 where the ring can divide by two,
+    else 2 on the integers and the smallest unit above one mod an even m."""
+    if ring.is_rational or (ring.is_residue and ring.modulus % 2 == 1):
         return ("0", "1", "1/2")
     if ring.is_residue:
-        if ring.modulus % 2 == 1:
-            return ("0", "1", "1/2")
-        return ("0", "1") if ring.modulus == 2 else ("0", "1", "3")
+        m = ring.modulus
+        unit = next((u for u in range(2, m) if gcd(u, m) == 1), None)
+        return ("0", "1") if unit is None else ("0", "1", str(unit))
     return ("0", "1", "2")
 
 
 @dataclass(frozen=True)
 class SampleConfig:
-    """Sampling budgets; the defaults keep every suite exact and fast."""
+    """The ring, the weights cycled per sample and the series precision; the
+    size budgets are ``SampleBudget``'s defaults, which keep every suite
+    exact and fast."""
 
     ring: Ring = RATIONALS
     lambdas: tuple[str, ...] = ("0", "1", "1/2")
     precision: int = 4
-    max_degree: int = 2
-    max_terms: int = 3
-    coeff_lo: int = -3
-    coeff_hi: int = 3
-    max_tensor_len: int = 3
-    nested_tensor_len: int = 2
-    nested_terms: int = 2
 
     @staticmethod
-    def for_ring(ring: Ring, **kw) -> SampleConfig:
-        kw.setdefault("lambdas", default_lambdas(ring))
-        return SampleConfig(ring=ring, **kw)
+    def for_ring(ring: Ring, lambdas: tuple[str, ...] | None = None,
+                 precision: int = 4) -> SampleConfig:
+        """The configuration over ring, cycling ``default_lambdas`` unless
+        lambdas are given."""
+        return SampleConfig(ring, lambdas or default_lambdas(ring), precision)
 
     def weight(self, i: int) -> Scalar:
         return parse_scalar(self.lambdas[i % len(self.lambdas)], self.ring)
 
     def budget(self) -> SampleBudget:
-        return SampleBudget(max_degree=self.max_degree, max_terms=self.max_terms,
-                            coeff_lo=self.coeff_lo, coeff_hi=self.coeff_hi,
-                            max_tensor_len=self.max_tensor_len,
-                            precision=self.precision)
+        return SampleBudget(precision=self.precision)
 
     def nested_budget(self) -> SampleBudget:
-        return self.budget().with_(max_tensor_len=self.nested_tensor_len,
-                                   max_terms=self.nested_terms)
+        """Smaller sizes for samples that are products or nestings."""
+        return replace(self.budget(), max_tensor_len=2, max_terms=2)
 
 
 def _poly_xy(cfg: SampleConfig, lam: Scalar) -> PolyHandle:
@@ -78,14 +74,6 @@ def _poly_xy(cfg: SampleConfig, lam: Scalar) -> PolyHandle:
 
 def _poly_x(cfg: SampleConfig, lam: Scalar) -> PolyHandle:
     return poly_handle(("x",), cfg.ring, lam)
-
-
-def weighted_derivation(handle: PolyHandle) -> Hom:
-    """The canonical test-bed derivation at the handle's weight: the formal
-    derivative at weight zero, the difference quotient otherwise."""
-    if handle.weight.is_zero:
-        return algebra.derivative_on(handle, handle.variables[0])
-    return algebra.difference_quotient_on(handle, handle.variables[0])
 
 
 def _rb_targets(cfg: SampleConfig, lam: Scalar) -> list[tuple[str, object, Hom]]:
@@ -145,7 +133,7 @@ def _check_poly_algebra(rng: random.Random, cfg: SampleConfig, i: int):
     h = _poly_xy(cfg, lam)
     b = cfg.budget()
     x, y, z = (random_element(h, b, rng) for _ in range(3))
-    c = h.ring.from_int(rng.randint(cfg.coeff_lo, cfg.coeff_hi))
+    c = h.ring.from_int(rng.randint(b.coeff_lo, b.coeff_hi))
     one = Poly.one(h)
     checks = [("commutative", x * y, y * x),
               ("associative", (x * y) * z, x * (y * z)),
@@ -172,7 +160,7 @@ def _check_sha_algebra(rng: random.Random, cfg: SampleConfig, i: int):
     if not alg_eq(u * (v + one), u * v + u):
         return _ce(i, lam, "distributive", u=u, v=v)
     # associativity on single pure tensors: products of combinations grow fast
-    pure = b.with_(max_terms=1)
+    pure = replace(b, max_terms=1)
     p, q, r = (random_element(s, pure, rng) for _ in range(3))
     if not alg_eq((p * q) * r, p * (q * r)):
         return _ce(i, lam, "associative", p=p, q=q, r=r,
@@ -200,7 +188,7 @@ def _check_nested_algebra(rng: random.Random, cfg: SampleConfig, i: int):
     """Carrier axioms on the depth-2 composites, at small budgets."""
     lam = cfg.weight(i)
     h = _poly_x(cfg, lam)
-    b = cfg.nested_budget().with_(max_degree=1, precision=2)
+    b = replace(cfg.nested_budget(), max_degree=1, precision=2)
     kinds = (ShaHandle(ShaHandle(h)),
              ShaHandle(HurwitzHandle(h, 2)),
              HurwitzHandle(ShaHandle(h), 2),
@@ -228,8 +216,8 @@ def _check_rb_identity(rng: random.Random, cfg: SampleConfig, i: int):
             return _ce(i, lam, f"rb-identity[{name}]", x=x, y=y)
     # decay-mode carrier: weight 0 by construction, rational coefficients
     if cfg.ring.is_rational:
-        f = _random_expspan(rng, cfg)
-        g = _random_expspan(rng, cfg)
+        f = _random_expspan(rng, b)
+        g = _random_expspan(rng, b)
         zero_w = RATIONALS.zero()
         lhs = exp_span_rb(f) * exp_span_rb(g)
         rhs = exp_span_rb(f * exp_span_rb(g)) + exp_span_rb(g * exp_span_rb(f))
@@ -238,11 +226,11 @@ def _check_rb_identity(rng: random.Random, cfg: SampleConfig, i: int):
     return None
 
 
-def _random_expspan(rng: random.Random, cfg: SampleConfig) -> ExpSpan:
+def _random_expspan(rng: random.Random, budget: SampleBudget) -> ExpSpan:
     terms = {}
-    for _ in range(rng.randint(0, cfg.max_terms)):
+    for _ in range(rng.randint(0, budget.max_terms)):
         terms[rng.randint(1, 4)] = RATIONALS.from_int(
-            rng.randint(cfg.coeff_lo, cfg.coeff_hi))
+            rng.randint(budget.coeff_lo, budget.coeff_hi))
     return ExpSpan(terms)
 
 

@@ -173,13 +173,23 @@ def test_bench_gate_trips_on_wrong_merge_weight(monkeypatch, capsys):
     ["eval", "--handle", "poly(x)", "1/0"],
     ["eval", "--handle", "poly(x)", "--lambda", "1/0", "x"],
     ["check", "--precision", "-1", "--suite", "hurwitz_algebra"],
-], ids=["eval-literal", "eval-weight", "check-precision"])
+    ["check", "--ring", "zmod:4", "--lambda", "2", "--suite", "lambda_leibniz"],
+], ids=["eval-literal", "eval-weight", "check-precision", "check-weight-not-a-unit"])
 def test_bad_input_exits_2_with_one_line(argv, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def test_check_on_zmod6_cycles_a_unit_weight(capsys):
+    argv = ["check", "--ring", "zmod:6", "--json", "--suite", "lambda_leibniz",
+            "--suite", "higher_leibniz", "--suite", "drb"]
+    assert main(argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["lambdas"] == ["0", "1", "5"]
+    assert all(r["passed"] for r in out["reports"])
 
 
 @pytest.mark.parametrize("argv", [

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from rbshuffle import freerb, hurwitz, laws
-from rbshuffle.algebra import Hom, Poly, poly_handle
+from rbshuffle.algebra import Hom, Poly, SampleBudget, poly_handle
 from rbshuffle.coeffs import INTEGERS, RATIONALS, residues
 from rbshuffle.laws import (LAW_COVERAGE, SampleConfig, default_lambdas,
                             registry, run_all, run_suite)
@@ -67,6 +67,20 @@ def test_default_lambda_cycles():
     assert default_lambdas(residues(5)) == ("0", "1", "1/2")
     assert default_lambdas(residues(4)) == ("0", "1", "3")
     assert default_lambdas(residues(2)) == ("0", "1")
+    # on even moduli the third weight is the smallest unit, which the
+    # difference quotient can divide by
+    assert default_lambdas(residues(6)) == ("0", "1", "5")
+    assert default_lambdas(residues(8)) == ("0", "1", "3")
+    assert default_lambdas(residues(12)) == ("0", "1", "5")
+
+
+def test_sample_config_sets_ring_weights_and_precision_only():
+    assert list(SampleConfig.__dataclass_fields__) == ["ring", "lambdas", "precision"]
+    cfg = SampleConfig.for_ring(INTEGERS, precision=3)
+    assert cfg == SampleConfig(INTEGERS, ("0", "1", "2"), 3)
+    assert SampleConfig.for_ring(INTEGERS, ("1",)).lambdas == ("1",)
+    assert cfg.budget() == SampleBudget(precision=3)
+    assert cfg.nested_budget() == SampleBudget(max_terms=2, max_tensor_len=2, precision=3)
 
 
 def test_reports_are_deterministic():
