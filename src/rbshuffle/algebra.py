@@ -173,19 +173,20 @@ class Terms:
 
     @classmethod
     def from_bare(cls, handle: Handle, values: Mapping):
-        """The element with bare coefficient values (see ``Scalar.bare``)."""
+        """The element with bare coefficient values: ints, or Fractions on q,
+        each rebuilt into a ``Scalar`` through ``Ring.from_int``."""
         ring = handle.ring
         return cls(handle, {k: ring.from_int(v) for k, v in values.items()})
 
     def bare_items(self) -> list:
         """The (key, bare value) pairs, after checking that every coefficient
-        lives in the handle's ring."""
+        lives in the handle's ring; a bare value is a ``Scalar.value``."""
         ring = self.handle.ring
         out = []
         for key, c in self.terms.items():
-            if c.ring != ring:
+            if c.ring is not ring and c.ring != ring:
                 raise RingError(f"ring mismatch: {c.ring} vs {ring}")
-            out.append((key, c.bare))
+            out.append((key, c.value))
         return out
 
     @property

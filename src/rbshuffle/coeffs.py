@@ -2,9 +2,13 @@
 
 Three ring modes are supported: arbitrary-precision rationals, arbitrary
 precision integers, and residues mod m (m >= 2).  Values are immutable and
-normalized at construction: rationals in lowest terms with positive
-denominator (``fractions.Fraction`` guarantees this), residues in [0, m).
-Mixing ring modes raises ``RingError`` instead of coercing silently.
+normalized at construction.  A rational that is whole is stored as an
+``int``, any other as a ``fractions.Fraction`` in lowest terms with positive
+denominator; nearly every coefficient the laws produce is whole, and ``int``
+arithmetic is far cheaper.  Integers are ``int``s and residues ``int``s in
+[0, m).  ``int`` and ``Fraction`` compare, hash and print alike, so the form
+shows nowhere but in speed.  Mixing ring modes raises ``RingError`` instead
+of coercing silently; no value is ever a float.
 """
 
 from __future__ import annotations
@@ -55,17 +59,22 @@ class Ring:
         return self.from_int(1)
 
     def from_int(self, n: int) -> Scalar:
-        """The image of n; on q, n may also be a Fraction (a bare value)."""
+        """The image of n, which must be an ``int``; on q it may also be a
+        ``Fraction`` (a bare value).  Anything else raises ``TypeError``."""
+        t = type(n)
         if self.kind == _RATIONAL:
-            return Scalar(self, Fraction(n))
-        if self.kind == _RESIDUE:
-            return Scalar(self, n % self.modulus)
-        return Scalar(self, int(n))
+            if t is int:
+                return Scalar(self, n)
+            if t is Fraction:
+                return Scalar(self, n.numerator if n.denominator == 1 else n)
+        elif t is int:
+            return Scalar(self, n % self.modulus if self.modulus else n)
+        raise TypeError(f"ring {self} takes no {t.__name__} value: {n!r}")
 
     def from_fraction(self, q: Fraction) -> Scalar:
         """Embed p/q, dividing by q where the ring allows it."""
         if self.kind == _RATIONAL:
-            return Scalar(self, q)
+            return self.from_int(q)
         if q.denominator == 1:
             return self.from_int(q.numerator)
         if self.kind == _RESIDUE:
@@ -96,13 +105,17 @@ class Scalar:
     def _check(self, other: Scalar) -> None:
         if not isinstance(other, Scalar):
             raise TypeError(f"expected Scalar, got {type(other).__name__}")
-        if other.ring != self.ring:
+        if other.ring is not self.ring and other.ring != self.ring:
             raise RingError(f"ring mismatch: {self.ring} vs {other.ring}")
 
     def _wrap(self, v) -> Scalar:
-        if self.ring.is_residue:
-            v = v % self.ring.modulus
-        return Scalar(self.ring, v)
+        """The result v of an operation, in canonical form."""
+        ring = self.ring
+        if ring.modulus:
+            return Scalar(ring, v % ring.modulus)
+        if type(v) is Fraction and v.denominator == 1:
+            return Scalar(ring, v.numerator)
+        return Scalar(ring, v)
 
     def __add__(self, other: Scalar) -> Scalar:
         self._check(other)
@@ -130,18 +143,11 @@ class Scalar:
     def is_one(self) -> bool:
         return self.value == 1
 
-    @property
-    def bare(self) -> Union[Fraction, int]:
-        """The value as a plain number, a whole rational as an int, whose
-        arithmetic is far cheaper; ``Ring.from_int`` turns it back."""
-        v = self.value
-        return v.numerator if v.denominator == 1 else v
-
     def inverse(self) -> Scalar:
         if self.is_zero:
             raise ZeroDivisionError("scalar has no inverse: 0")
         if self.ring.is_rational:
-            return Scalar(self.ring, 1 / self.value)
+            return self._wrap(Fraction(1) / self.value)
         if self.ring.is_residue:
             m = self.ring.modulus
             if gcd(self.value, m) != 1:

@@ -320,12 +320,13 @@ def parse_handle(src: str, ring: Ring, weight: Scalar, precision: int) -> Handle
         if t.text == "hur":
             p.expect("(")
             inner = handle(depth + 1)
-            n = precision
+            n, at = precision, t.pos
             if p.peek().kind == ",":
                 p.next()
-                n = int(p.expect("int").text)
+                num = p.expect("int")
+                n, at = int(num.text), num.pos
             if n > MAX_PRECISION:
-                raise ParseError(f"precision {n} is above {MAX_PRECISION}", src, t.pos)
+                raise ParseError(f"precision {n} is above {MAX_PRECISION}", src, at)
             p.expect(")")
             return HurwitzHandle(inner, n)
         raise ParseError(f"unknown carrier {t.text!r}", src, t.pos)

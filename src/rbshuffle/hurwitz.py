@@ -52,14 +52,15 @@ def _pair_sums(f: Sequence, g: Sequence, inner: Handle, indices: Sequence[int]) 
 
     Each product f(i)g(l) is formed at most once, and only where some row
     gives it a nonzero coefficient.  Over carriers with a term map the scaled
-    products are summed as bare coefficient values, and each sum is rebuilt
+    products are summed as bare coefficient values (each ``Scalar.value``:
+    an int, or a Fraction on q), and each sum is rebuilt
     into a term map once; series-valued inners, which have no term map, are
     summed as elements, so each value keeps the smallest precision that
     enters it.
     """
     ring = inner.ring
     m = ring.modulus
-    powers = [_lambda_power(inner.weight, k).bare for k in range(max(indices) + 1)]
+    powers = [_lambda_power(inner.weight, k).value for k in range(max(indices) + 1)]
     generic = isinstance(inner, HurwitzHandle)
     products: dict = {}
 

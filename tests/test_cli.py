@@ -263,6 +263,16 @@ def test_input_budgets_admit_their_limits():
         parse_handle("hur(poly(x))", Q, c.weight, n + 1)
 
 
+@pytest.mark.parametrize("spec,precision,col", (("hur(poly(x),99)", 4, 13),
+                                                ("sha(hur(poly(x),99))", 4, 17),
+                                                ("hur(poly(x))", 99, 1)))
+def test_precision_error_points_at_its_number(spec, precision, col):
+    # a written precision is blamed on its digits, a --precision on the hur
+    with pytest.raises(ParseError) as err:
+        parse_handle(spec, Q, Q.zero(), precision)
+    assert err.value.col == col and "precision 99 is above" in str(err.value)
+
+
 @pytest.mark.parametrize("ring,a,b", ((Q, 1, -1), (residues(6), 2, 4)), ids=str)
 def test_tensor_concatenation_with_cancelling_pieces(ring, a, b):
     # a + b = 0 in the ring: x # (y # z) and (x # y) # z are the same word

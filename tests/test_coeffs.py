@@ -1,12 +1,13 @@
 """Scalar arithmetic: exactness, normalization, and commutative-ring axioms."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rbshuffle.coeffs import (INTEGERS, RATIONALS, Ring, RingError,
+from rbshuffle.coeffs import (INTEGERS, RATIONALS, Ring, RingError, Scalar,
                               parse_ring, parse_scalar, residues)
 
 Z5 = residues(5)
@@ -43,10 +44,13 @@ def test_normalization_is_canonical():
 
 
 def test_mode_mixing_rejected():
-    with pytest.raises(RingError):
-        RATIONALS.one() + INTEGERS.one()
-    with pytest.raises(RingError):
-        Z5.one() * residues(7).one()
+    for r1, r2 in ((RATIONALS, INTEGERS), (RATIONALS, residues(7)),
+                   (residues(6), residues(7)), (INTEGERS, Z5)):
+        a, b = r1.from_int(2), r2.from_int(3)
+        for op in (lambda: a + b, lambda: a - b, lambda: a * b, lambda: b * a,
+                   lambda: a.exact_div(b)):
+            with pytest.raises(RingError):
+                op()
 
 
 def test_inverse_and_exact_division():
@@ -121,3 +125,55 @@ def test_commutative_ring_axioms(ring, data):
     assert a + ring.zero() == a
     assert a * ring.one() == a
     assert a + (-a) == ring.zero()
+
+
+@pytest.mark.parametrize("ring,value", ((INTEGERS, Fraction(3, 2)), (Z5, Fraction(1, 2)),
+                                        (RATIONALS, 0.5)), ids=str)
+def test_from_int_refuses_to_coerce(ring, value):
+    # each of these was once accepted: z truncated 3/2 to 1, zmod stored a
+    # Fraction residue and q turned the float into 1/2
+    with pytest.raises(TypeError):
+        ring.from_int(value)
+
+
+def _canonical_rational(s: Scalar, model: Fraction) -> None:
+    """s is on q, equals the plain-Fraction model, and is an int exactly
+    when the model is whole."""
+    assert s.ring == RATIONALS and s.value == model
+    assert type(s.value) is (int if model.denominator == 1 else Fraction)
+
+
+fractions_ = st.builds(Fraction, small_ints, st.integers(min_value=1, max_value=20))
+
+
+@settings(max_examples=500, deadline=None)
+@given(fa=fractions_, fb=fractions_, k=st.integers(min_value=0, max_value=4))
+def test_rational_values_are_canonical(fa, fb, k):
+    a, b = RATIONALS.from_fraction(fa), RATIONALS.from_fraction(fb)
+    _canonical_rational(a, fa)
+    _canonical_rational(b, fb)
+    results = [(a + b, fa + fb), (a - b, fa - fb), (a * b, fa * fb), (-a, -fa),
+               (a.pow_nat(k), fa ** k)]
+    if fb:
+        results += [(b.inverse(), 1 / fb), (a.exact_div(b), fa / fb)]
+    for s, model in results:
+        _canonical_rational(s, model)
+        # the same value reached another way is the same scalar
+        again = RATIONALS.from_fraction(model)
+        assert s == again and hash(s) == hash(again) and type(s.value) is type(again.value)
+    assert (a + b) - b == a and hash((a + b) - b) == hash(a)
+    assert a * b == b * a and hash(a * b) == hash(b * a)
+
+
+@pytest.mark.parametrize("m", (6, 7))
+@settings(max_examples=300, deadline=None)
+@given(x=small_ints, y=small_ints, k=st.integers(min_value=0, max_value=4))
+def test_residue_values_are_canonical(m, x, y, k):
+    ring = residues(m)
+    a, b = ring.from_int(x), ring.from_int(y)
+    results = [a, b, a + b, a - b, a * b, -a, a.pow_nat(k)]
+    if gcd(y, m) == 1:
+        results += [b.inverse(), a.exact_div(b)]
+    for s in results:
+        assert type(s.value) is int and 0 <= s.value < m
+    assert (a + b).value == (x + y) % m and (a * b).value == x * y % m
