@@ -225,9 +225,9 @@ class Terms:
                       reverse=reverse)
 
     def basis_expansion(self) -> list:
-        """Decompose into (coefficient, basis element) pairs, in key order."""
+        """Decompose into (coefficient, basis element) pairs."""
         one = self.handle.ring.one()
-        return [(c, type(self)(self.handle, {k: one})) for k, c in self._ordered_terms()]
+        return [(c, type(self)(self.handle, {k: one})) for k, c in self.terms.items()]
 
     def __str__(self) -> str:
         if self.is_zero:

@@ -16,14 +16,10 @@ handle's working precision; an explicit target precision must not exceed it.
 
 from __future__ import annotations
 
-import time
-
-from . import algebra, freerb, hurwitz
-from .algebra import (Handle, HandleMismatchError, Hom, HurwitzHandle,
-                      ShaHandle, alg_eq)
+from . import freerb, hurwitz
+from .algebra import HandleMismatchError, Hom, HurwitzHandle, ShaHandle, alg_eq
 from .freerb import Tensor
 from .hurwitz import PrecisionError, Series
-from .reports import LawReport
 
 
 def beta(u: Tensor, n_out: int | None = None) -> Series:
@@ -97,24 +93,16 @@ def lift_costructure_hom(f: Hom, n_out: int | None = None) -> Hom:
 # Compatibility of a structure/costructure pair
 
 
-def check_mixed_compat(h: Hom, f: Hom, samples, seed: str = "-") -> LawReport:
+def check_mixed_compat(h: Hom, f: Hom, samples) -> dict | None:
     """Check f(h(u)) = pointwise-h(beta(factorwise-f(u))) on each sample.
 
     This is the defining square for a carrier holding both an evaluation
-    structure and a costructure compatibly; failures are report content,
-    not errors.
+    structure and a costructure compatibly.  Returns the first failing
+    sample as a counterexample dict, or None when every sample holds.
     """
-    started = time.perf_counter()
-    count = 0
     for i, u in enumerate(samples):
-        count += 1
         lhs = f(h(u))
         rhs = hurwitz.map_pointwise(h, beta(freerb.sha_map(f, u)))
         if not alg_eq(lhs, rhs):
-            return LawReport(
-                law="mixed-compatibility", samples=count, seed=seed, passed=False,
-                counterexample={"index": i, "input": str(u),
-                                "lhs": str(lhs), "rhs": str(rhs)},
-                wall_ms=(time.perf_counter() - started) * 1e3)
-    return LawReport(law="mixed-compatibility", samples=count, seed=seed,
-                     passed=True, wall_ms=(time.perf_counter() - started) * 1e3)
+            return {"index": i, "input": str(u), "lhs": str(lhs), "rhs": str(rhs)}
+    return None

@@ -36,7 +36,8 @@ from .freerb import Tensor
 from .hurwitz import Series
 
 # Input budgets, checked before evaluation: parentheses, brackets, calls and
-# unary minus each nest one level; the exponents of nested powers multiply.
+# unary minus each nest one level; the exponents of nested powers multiply;
+# a series literal holds at most MAX_PRECISION + 1 values (indices 0..N).
 MAX_PARSE_DEPTH = 100
 MAX_EXPONENT = 256
 MAX_PRECISION = 64  # a dense series product at precision 64 takes about 0.1 s
@@ -268,6 +269,9 @@ class _Parser:
             self.next()
             items = self.nested(t, lambda: self.listing(";"))
             self.expect("]")
+            if len(items) > MAX_PRECISION + 1:
+                raise ParseError(f"series literal of {len(items)} values is above "
+                                 f"{MAX_PRECISION + 1}", self.src, t.pos)
             return SeriesLit(items, t.pos)
         shown = t.text or "end of input"
         raise ParseError(f"expected an expression, found {shown!r}", self.src, t.pos)

@@ -9,7 +9,9 @@ of Guo-Keigher: for pure tensors a0 # a' and b0 # b',
 where a word of the tail shuffle starts with the first letter of a', or the
 first letter of b', or their product in A with the handle weight as its
 coefficient, and goes on with the shuffle of what remains.  The weighted
-merge is what distinguishes this from the plain shuffle product.
+merge is what distinguishes this from the plain shuffle product.  The letters
+of a word are tensor factors on every carrier, and merging two letters is the
+carrier's own product.
 
 Canonical form: factors are expanded to basis monomials of A wherever A has
 a basis (polynomial and tensor carriers); factors over sequence carriers are
@@ -19,7 +21,6 @@ tuples and zeros dropped, so equality is syntactic.
 
 from __future__ import annotations
 
-from operator import add, mul
 from typing import Iterator
 
 from . import algebra
@@ -33,12 +34,13 @@ def _merge_weight(handle: ShaHandle) -> Scalar:
     return handle.weight
 
 
-def _shuffle_tails(u: tuple, v: tuple, merge, lam: Scalar, memo: dict) -> dict:
-    """Mixable shuffle of two words of basis keys, as word -> coefficient.
+def _shuffle_tails(u: tuple, v: tuple, lam: Scalar, memo: dict) -> dict:
+    """Mixable shuffle of two words of tensor factors, as word -> coefficient.
 
-    The first letter is u's, or v's, or (with coefficient lam) the merge of
-    both; the rest is the shuffle of what remains.  ``memo`` is keyed on the
-    suffix pair and may be shared by every call with the same merge and lam.
+    The letters are the factors themselves.  The first letter is u's, or v's,
+    or (with coefficient lam) the carrier product of both; the rest is the
+    shuffle of what remains.  ``memo`` is keyed on the suffix pair and may be
+    shared by every call with the same lam.
     """
     hit = memo.get((u, v))
     if hit is not None:
@@ -47,12 +49,12 @@ def _shuffle_tails(u: tuple, v: tuple, merge, lam: Scalar, memo: dict) -> dict:
         out = {u or v: lam.ring.one()}
     else:
         x, y = u[0], v[0]
-        out = {(x,) + w: c for w, c in _shuffle_tails(u[1:], v, merge, lam, memo).items()}
-        for w, c in _shuffle_tails(u, v[1:], merge, lam, memo).items():
+        out = {(x,) + w: c for w, c in _shuffle_tails(u[1:], v, lam, memo).items()}
+        for w, c in _shuffle_tails(u, v[1:], lam, memo).items():
             accumulate(out, (y,) + w, c)
         if not lam.is_zero:
-            z = merge(x, y)
-            for w, c in _shuffle_tails(u[1:], v[1:], merge, lam, memo).items():
+            z = x * y
+            for w, c in _shuffle_tails(u[1:], v[1:], lam, memo).items():
                 accumulate(out, (z,) + w, c * lam)
     memo[(u, v)] = out
     return out
@@ -69,38 +71,6 @@ def add_pure_tensor(terms: dict, handle: ShaHandle, factors: tuple, coeff: Scala
         expanded = [(c * ci, t + (m,)) for c, t in expanded for ci, m in f.basis_expansion()]
     for c, t in expanded:
         accumulate(terms, t, c)
-
-
-def _exponent_word(factors: tuple) -> tuple:
-    """Letters of a canonical pure tensor over polynomials: the exponent
-    vectors of its monic monomial factors."""
-    return tuple(next(iter(f.terms)) for f in factors)
-
-
-def _add_exponents(e1: tuple, e2: tuple) -> tuple:
-    return tuple(map(add, e1, e2))
-
-
-def _monomial_terms(inner: PolyHandle, words: dict) -> dict:
-    """Exponent-vector words as tensor terms, one Poly per distinct vector."""
-    one = inner.ring.one()
-    monomials: dict = {}
-
-    def monomial(e: tuple) -> Poly:
-        p = monomials.get(e)
-        if p is None:
-            p = monomials[e] = Poly(inner, {e: one})
-        return p
-
-    return {tuple(map(monomial, w)): c for w, c in words.items()}
-
-
-def _expanded_terms(handle: ShaHandle, words: dict) -> dict:
-    """Words of arbitrary factors as canonical tensor terms."""
-    out: dict = {}
-    for w, c in words.items():
-        add_pure_tensor(out, handle, w, c)
-    return out
 
 
 class Tensor(Terms):
@@ -127,31 +97,32 @@ class Tensor(Terms):
     def __mul__(self, other: Tensor) -> Tensor:
         """The mixable-shuffle product, extended bilinearly from pure tensors.
 
-        Each pair of terms gives merge(a0, b0) followed by every word of the
-        tail shuffle ``_shuffle_tails``, whose memo all pairs share.  Over a
-        polynomial carrier the letters are the factors' exponent vectors and
-        merging adds them, so output words are canonical as they stand.  Other
-        carriers have no monomial basis: the letters are the factors, merging
-        is their product, and output words are expanded back to canonical
-        factors, which drops every word with a zero factor.
+        Each pair of terms gives the carrier product a0*b0 followed by every
+        word of the tail shuffle ``_shuffle_tails``, whose memo all pairs
+        share.  Letters are the canonical factors and merging is the
+        carrier's product.  Over a polynomial carrier the factors are monic
+        monomials, whose products are monic monomials, so output words are
+        canonical as they stand.  Other carriers have no monomial basis:
+        output words are expanded back to canonical factors, which drops
+        every word with a zero factor.
         """
         check_same_handle(self, other)
         handle = self.handle
         lam = _merge_weight(handle)
-        basis = isinstance(handle.inner, PolyHandle)
-        word_of, merge = (_exponent_word, _add_exponents) if basis else (tuple, mul)
-        right = [(word_of(t), c) for t, c in other.terms.items()]
         memo: dict = {}
         words: dict = {}
-        for ta, ca in self.terms.items():
-            a = word_of(ta)
-            for b, cb in right:
-                head = (merge(a[0], b[0]),)
+        for a, ca in self.terms.items():
+            for b, cb in other.terms.items():
+                head = (a[0] * b[0],)
                 scale = ca * cb
-                for w, c in _shuffle_tails(a[1:], b[1:], merge, lam, memo).items():
+                for w, c in _shuffle_tails(a[1:], b[1:], lam, memo).items():
                     accumulate(words, head + w, scale * c)
-        return Tensor(handle, _monomial_terms(handle.inner, words) if basis
-                      else _expanded_terms(handle, words))
+        if isinstance(handle.inner, PolyHandle):
+            return Tensor(handle, words)
+        out: dict = {}
+        for w, c in words.items():
+            add_pure_tensor(out, handle, w, c)
+        return Tensor(handle, out)
 
     def lengths(self) -> dict[int, int]:
         """Term counts grouped by tensor length."""

@@ -631,12 +631,10 @@ def _check_mixed_compat(rng: random.Random, cfg: SampleConfig, i: int):
     evaluation = freerb.structure_hom(freerb.free_rb_operator(s))
     costr = hurwitz.costructure_hom(freerb.free_derivation(s, d), cfg.precision)
     w = random_element(ShaHandle(s), cfg.nested_budget(), rng)
-    report = distlaw.check_mixed_compat(evaluation, costr, [w])
-    if not report.passed:
-        ce = dict(report.counterexample)
+    ce = distlaw.check_mixed_compat(evaluation, costr, [w])
+    if ce is not None:
         ce.update({"index": i, "weight": str(lam), "law": "mixed-compatibility"})
-        return ce
-    return None
+    return ce
 
 
 def _check_adjunction_triangles(rng: random.Random, cfg: SampleConfig, i: int):

@@ -201,8 +201,10 @@ def test_check_on_zmod6_cycles_a_unit_weight(capsys):
     ["eval", "--handle", "hur(poly(x),100000)", "x*x"],
     ["eval", "--precision", "100000", "--handle", "hur(poly(x))", "x*x"],
     ["check", "--precision", "100000", "--suite", "hurwitz_algebra"],
+    ["eval", "--handle", "hur(poly(x),2)", "[" + ";".join(["1"] * 66) + "] * [1]"],
 ], ids=["parentheses", "unary-minus", "carrier-nesting", "exponent",
-        "nested-exponents", "handle-precision", "eval-precision", "check-precision"])
+        "nested-exponents", "handle-precision", "eval-precision", "check-precision",
+        "series-literal"])
 def test_input_budgets_exit_2_promptly(argv):
     # a fresh interpreter under a timeout, so a lost budget fails instead of hanging
     env = dict(os.environ, PYTHONPATH=str(Path(rbshuffle.__file__).resolve().parents[1]))
@@ -261,6 +263,7 @@ def test_input_budgets_admit_their_limits():
         parse_handle(f"hur(poly(x),{n + 1})", Q, c.weight, 4)
     with pytest.raises(ParseError):
         parse_handle("hur(poly(x))", Q, c.weight, n + 1)
+    assert eval_text("[" + ";".join(["1"] * (n + 1)) + "]", hh, c).precision == n
 
 
 @pytest.mark.parametrize("spec,precision,col", (("hur(poly(x),99)", 4, 13),

@@ -202,8 +202,7 @@ def test_mixed_compat_free_pair_commutes(lam):
     rng = random.Random(6)
     budget = SampleBudget(max_tensor_len=2, max_terms=2)
     samples = [random_element(ShaHandle(sa), budget, rng) for _ in range(20)]
-    report = check_mixed_compat(evaluation, costr, samples, seed="fixed")
-    assert report.passed and report.samples == 20
+    assert check_mixed_compat(evaluation, costr, samples) is None
 
 
 @pytest.mark.parametrize("lam", LAMBDAS, ids=str)
@@ -216,10 +215,10 @@ def test_mixed_compat_zero_derivation_fails(lam):
     x = Poly.variable(h, "x")
     one = Poly.one(h)
     bad = Tensor.from_factors(sa, (x, one))
-    report = check_mixed_compat(evaluation, costr, [bad])
-    assert not report.passed
-    assert report.counterexample["index"] == 0
-    assert report.counterexample["lhs"] != report.counterexample["rhs"]
+    ce = check_mixed_compat(evaluation, costr, [bad])
+    assert ce is not None
+    assert ce["index"] == 0
+    assert ce["lhs"] != ce["rhs"]
     # by hand: the right side sees x at index 1, the left side is flat
     rhs = hurwitz.map_pointwise(evaluation, beta(freerb.sha_map(costr, bad)))
     assert rhs.values[1] == x
@@ -231,5 +230,4 @@ def test_mixed_compat_vacuous_on_empty_samples():
     h, hh, sh, sa = carriers(Q.one())
     evaluation = freerb.structure_hom(scaled_identity_on(h))
     costr = hurwitz.costructure_hom(zero_derivation(h), 4)
-    report = check_mixed_compat(evaluation, costr, [])
-    assert report.passed and report.samples == 0
+    assert check_mixed_compat(evaluation, costr, []) is None
