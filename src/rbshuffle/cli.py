@@ -133,7 +133,7 @@ def cmd_check(args) -> int:
             mark = "PASS" if r.passed else "FAIL"
             print(f"{mark} {r.law:26s} samples={r.samples:4d} {r.wall_ms:8.1f} ms")
             if not r.passed:
-                for k, v in sorted(r.counterexample.items()):
+                for k, v in r.counterexample.items():
                     print(f"     {k}: {v}")
         failed = sum(1 for r in reports if not r.passed)
         print(f"{len(reports) - failed}/{len(reports)} suites passed")
@@ -194,12 +194,14 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser, with_handle: bool) -> None:
+def _add_common(p: argparse.ArgumentParser, with_handle: bool,
+                with_precision: bool = True) -> None:
     p.add_argument("--ring", default="q", help="coefficient ring: q, z, or zmod:M")
     p.add_argument("--lambda", dest="weight", default=None, metavar="VALUE",
                    help="weight, e.g. 0, 1, 1/2 (default 0; check cycles defaults)")
-    p.add_argument("--precision", type=int, default=4,
-                   help="working precision for series carriers (default 4)")
+    if with_precision:
+        p.add_argument("--precision", type=int, default=4,
+                       help="working precision for series carriers (default 4)")
     p.add_argument("--json", action="store_true", help="machine-readable output")
     if with_handle:
         p.add_argument("--handle", required=True,
@@ -231,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.set_defaults(fn=cmd_check)
 
     p_bench = sub.add_parser("bench", help="profile one pure-tensor product")
-    _add_common(p_bench, with_handle=False)
+    _add_common(p_bench, with_handle=False, with_precision=False)
     p_bench.add_argument("-m", type=int, default=3, help="left tail length (<= 8)")
     p_bench.add_argument("-n", type=int, default=3, help="right tail length (<= 8)")
     p_bench.set_defaults(fn=cmd_bench)
@@ -245,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if not 0 <= args.precision <= exprs.MAX_PRECISION:
+    if "precision" in args and not 0 <= args.precision <= exprs.MAX_PRECISION:
         return _usage_error(f"precision must be 0 to {exprs.MAX_PRECISION}, got {args.precision}")
     try:
         return args.fn(args)

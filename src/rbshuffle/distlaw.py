@@ -93,16 +93,21 @@ def lift_costructure_hom(f: Hom, n_out: int | None = None) -> Hom:
 # Compatibility of a structure/costructure pair
 
 
-def check_mixed_compat(h: Hom, f: Hom, samples) -> dict | None:
-    """Check f(h(u)) = pointwise-h(beta(factorwise-f(u))) on each sample.
+def mixed_compat_sides(h: Hom, f: Hom, u: Tensor) -> tuple[Series, Series]:
+    """Both sides of f(h(u)) = pointwise-h(beta(factorwise-f(u))).
 
     This is the defining square for a carrier holding both an evaluation
-    structure and a costructure compatibly.  Returns the first failing
-    sample as a counterexample dict, or None when every sample holds.
+    structure h and a costructure f compatibly.
     """
+    return f(h(u)), hurwitz.map_pointwise(h, beta(freerb.sha_map(f, u)))
+
+
+def check_mixed_compat(h: Hom, f: Hom, samples) -> dict | None:
+    """Check the compatibility square on each sample.  Returns the first
+    failing sample as a counterexample dict, or None when every sample
+    holds."""
     for i, u in enumerate(samples):
-        lhs = f(h(u))
-        rhs = hurwitz.map_pointwise(h, beta(freerb.sha_map(f, u)))
+        lhs, rhs = mixed_compat_sides(h, f, u)
         if not alg_eq(lhs, rhs):
             return {"index": i, "input": str(u), "lhs": str(lhs), "rhs": str(rhs)}
     return None

@@ -362,11 +362,6 @@ class EvalContext:
     precision: int
     rb_choice: str = "auto"  # auto | integration | scaled
 
-    def base_variables(self, handle: Handle) -> tuple[str, ...]:
-        while not isinstance(handle, PolyHandle):
-            handle = handle.inner
-        return handle.variables
-
     def rb_for(self, handle: Handle) -> Hom:
         if isinstance(handle, ShaHandle):
             return freerb.free_rb_operator(handle)
@@ -443,13 +438,12 @@ def _eval_at(node, expected: Handle, ctx: EvalContext):
             raise EvalError(str(e), node.pos) from None
         return algebra.unit(expected).scale(c)
     if isinstance(node, Var):
-        names = ctx.base_variables(expected)
-        if node.name not in names:
-            raise EvalError(f"unknown variable {node.name!r} (have {', '.join(names)})",
-                            node.pos)
         base = expected
         while not isinstance(base, PolyHandle):
             base = base.inner
+        if node.name not in base.variables:
+            raise EvalError(f"unknown variable {node.name!r} "
+                            f"(have {', '.join(base.variables)})", node.pos)
         return _embed(Poly.variable(base, node.name), expected, node.pos)
     if isinstance(node, Neg):
         x = _eval_at(node.arg, expected, ctx)

@@ -35,9 +35,12 @@ class LawReport:
 class LawSuite:
     """A named, deterministic sampling check.
 
-    ``check(rng, cfg, index)`` draws the index-th sample from the suite's
-    random stream and returns None on success or a counterexample dict.
-    (suite, seed) fixes the exact sample sequence and the verdict.
+    ``check(rng, cfg, index)`` yields the index-th sample's claims
+    ``(law, lhs, rhs, inputs)``, drawing from the suite's random stream as it
+    goes: the law holds when lhs equals rhs, and inputs maps names to the
+    drawn values that a counterexample shows.  ``laws.run_suite`` compares
+    the sides and stops at the first failing claim.  (suite, seed) fixes the
+    exact sample sequence and the verdict.
     """
 
     name: str

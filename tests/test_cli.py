@@ -169,6 +169,22 @@ def test_bench_gate_trips_on_wrong_merge_weight(monkeypatch, capsys):
     assert "mismatch" in capsys.readouterr().err
 
 
+def test_check_exits_1_on_a_broken_law(monkeypatch, capsys):
+    monkeypatch.setattr(freerb, "_merge_weight",
+                        lambda handle: handle.weight + handle.ring.one())
+    assert main(["check", "--suite", "worked_example", "--json"]) == 1
+    report, = json.loads(capsys.readouterr().out)["reports"]
+    assert not report["passed"]
+    assert {"index", "weight", "law", "lhs", "rhs"} <= set(report["counterexample"])
+    assert report["counterexample"]["lhs"] != report["counterexample"]["rhs"]
+
+
+def test_bench_rejects_precision():
+    with pytest.raises(SystemExit) as exit_:
+        main(["bench", "--precision", "3"])
+    assert exit_.value.code == 2
+
+
 @pytest.mark.parametrize("argv", [
     ["eval", "--handle", "poly(x)", "1/0"],
     ["eval", "--handle", "poly(x)", "--lambda", "1/0", "x"],

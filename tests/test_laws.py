@@ -6,7 +6,7 @@ import random
 import pytest
 
 from rbshuffle import freerb, hurwitz, laws
-from rbshuffle.algebra import Hom, Poly, SampleBudget, poly_handle
+from rbshuffle.algebra import Hom, Poly, SampleBudget, alg_eq, poly_handle
 from rbshuffle.coeffs import INTEGERS, RATIONALS, residues
 from rbshuffle.laws import (LAW_COVERAGE, SampleConfig, default_lambdas,
                             registry, run_all, run_suite)
@@ -110,12 +110,12 @@ def test_identity_operator_fails_rb_identity():
     h = poly_handle(("x",), RATIONALS, RATIONALS.zero())
     bad = Hom(h, h, lambda f: f, name="id")
     one = Poly.one(h)
-    assert not laws._rb_identity_holds(bad, one, one, h.weight)
+    assert not alg_eq(*laws._rb_identity_sides(bad, one, one, h.weight))
 
-    suite = LawSuite("bad_rb", 10, lambda rng, cfg, i: (
-        None if laws._rb_identity_holds(
-            bad, Poly.one(h), Poly.one(h), h.weight)
-        else {"index": i, "witness": "unit pair"}))
+    suite = LawSuite("bad_rb", 10, lambda rng, cfg, i: [(
+        "rb-identity[id]", *laws._rb_identity_sides(
+            bad, Poly.one(h), Poly.one(h), h.weight),
+        {"witness": "unit pair"})])
     report = run_suite(suite, seed=0)
     assert not report.passed
     assert report.samples == 1
@@ -124,12 +124,39 @@ def test_identity_operator_fails_rb_identity():
 
 def test_failed_report_carries_replay_data():
     suite = LawSuite("flaky", 50,
-                     lambda rng, cfg, i: None if i < 3 else {"index": i})
+                     lambda rng, cfg, i: [("flaky", i < 3, True, {})])
     report = run_suite(suite, seed=9)
     assert not report.passed
     assert report.samples == 4
     assert report.seed == "9:flaky"
     assert report.counterexample["index"] == 3
+
+
+def test_harness_stops_at_first_failing_claim():
+    draws = []
+
+    def check(rng, cfg, i):
+        draws.append(rng.random())
+        yield "first", 1, 1, {"x": "a"}
+        yield "second", 1, 2, {"x": "b", "weight": "7"}
+        draws.append(rng.random())
+        yield "third", 1, 3, {}
+
+    report = run_suite(LawSuite("stops", 5, check), seed=0)
+    assert not report.passed and report.samples == 1
+    # one draw before the first claim, nothing after the failing second
+    assert len(draws) == 1
+    assert report.counterexample == {"index": 0, "weight": "7", "law": "second",
+                                     "x": "b", "lhs": "1", "rhs": "2"}
+    assert list(report.counterexample) == ["index", "weight", "law", "x",
+                                           "lhs", "rhs"]
+
+
+def test_counterexample_weight_defaults_to_the_cycled_weight():
+    suite = LawSuite("cycled", 5, lambda rng, cfg, i: [("late", i < 2, True, {})])
+    report = run_suite(suite, seed=0)
+    assert report.counterexample["weight"] == "1/2"   # the third of 0, 1, 1/2
+    assert report.counterexample["lhs"] == "False"
 
 
 # --------------------------------------------------------------------------
