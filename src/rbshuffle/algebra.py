@@ -11,15 +11,18 @@ as sparse exponent-vector maps with no zero coefficients, tensors as linear
 combinations of tuples of basis factors, series as value prefixes of
 explicit precision.  Canonical form makes equality a syntactic check
 (precision-bounded for series).  Polynomials and tensors are both term maps
-(key -> nonzero scalar): ``Terms`` holds their shared sum, scaling,
-equality, hashing, basis expansion and printing, and alone owns the
+(key -> nonzero scalar): ``Terms`` holds their shared sum, scaling, linear
+maps, equality, hashing, basis expansion and printing, and alone owns the
 coefficient format, including the bare-value view that fast kernels sum.
+``summed`` is the one accumulator of (key, scalar) pairs outside the
+product kernels.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
+from math import comb
 from typing import Callable, Mapping, Sequence, Union
 
 from .coeffs import RATIONALS, Ring, RingError, Scalar
@@ -136,14 +139,14 @@ def check_same_handle(x, y) -> None:
         raise HandleMismatchError(f"handle mismatch: {x.handle} vs {y.handle}")
 
 
-def accumulate(terms: dict, key, c: Scalar) -> None:
-    """Add c to terms[key] in place; a key whose sum is zero is dropped."""
-    s = terms.get(key)
-    s = c if s is None else s + c
-    if s.is_zero:
-        terms.pop(key, None)
-    else:
-        terms[key] = s
+def summed(pairs) -> dict:
+    """The (key, scalar) pairs as one term dict, with equal keys summed; the
+    sums may be zero, which every term-map constructor drops."""
+    out: dict = {}
+    for k, c in pairs:
+        s = out.get(k)
+        out[k] = c if s is None else s + c
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -193,7 +196,7 @@ class Terms:
     def is_zero(self) -> bool:
         return not self.terms
 
-    # sums inline: a call to accumulate() per term slows series products
+    # sums inline: summed() over both term lists slows series products
     def __add__(self, other):
         check_same_handle(self, other)
         out = dict(self.terms)
@@ -210,6 +213,13 @@ class Terms:
 
     def scale(self, c: Scalar):
         return type(self)(self.handle, {k: c * v for k, v in self.terms.items()})
+
+    def linear_map(self, image: Callable, handle: Handle | None = None):
+        """The linear extension of image, which sends one basis key to
+        (key, scalar) pairs; the result lives on handle, by default this
+        element's."""
+        pairs = ((k, c * v) for key, c in self.terms.items() for k, v in image(key))
+        return type(self)(self.handle if handle is None else handle, summed(pairs))
 
     def __eq__(self, other) -> bool:
         return (type(other) is type(self) and self.handle == other.handle
@@ -297,18 +307,15 @@ class Poly(Terms):
 
     def substitute(self, images: Mapping[str, Poly]) -> Poly:
         """Evaluate at variable -> polynomial (same handle), exactly."""
-        out: dict[tuple[int, ...], Scalar] = {}
-        for m, c in self.terms.items():
-            term = Poly.constant(self.handle, c)
+        def image(m: tuple[int, ...]):
+            term = Poly.one(self.handle)
             for name, e in zip(self.handle.variables, m):
-                if e == 0:
-                    continue
-                img = images.get(name, Poly.variable(self.handle, name))
-                for _ in range(e):
-                    term = term * img
-            for mt, ct in term.terms.items():
-                accumulate(out, mt, ct)
-        return Poly(self.handle, out)
+                if e:
+                    img = images.get(name, Poly.variable(self.handle, name))
+                    for _ in range(e):
+                        term = term * img
+            return term.terms.items()
+        return self.linear_map(image)
 
     @staticmethod
     def _key_order(exps: tuple[int, ...]):
@@ -405,20 +412,26 @@ class Hom:
 # Concrete operators on polynomial carriers
 
 
-def poly_derivative(f: Poly, var: str) -> Poly:
-    """Formal partial derivative; a weight-0 derivation."""
-    handle = f.handle
+def _difference_image(handle: PolyHandle, var: str, w) -> Callable:
+    """The monomial image x^n -> sum_{k<n} C(n,k) w^(n-1-k) x^k in var, for
+    a bare weight value w: the difference quotient (f(x+w) - f(x))/w, which
+    needs no division, and at w = 0 the formal derivative n x^(n-1)."""
     if var not in handle.variables:
         raise ValueError(f"unknown variable {var!r} in {handle}")
     i = handle.variables.index(var)
-    out: dict[tuple[int, ...], Scalar] = {}
-    for m, c in f.terms.items():
-        if m[i] == 0:
-            continue
-        d = list(m)
-        d[i] -= 1
-        out[tuple(d)] = c * handle.ring.from_int(m[i])
-    return Poly(handle, out)
+    from_int = handle.ring.from_int
+
+    def image(m: tuple[int, ...]) -> list:
+        n = m[i]
+        low = 0 if w else max(n - 1, 0)  # at w = 0 only k = n - 1 survives
+        return [(m[:i] + (k,) + m[i + 1:], from_int(comb(n, k) * w ** (n - 1 - k)))
+                for k in range(low, n)]
+    return image
+
+
+def poly_derivative(f: Poly, var: str) -> Poly:
+    """Formal partial derivative; a weight-0 derivation."""
+    return f.linear_map(_difference_image(f.handle, var, 0))
 
 
 def derivative_on(handle: PolyHandle, var: str) -> Hom:
@@ -426,19 +439,15 @@ def derivative_on(handle: PolyHandle, var: str) -> Hom:
 
 
 def difference_quotient(f: Poly, var: str) -> Poly:
-    """(f(x + w) - f(x)) / w for the handle weight w, exactly.
+    """(f(x + w) - f(x)) / w for the handle weight w, in closed form, so it is
+    defined over every ring.
 
     Requires a nonzero weight; at weight 0 use ``poly_derivative``.
     """
-    handle = f.handle
-    lam = handle.weight
+    lam = f.handle.weight
     if lam.is_zero:
         raise WeightError("difference quotient needs a nonzero weight")
-    if var not in handle.variables:
-        raise ValueError(f"unknown variable {var!r} in {handle}")
-    shifted = f.substitute({var: Poly.variable(handle, var) + Poly.constant(handle, lam)})
-    diff = shifted - f
-    return Poly(handle, {m: c.exact_div(lam) for m, c in diff.terms.items()})
+    return f.linear_map(_difference_image(f.handle, var, lam.value))
 
 
 def difference_quotient_on(handle: PolyHandle, var: str) -> Hom:
@@ -470,12 +479,11 @@ def poly_integrate(f: Poly, var: str) -> Poly:
     if var not in handle.variables:
         raise ValueError(f"unknown variable {var!r} in {handle}")
     i = handle.variables.index(var)
-    out: dict[tuple[int, ...], Scalar] = {}
-    for m, c in f.terms.items():
-        u = list(m)
-        u[i] += 1
-        out[tuple(u)] = c.exact_div(handle.ring.from_int(u[i]))
-    return Poly(handle, out)
+    from_int = handle.ring.from_int
+
+    def image(m: tuple[int, ...]):
+        return ((m[:i] + (m[i] + 1,) + m[i + 1:], from_int(m[i] + 1).inverse()),)
+    return f.linear_map(image)
 
 
 def integration_on(handle: PolyHandle, var: str) -> Hom:
@@ -527,17 +535,11 @@ class ExpSpan:
         return cls({k: coeff})
 
     def __add__(self, other: ExpSpan) -> ExpSpan:
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            accumulate(out, k, c)
-        return ExpSpan(out)
+        return ExpSpan(summed([*self.terms.items(), *other.terms.items()]))
 
     def __mul__(self, other: ExpSpan) -> ExpSpan:
-        out: dict[int, Scalar] = {}
-        for j, cj in self.terms.items():
-            for k, ck in other.terms.items():
-                accumulate(out, j + k, cj * ck)
-        return ExpSpan(out)
+        return ExpSpan(summed((j + k, cj * ck) for j, cj in self.terms.items()
+                              for k, ck in other.terms.items()))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ExpSpan) and self.terms == other.terms
@@ -589,20 +591,20 @@ def _random_monomial(handle: PolyHandle, budget: SampleBudget, rng: random.Rando
 def random_element(handle: Handle, budget: SampleBudget, seed):
     """Pseudo-random element within the budget; pure in (handle, budget, seed)."""
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    out: dict = {}
     if isinstance(handle, PolyHandle):
-        for _ in range(rng.randint(0, budget.max_terms)):
-            m = _random_monomial(handle, budget, rng)
-            accumulate(out, m, _random_coeff(handle, budget, rng))
-        return Poly(handle, out)
+        return Poly(handle, summed((_random_monomial(handle, budget, rng),
+                                    _random_coeff(handle, budget, rng))
+                                   for _ in range(rng.randint(0, budget.max_terms))))
     from . import freerb, hurwitz as hur
     if isinstance(handle, ShaHandle):
+        pairs: list = []
         for _ in range(rng.randint(0, budget.max_terms)):
             length = rng.randint(1, budget.max_tensor_len)
             factors = tuple(random_basis_factor(handle.inner, budget, rng)
                             for _ in range(length))
-            freerb.add_pure_tensor(out, handle, factors, _random_coeff(handle, budget, rng))
-        return freerb.Tensor(handle, out)
+            c = _random_coeff(handle, budget, rng)
+            pairs += [(t, c * v) for t, v in freerb.pure_tensor_terms(handle, factors)]
+        return freerb.Tensor(handle, summed(pairs))
     values = tuple(random_element(handle.inner, replace(budget, max_terms=2), rng)
                    for _ in range(budget.precision + 1))
     return hur.Series(handle, values)

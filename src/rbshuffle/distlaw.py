@@ -45,11 +45,12 @@ def beta(u: Tensor, n_out: int | None = None) -> Series:
     return out.truncate(n_out) if out.precision > n_out else out
 
 
-def beta_hom(src: ShaHandle, n_out: int | None = None) -> Hom:
+def beta_hom(src: ShaHandle) -> Hom:
     if not isinstance(src.inner, HurwitzHandle):
         raise HandleMismatchError(f"expected tensors over a series carrier, got {src}")
     dst = HurwitzHandle(ShaHandle(src.inner.inner), src.inner.precision)
-    return Hom(src, dst, lambda u: beta(u, n_out), name="beta")
+    # beta is looked up per call, so that a wrapper set on it later applies
+    return Hom(src, dst, lambda u: beta(u), name="beta")
 
 
 # --------------------------------------------------------------------------
@@ -70,7 +71,7 @@ def lift_t_structure(h: Hom, precision: int) -> Hom:
                name=f"lift({h.name})")
 
 
-def lift_costructure(f: Hom, u: Tensor, n_out: int | None = None) -> Series:
+def lift_costructure(f: Hom, u: Tensor) -> Series:
     """Lift a costructure A -> hur(A) across the tensor carrier at u.
 
     Computes beta applied to the factorwise image of u; the resulting
@@ -78,15 +79,15 @@ def lift_costructure(f: Hom, u: Tensor, n_out: int | None = None) -> Series:
     """
     if not isinstance(f.dst, HurwitzHandle) or f.dst.inner != f.src:
         raise HandleMismatchError(f"not a costructure: {f.src} -> {f.dst}")
-    return beta(freerb.sha_map(f, u), n_out)
+    return beta(freerb.sha_map(f, u))
 
 
-def lift_costructure_hom(f: Hom, n_out: int | None = None) -> Hom:
+def lift_costructure_hom(f: Hom) -> Hom:
     if not isinstance(f.dst, HurwitzHandle) or f.dst.inner != f.src:
         raise HandleMismatchError(f"not a costructure: {f.src} -> {f.dst}")
     dst = HurwitzHandle(ShaHandle(f.src), f.dst.precision)
     return Hom(ShaHandle(f.src), dst,
-               lambda u: lift_costructure(f, u, n_out), name=f"lift({f.name})")
+               lambda u: lift_costructure(f, u), name=f"lift({f.name})")
 
 
 # --------------------------------------------------------------------------

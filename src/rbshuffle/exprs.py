@@ -27,10 +27,11 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from . import algebra, distlaw, freerb, hurwitz
 from .algebra import (MAX_NESTING, Handle, Hom, HurwitzHandle, Poly,
-                      PolyHandle, ShaHandle, accumulate)
+                      PolyHandle, ShaHandle)
 from .coeffs import Ring, RingError, Scalar
 from .freerb import Tensor
 from .hurwitz import Series
@@ -41,6 +42,9 @@ from .hurwitz import Series
 MAX_PARSE_DEPTH = 100
 MAX_EXPONENT = 256
 MAX_PRECISION = 64  # a dense series product at precision 64 takes about 0.1 s
+# Checked before each tensor product: a bound on its output terms, just above
+# the 265,729 of the largest product ``bench`` allows.
+MAX_TERMS = 300_000
 
 
 class ParseError(ValueError):
@@ -360,16 +364,13 @@ class EvalContext:
     ring: Ring
     weight: Scalar
     precision: int
-    rb_choice: str = "auto"  # auto | integration | scaled
 
     def rb_for(self, handle: Handle) -> Hom:
         if isinstance(handle, ShaHandle):
             return freerb.free_rb_operator(handle)
         if isinstance(handle, HurwitzHandle):
             return hurwitz.lifted_rb(handle, self.rb_for(handle.inner))
-        if self.rb_choice == "integration" or (
-                self.rb_choice == "auto" and handle.ring.is_rational
-                and handle.weight.is_zero):
+        if handle.ring.is_rational and handle.weight.is_zero:
             return algebra.integration_on(handle, handle.variables[0])
         return algebra.scaled_identity_on(handle)
 
@@ -393,14 +394,27 @@ def _embed(x, expected: Handle, pos: int):
 
 
 def _tensor_concat(u: Tensor, v: Tensor) -> Tensor:
-    out: dict = {}
-    for t1, c1 in u.terms.items():
-        for t2, c2 in v.terms.items():
-            accumulate(out, t1 + t2, c1 * c2)
-    return Tensor(u.handle, out)
+    return u.linear_map(lambda t1: [(t1 + t2, c2) for t2, c2 in v.terms.items()])
 
 
-_BINARY = {"#": _tensor_concat, "+": operator.add, "-": operator.sub, "*": operator.mul}
+def _delannoy(m: int, n: int) -> int:
+    """Words in the mixable shuffle of two tails of lengths m and n."""
+    return sum(comb(m, k) * comb(n, k) << k for k in range(min(m, n) + 1))
+
+
+def _product(x, y, pos: int):
+    """x * y, refused when x and y are tensors whose product could have more
+    than MAX_TERMS terms: each pair of terms gives at most the Delannoy number
+    of their tails' lengths."""
+    if isinstance(x, Tensor):
+        bound = sum(ca * cb * _delannoy(la - 1, lb - 1)
+                    for la, ca in x.lengths().items() for lb, cb in y.lengths().items())
+        if bound > MAX_TERMS:
+            raise EvalError(f"a product of up to {bound} terms is above {MAX_TERMS}", pos)
+    return x * y
+
+
+_BINARY = {"#": _tensor_concat, "+": operator.add, "-": operator.sub}
 _LEVEL = {"#": 0, "+": 1, "-": 1, "*": 2}
 
 
@@ -452,7 +466,7 @@ def _eval_at(node, expected: Handle, ctx: EvalContext):
         x = _eval_at(node.base, expected, ctx)
         out = algebra.unit(expected)
         for _ in range(node.exponent):
-            out = out * x
+            out = _product(out, x, node.pos)
         return out
     if isinstance(node, BinOp):
         if node.op == "#" and not isinstance(expected, ShaHandle):
@@ -467,7 +481,8 @@ def _eval_at(node, expected: Handle, ctx: EvalContext):
             node = node.lhs
         x = _eval_at(node, expected, ctx)
         for link in reversed(chain):
-            x = _BINARY[link.op](x, _eval_at(link.rhs, expected, ctx))
+            y = _eval_at(link.rhs, expected, ctx)
+            x = _product(x, y, link.pos) if link.op == "*" else _BINARY[link.op](x, y)
         return x
     if isinstance(node, SeriesLit):
         if isinstance(expected, ShaHandle):

@@ -25,7 +25,7 @@ from typing import Iterator
 
 from . import algebra
 from .algebra import (Handle, HandleMismatchError, Hom, Poly, PolyHandle,
-                      ShaHandle, Terms, accumulate, check_same_handle)
+                      ShaHandle, Terms, check_same_handle, summed)
 from .coeffs import Ring, Scalar
 
 
@@ -51,26 +51,33 @@ def _shuffle_tails(u: tuple, v: tuple, lam: Scalar, memo: dict) -> dict:
         x, y = u[0], v[0]
         out = {(x,) + w: c for w, c in _shuffle_tails(u[1:], v, lam, memo).items()}
         for w, c in _shuffle_tails(u, v[1:], lam, memo).items():
-            accumulate(out, (y,) + w, c)
+            key = (y,) + w
+            s = out.get(key)
+            out[key] = c if s is None else s + c
         if not lam.is_zero:
             z = x * y
             for w, c in _shuffle_tails(u[1:], v[1:], lam, memo).items():
-                accumulate(out, (z,) + w, c * lam)
+                c = c * lam
+                if c:  # a power of lam may vanish (2 mod 4): keep surviving words
+                    key = (z,) + w
+                    s = out.get(key)
+                    out[key] = c if s is None else s + c
     memo[(u, v)] = out
     return out
 
 
-def add_pure_tensor(terms: dict, handle: ShaHandle, factors: tuple, coeff: Scalar) -> None:
-    """Add coeff times a pure tensor with arbitrary factors into a term dict,
-    expanded multilinearly into canonical factor tuples."""
+def pure_tensor_terms(handle: ShaHandle, factors: tuple) -> list:
+    """The (canonical factor tuple, coefficient) pairs of the pure tensor with
+    the given (at least one) arbitrary factors, expanded multilinearly; no
+    two pairs share a tuple."""
     for f in factors:
         if f.handle != handle.inner:
             raise HandleMismatchError(f"factor over {f.handle}, expected {handle.inner}")
-    expanded = [(coeff, ())]
-    for f in factors:
-        expanded = [(c * ci, t + (m,)) for c, t in expanded for ci, m in f.basis_expansion()]
-    for c, t in expanded:
-        accumulate(terms, t, c)
+    head, *rest = factors
+    expanded = [((m,), c) for c, m in head.basis_expansion()]
+    for f in rest:
+        expanded = [(t + (m,), c * ci) for t, c in expanded for ci, m in f.basis_expansion()]
+    return expanded
 
 
 class Tensor(Terms):
@@ -90,9 +97,7 @@ class Tensor(Terms):
             coeff = handle.ring.one()
         if not factors:
             raise ValueError("pure tensors have at least one factor")
-        out: dict = {}
-        add_pure_tensor(out, handle, tuple(factors), coeff)
-        return cls(handle, out)
+        return cls(handle, {t: coeff * c for t, c in pure_tensor_terms(handle, tuple(factors))})
 
     def __mul__(self, other: Tensor) -> Tensor:
         """The mixable-shuffle product, extended bilinearly from pure tensors.
@@ -116,13 +121,14 @@ class Tensor(Terms):
                 head = (a[0] * b[0],)
                 scale = ca * cb
                 for w, c in _shuffle_tails(a[1:], b[1:], lam, memo).items():
-                    accumulate(words, head + w, scale * c)
+                    key = head + w
+                    c = scale * c
+                    s = words.get(key)
+                    words[key] = c if s is None else s + c
         if isinstance(handle.inner, PolyHandle):
             return Tensor(handle, words)
-        out: dict = {}
-        for w, c in words.items():
-            add_pure_tensor(out, handle, w, c)
-        return Tensor(handle, out)
+        return Tensor(handle, summed((t, c * v) for w, c in words.items()
+                                     for t, v in pure_tensor_terms(handle, w)))
 
     def lengths(self) -> dict[int, int]:
         """Term counts grouped by tensor length."""
@@ -183,10 +189,7 @@ def sha_map(f: Hom, u: Tensor) -> Tensor:
     if u.handle.inner != f.src:
         raise HandleMismatchError(f"map from {f.src} cannot act on {u.handle}")
     target = ShaHandle(f.dst)
-    out: dict = {}
-    for t, c in u.terms.items():
-        add_pure_tensor(out, target, tuple(f(x) for x in t), c)
-    return Tensor(target, out)
+    return u.linear_map(lambda t: pure_tensor_terms(target, tuple(f(x) for x in t)), target)
 
 
 def sha_hom(f: Hom) -> Hom:
@@ -270,11 +273,8 @@ def free_derivation_apply(u: Tensor, d: Hom) -> Tensor:
     if d.src != u.handle.inner:
         raise HandleMismatchError(f"derivation on {d.src} cannot act on {u.handle}")
     lam = u.handle.weight
-    out: dict = {}
-    for t, c in u.terms.items():
-        for w, factors in _free_derivation_terms(t, d, lam):
-            add_pure_tensor(out, u.handle, factors, c * w)
-    return Tensor(u.handle, out)
+    return u.linear_map(lambda t: [(k, w * v) for w, factors in _free_derivation_terms(t, d, lam)
+                                   for k, v in pure_tensor_terms(u.handle, factors)])
 
 
 def free_derivation(handle: ShaHandle, d: Hom) -> Hom:

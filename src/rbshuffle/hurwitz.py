@@ -114,23 +114,17 @@ class Series:
         return len(self.values) - 1
 
     @classmethod
-    def zero(cls, handle: HurwitzHandle, precision: int | None = None) -> Series:
-        n = handle.precision if precision is None else precision
-        z = algebra.zero(handle.inner)
-        return cls(handle, (z,) * (n + 1))
+    def zero(cls, handle: HurwitzHandle) -> Series:
+        return cls.constant(algebra.zero(handle.inner), handle)
 
     @classmethod
-    def one(cls, handle: HurwitzHandle, precision: int | None = None) -> Series:
-        n = handle.precision if precision is None else precision
-        z = algebra.zero(handle.inner)
-        return cls(handle, (algebra.unit(handle.inner),) + (z,) * n)
+    def one(cls, handle: HurwitzHandle) -> Series:
+        return cls.constant(algebra.unit(handle.inner), handle)
 
     @classmethod
-    def constant(cls, a, handle: HurwitzHandle, precision: int | None = None) -> Series:
-        """Embed an inner element as (a, 0, 0, ...)."""
-        n = handle.precision if precision is None else precision
-        z = algebra.zero(handle.inner)
-        return cls(handle, (a,) + (z,) * n)
+    def constant(cls, a, handle: HurwitzHandle) -> Series:
+        """Embed an inner element as (a, 0, 0, ...) at the handle's precision."""
+        return cls(handle, (a,) + (algebra.zero(handle.inner),) * handle.precision)
 
     @property
     def is_zero(self) -> bool:

@@ -29,9 +29,11 @@ from .reports import LawReport, LawSuite
 
 
 def default_lambdas(ring: Ring) -> tuple[str, ...]:
-    """Weight values cycled per sample: zero, one, and a third value the
-    difference quotient can divide by: 1/2 where the ring can divide by two,
-    else 2 on the integers and the smallest unit above one mod an even m."""
+    """Weight values cycled per sample: zero, one, and a third value: 1/2
+    where the ring can divide by two, else 2 on the integers and the
+    smallest unit above one mod an even m.  No law divides by the weight;
+    the third value is kept as it was chosen when the difference quotient
+    did, so that ``check`` output stays byte-identical."""
     if ring.is_rational or (ring.is_residue and ring.modulus % 2 == 1):
         return ("0", "1", "1/2")
     if ring.is_residue:
@@ -332,12 +334,9 @@ def _check_shuffle_counts(rng: random.Random, cfg: SampleConfig, i: int):
     prod = Tensor.from_factors(s, av) * Tensor.from_factors(s, bv)
     top_len = m + n + 1
     top = Tensor(s, {t: c for t, c in prod.terms.items() if len(t) == top_len})
-    expected: dict = {}
     head = av[0] * bv[0]
-    for weave in freerb.interleavings(av[1:], bv[1:]):
-        key = (head,) + weave
-        seen = expected.get(key)
-        expected[key] = s.ring.one() if seen is None else seen + s.ring.one()
+    expected = algebra.summed(((head,) + weave, s.ring.one())
+                              for weave in freerb.interleavings(av[1:], bv[1:]))
     yield (f"shuffle-top-terms[m={m},n={n}]", top, Tensor(s, expected),
            {"weight": lam})
     yield (f"shuffle-top-count[m={m},n={n}]", len(top.terms), comb(m + n, n),

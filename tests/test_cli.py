@@ -189,14 +189,24 @@ def test_bench_rejects_precision():
     ["eval", "--handle", "poly(x)", "1/0"],
     ["eval", "--handle", "poly(x)", "--lambda", "1/0", "x"],
     ["check", "--precision", "-1", "--suite", "hurwitz_algebra"],
-    ["check", "--ring", "zmod:4", "--lambda", "2", "--suite", "lambda_leibniz"],
-], ids=["eval-literal", "eval-weight", "check-precision", "check-weight-not-a-unit"])
+], ids=["eval-literal", "eval-weight", "check-precision"])
 def test_bad_input_exits_2_with_one_line(argv, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def test_weighted_derivation_needs_no_unit_weight(capsys):
+    # the closed form divides by nothing: 2 is no unit mod 4, yet D is defined
+    assert main(["check", "--ring", "zmod:4", "--lambda", "2",
+                 "--suite", "lambda_leibniz"]) == 0
+    capsys.readouterr()
+    for expr, printed in (("D(x^2)", "2*x + 2"), ("D(x)", "1")):
+        assert main(["eval", "--ring", "zmod:4", "--lambda", "2",
+                     "--handle", "poly(x)", expr]) == 0
+        assert capsys.readouterr().out.strip() == printed
 
 
 def test_check_on_zmod6_cycles_a_unit_weight(capsys):
@@ -218,9 +228,10 @@ def test_check_on_zmod6_cycles_a_unit_weight(capsys):
     ["eval", "--precision", "100000", "--handle", "hur(poly(x))", "x*x"],
     ["check", "--precision", "100000", "--suite", "hurwitz_algebra"],
     ["eval", "--handle", "hur(poly(x),2)", "[" + ";".join(["1"] * 66) + "] * [1]"],
+    ["eval", "--lambda", "1", "--handle", "sha(poly(x,y))", "(x # y # 1 # x)^5"],
 ], ids=["parentheses", "unary-minus", "carrier-nesting", "exponent",
         "nested-exponents", "handle-precision", "eval-precision", "check-precision",
-        "series-literal"])
+        "series-literal", "tensor-terms"])
 def test_input_budgets_exit_2_promptly(argv):
     # a fresh interpreter under a timeout, so a lost budget fails instead of hanging
     env = dict(os.environ, PYTHONPATH=str(Path(rbshuffle.__file__).resolve().parents[1]))
@@ -280,6 +291,13 @@ def test_input_budgets_admit_their_limits():
     with pytest.raises(ParseError):
         parse_handle("hur(poly(x))", Q, c.weight, n + 1)
     assert eval_text("[" + ";".join(["1"] * (n + 1)) + "]", hh, c).precision == n
+    # D(8, 8) = 265,729 words bound a product of two length-9 tensors
+    sh = parse_handle("sha(poly(x))", Q, Q.one(), 4)
+    nine = " # ".join(["1"] * 9)
+    square = eval_text(f"({nine}) * ({nine})", sh, ctx(lam=Q.one()))
+    assert square.lengths() == {k: 1 for k in range(9, 18)}
+    with pytest.raises(EvalError, match="above 300000"):
+        eval_text(f"({nine}) * ({nine} # 1)", sh, ctx(lam=Q.one()))
 
 
 @pytest.mark.parametrize("spec,precision,col", (("hur(poly(x),99)", 4, 13),
