@@ -455,19 +455,6 @@ def difference_quotient_on(handle: PolyHandle, var: str) -> Hom:
                name=f"diffq({var})")
 
 
-def weighted_derivation(handle: PolyHandle) -> Hom:
-    """The canonical derivation at the handle's weight, in its first
-    variable: the formal derivative at weight zero, the difference quotient
-    otherwise."""
-    if handle.weight.is_zero:
-        return derivative_on(handle, handle.variables[0])
-    return difference_quotient_on(handle, handle.variables[0])
-
-
-def zero_derivation(handle: Handle) -> Hom:
-    return Hom(handle, handle, lambda f: zero(handle), name="0")
-
-
 def poly_integrate(f: Poly, var: str) -> Poly:
     """Antiderivative in ``var`` with zero constant term; weight-0 operator.
 
@@ -490,6 +477,21 @@ def integration_on(handle: PolyHandle, var: str) -> Hom:
     return Hom(handle, handle, lambda f: poly_integrate(f, var), name=f"int({var})")
 
 
+def exp_span_rb(f: Poly) -> Poly:
+    """Decay integration e_k -> -(1/k) e_k on the span of the modes
+    e_k = exp(-kt), k >= 1, extended linearly; weight 0.  The modes are the
+    powers E^k of E = exp(-t), so f is a polynomial in one variable E with no
+    constant term; a constant term raises ``ValueError``."""
+    from_int = f.handle.ring.from_int
+
+    def image(m: tuple[int, ...]):
+        k, = m
+        if k == 0:
+            raise ValueError("decay modes are indexed by k >= 1")
+        return ((m, -from_int(k).inverse()),)
+    return f.linear_map(image)
+
+
 def scaled_identity(x):
     """Multiply by the negated handle weight; a weight-w operator on any carrier."""
     return x.scale(-x.handle.weight)
@@ -509,53 +511,6 @@ def subst_hom(handle: PolyHandle, images: Mapping[str, Poly]) -> Hom:
     frozen = dict(images)
     label = ",".join(f"{k}->{v}" for k, v in sorted(frozen.items()))
     return Hom(handle, handle, lambda f: f.substitute(frozen), name=f"subst({label})")
-
-
-# --------------------------------------------------------------------------
-# Exponential-span example: the span of e_k (k >= 1) with e_j * e_k = e_{j+k}
-# and the decay operator e_k -> -(1/k) e_k.  The carrier is non-unital, so it
-# stays outside the handle system; it exists as a concrete weight-0 test bed.
-
-
-class ExpSpan:
-    """Finite combination of decay modes e_k, k >= 1, over the rationals."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[int, Scalar]):
-        for k in terms:
-            if k < 1:
-                raise ValueError("decay modes are indexed by k >= 1")
-        self.terms = {k: c for k, c in terms.items() if not c.is_zero}
-
-    @classmethod
-    def mode(cls, k: int, coeff: Scalar | None = None) -> ExpSpan:
-        if coeff is None:
-            coeff = RATIONALS.one()
-        return cls({k: coeff})
-
-    def __add__(self, other: ExpSpan) -> ExpSpan:
-        return ExpSpan(summed([*self.terms.items(), *other.terms.items()]))
-
-    def __mul__(self, other: ExpSpan) -> ExpSpan:
-        return ExpSpan(summed((j + k, cj * ck) for j, cj in self.terms.items()
-                              for k, ck in other.terms.items()))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ExpSpan) and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        return " + ".join(f"{c}*e{k}" for k, c in sorted(self.terms.items()))
-
-
-def exp_span_rb(f: ExpSpan) -> ExpSpan:
-    """Decay integration e_k -> -(1/k) e_k, extended linearly; weight 0."""
-    return ExpSpan({k: -c.exact_div(RATIONALS.from_int(k)) for k, c in f.terms.items()})
 
 
 # --------------------------------------------------------------------------

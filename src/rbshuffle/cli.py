@@ -17,7 +17,7 @@ from math import comb, factorial
 
 from . import exprs, laws
 from .coeffs import Ring, RingError, Scalar, parse_ring, parse_scalar
-from .exprs import EvalContext, EvalError, ParseError
+from .exprs import EvalError, ParseError
 from .freerb import Tensor, distinct_symbol_factors
 
 SCHEMA = "rb-shuffle/1"
@@ -48,31 +48,28 @@ def _weight(text: str, ring: Ring) -> Scalar:
         raise SystemExit(_usage_error(f"bad weight {text!r}: {e}"))
 
 
-def _context(args, ring: Ring) -> EvalContext:
+def _declared_handle(args, ring: Ring):
     lam = _weight(args.weight if args.weight is not None else "0", ring)
-    return EvalContext(ring=ring, weight=lam, precision=args.precision)
-
-
-def _declared_handle(args, ring: Ring, ctx: EvalContext):
     try:
-        return exprs.parse_handle(args.handle, ring, ctx.weight, ctx.precision)
+        return exprs.parse_handle(args.handle, ring, lam, args.precision)
     except (ParseError, ValueError) as e:
         raise SystemExit(_usage_error(f"bad handle {args.handle!r}: {e}"))
 
 
 def cmd_eval(args) -> int:
+    if args.expr is None:
+        return _usage_error("an expression is required")
     ring = _ring_of(args)
-    ctx = _context(args, ring)
-    handle = _declared_handle(args, ring, ctx)
+    handle = _declared_handle(args, ring)
     try:
-        value = exprs.eval_text(args.expr, handle, ctx)
+        value = exprs.eval_text(args.expr, handle)
     except (ParseError, EvalError, ValueError) as e:
         return _usage_error(str(e))
     except ZeroDivisionError:
         return _usage_error(f"division by zero in {args.expr!r}")
     if args.json:
         _json_print({"handle": str(value.handle), "ring": str(ring),
-                     "weight": str(ctx.weight), "value": value.to_json()})
+                     "weight": str(handle.weight), "value": value.to_json()})
     else:
         print(value)
     return 0
@@ -80,8 +77,7 @@ def cmd_eval(args) -> int:
 
 def cmd_repl(args) -> int:
     ring = _ring_of(args)
-    ctx = _context(args, ring)
-    handle = _declared_handle(args, ring, ctx)
+    handle = _declared_handle(args, ring)
     print(f"carrier {handle}; :handle H switches, :quit leaves")
     while True:
         try:
@@ -96,13 +92,13 @@ def cmd_repl(args) -> int:
         if line.startswith(":handle"):
             spec = line[len(":handle"):].strip()
             try:
-                handle = exprs.parse_handle(spec, ring, ctx.weight, ctx.precision)
+                handle = exprs.parse_handle(spec, ring, handle.weight, args.precision)
                 print(f"carrier {handle}")
             except (ParseError, ValueError) as e:
                 print(f"error: {e}")
             continue
         try:
-            print(exprs.eval_text(line, handle, ctx))
+            print(exprs.eval_text(line, handle))
         except (ParseError, EvalError, ValueError, ZeroDivisionError) as e:
             print(f"error: {e}")
     return 0
@@ -213,7 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="evaluate an expression on a carrier")
     _add_common(p_eval, with_handle=True)
-    p_eval.add_argument("expr", help='expression, e.g. "P(x # y) + 2*(x # 1)"')
+    p_eval.add_argument("expr", nargs="?",
+                        help='expression, e.g. "P(x # y) + 2*(x # 1)"')
     p_eval.set_defaults(fn=cmd_eval)
 
     p_check = sub.add_parser("check", help="run law suites")
@@ -239,7 +236,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args, extras = build_parser().parse_known_args(argv)
+    if extras and getattr(args, "expr", "") is None:
+        # argparse reads an expression with a leading minus, such as "-x",
+        # as an unknown option; the first one fills the empty expression
+        args.expr = extras.pop(0)
+    if extras:
+        raise SystemExit(_usage_error(f"unrecognized arguments: {' '.join(extras)}"))
     if "precision" in args and not 0 <= args.precision <= exprs.MAX_PRECISION:
         return _usage_error(f"precision must be 0 to {exprs.MAX_PRECISION}, got {args.precision}")
     try:

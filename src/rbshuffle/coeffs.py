@@ -139,10 +139,6 @@ class Scalar:
     def is_zero(self) -> bool:
         return self.value == 0
 
-    @property
-    def is_one(self) -> bool:
-        return self.value == 1
-
     def inverse(self) -> Scalar:
         if self.is_zero:
             raise ZeroDivisionError("scalar has no inverse: 0")
@@ -156,18 +152,6 @@ class Scalar:
         if self.value in (1, -1):
             return self
         raise RingError(f"{self.value} is not invertible in the integer ring")
-
-    def exact_div(self, other: Scalar) -> Scalar:
-        """Divide, requiring the quotient to exist in the ring."""
-        self._check(other)
-        if self.ring.kind == _INTEGER:
-            if other.is_zero:
-                raise ZeroDivisionError("division by zero")
-            q, r = divmod(self.value, other.value)
-            if r != 0:
-                raise RingError(f"{self.value} is not divisible by {other.value}")
-            return Scalar(self.ring, q)
-        return self * other.inverse()
 
     def pow_nat(self, k: int) -> Scalar:
         """k-th power for k >= 0, with the convention x**0 = 1."""

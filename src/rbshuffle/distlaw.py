@@ -12,14 +12,46 @@ Rota-Baxter lift of the prepend operator.  This is the induced-homomorphism
 evaluation through the pointwise embedding, so a single audited evaluator
 drives it.  Output precision is the minimum factor precision, capped at the
 handle's working precision; an explicit target precision must not exceed it.
+
+Each carrier's canonical operators resolve here, where the tensor and series
+layers meet: ``canonical_rb`` and ``canonical_derivation`` pick them from the
+handle alone, for the expression evaluator and the law suites.
 """
 
 from __future__ import annotations
 
-from . import freerb, hurwitz
-from .algebra import HandleMismatchError, Hom, HurwitzHandle, ShaHandle, alg_eq
+from . import algebra, freerb, hurwitz
+from .algebra import Handle, HandleMismatchError, Hom, HurwitzHandle, ShaHandle
 from .freerb import Tensor
 from .hurwitz import PrecisionError, Series
+
+
+def canonical_rb(handle: Handle) -> Hom:
+    """The Rota-Baxter operator a carrier carries at its weight: the prepend
+    on tensors, the lift of the inner one on series, and on polynomials
+    integration in the first variable over q at weight 0, else the scaled
+    identity."""
+    if isinstance(handle, ShaHandle):
+        return freerb.free_rb_operator(handle)
+    if isinstance(handle, HurwitzHandle):
+        return hurwitz.lifted_rb(handle, canonical_rb(handle.inner))
+    if handle.ring.is_rational and handle.weight.is_zero:
+        return algebra.integration_on(handle, handle.variables[0])
+    return algebra.scaled_identity_on(handle)
+
+
+def canonical_derivation(handle: Handle) -> Hom:
+    """The derivation a carrier carries at its weight: the free derivation
+    over the inner one on tensors, the shift on series, and on polynomials,
+    in the first variable, the formal derivative at weight 0 and the
+    difference quotient otherwise."""
+    if isinstance(handle, ShaHandle):
+        return freerb.free_derivation(handle, canonical_derivation(handle.inner))
+    if isinstance(handle, HurwitzHandle):
+        return hurwitz.shift_derivation(handle)
+    if handle.weight.is_zero:
+        return algebra.derivative_on(handle, handle.variables[0])
+    return algebra.difference_quotient_on(handle, handle.variables[0])
 
 
 def beta(u: Tensor, n_out: int | None = None) -> Series:
@@ -40,8 +72,7 @@ def beta(u: Tensor, n_out: int | None = None) -> Series:
         return Series(target, tuple(freerb.eta(v, sha_a) for v in f.values))
 
     phi = Hom(hur_h, target, embed, name="embed^seq")
-    lifted = hurwitz.lifted_rb(target, freerb.free_rb_operator(sha_a))
-    out = freerb.induced_rb_hom(phi, lifted, u)
+    out = freerb.induced_rb_hom(phi, canonical_rb(target), u)
     return out.truncate(n_out) if out.precision > n_out else out
 
 
@@ -101,14 +132,3 @@ def mixed_compat_sides(h: Hom, f: Hom, u: Tensor) -> tuple[Series, Series]:
     structure h and a costructure f compatibly.
     """
     return f(h(u)), hurwitz.map_pointwise(h, beta(freerb.sha_map(f, u)))
-
-
-def check_mixed_compat(h: Hom, f: Hom, samples) -> dict | None:
-    """Check the compatibility square on each sample.  Returns the first
-    failing sample as a counterexample dict, or None when every sample
-    holds."""
-    for i, u in enumerate(samples):
-        lhs, rhs = mixed_compat_sides(h, f, u)
-        if not alg_eq(lhs, rhs):
-            return {"index": i, "input": str(u), "lhs": str(lhs), "rhs": str(rhs)}
-    return None

@@ -8,14 +8,16 @@ Grammar (LL, standard precedence; ``#`` binds loosest and associates left):
     product := unary ( '*' unary )*
     unary   := '-' unary | power
     power   := atom ( '^' INT )*
-    atom    := NUMBER | NAME | NAME '(' expr (',' expr)* ')'
+    atom    := NUMBER | NAME | NAME '(' expr ')'
              | '(' expr ')' | '[' expr (';' expr)* ']'
     NUMBER  := INT ( '/' INT )?
 
-Evaluation is directed by a declared handle: scalars and base variables
+Every function takes exactly one argument.  Evaluation is directed by a
+declared handle, the only context it needs: scalars and base variables
 embed upward (unit-multiples into series, length-1 tensors into tensor
 carriers), ``#`` concatenates tensor factors bilinearly, and operator
-names resolve against the handle: ``P`` to the prepend operator on tensor
+names resolve against the handle through ``distlaw.canonical_rb`` and
+``distlaw.canonical_derivation``: ``P`` to the prepend operator on tensor
 carriers and to the lift on series carriers, ``D`` to the free derivation
 on tensor carriers and the shift on series carriers.  The descending maps
 ``eps``, ``mu``, and ``beta`` change the carrier, so they are only allowed
@@ -30,8 +32,8 @@ from fractions import Fraction
 from math import comb
 
 from . import algebra, distlaw, freerb, hurwitz
-from .algebra import (MAX_NESTING, Handle, Hom, HurwitzHandle, Poly,
-                      PolyHandle, ShaHandle)
+from .algebra import (MAX_NESTING, Handle, HurwitzHandle, Poly, PolyHandle,
+                      ShaHandle)
 from .coeffs import Ring, RingError, Scalar
 from .freerb import Tensor
 from .hurwitz import Series
@@ -41,7 +43,9 @@ from .hurwitz import Series
 # a series literal holds at most MAX_PRECISION + 1 values (indices 0..N).
 MAX_PARSE_DEPTH = 100
 MAX_EXPONENT = 256
-MAX_PRECISION = 64  # a dense series product at precision 64 takes about 0.1 s
+# A dense series product at precision 64 takes about 0.1 s, but a law check
+# grows like N^2.8: ``check --suite hurwitz_algebra`` took 279 s at N = 32.
+MAX_PRECISION = 64
 # Checked before each tensor product: a bound on its output terms, just above
 # the 265,729 of the largest product ``bench`` allows.
 MAX_TERMS = 300_000
@@ -145,7 +149,7 @@ class Pow:
 @dataclass(frozen=True)
 class Call:
     fn: str
-    args: tuple
+    arg: object
     pos: int
 
 
@@ -200,10 +204,10 @@ class _Parser:
         self.depth -= 1
         return node
 
-    def listing(self, sep: str) -> tuple:
-        """One or more expressions separated by sep."""
+    def listing(self) -> tuple:
+        """One or more expressions separated by ';'."""
         items = [self.tensor()]
-        while self.peek().kind == sep:
+        while self.peek().kind == ";":
             self.next()
             items.append(self.tensor())
         return tuple(items)
@@ -260,9 +264,9 @@ class _Parser:
                 if t.text not in _FUNCTIONS:
                     raise ParseError(f"unknown function {t.text!r}", self.src, t.pos)
                 self.next()
-                args = self.nested(t, lambda: self.listing(","))
+                arg = self.nested(t, self.tensor)
                 self.expect(")")
-                return Call(t.text, args, t.pos)
+                return Call(t.text, arg, t.pos)
             return Var(t.text, t.pos)
         if t.kind == "(":
             self.next()
@@ -271,7 +275,7 @@ class _Parser:
             return node
         if t.kind == "[":
             self.next()
-            items = self.nested(t, lambda: self.listing(";"))
+            items = self.nested(t, self.listing)
             self.expect("]")
             if len(items) > MAX_PRECISION + 1:
                 raise ParseError(f"series literal of {len(items)} values is above "
@@ -291,7 +295,7 @@ def _check_exponents(node, src: str) -> None:
             if load > MAX_EXPONENT:
                 raise ParseError(f"exponents multiply past {MAX_EXPONENT}", src, node.pos)
         kids = [getattr(node, f) for f in ("base", "lhs", "rhs", "arg") if hasattr(node, f)]
-        kids += getattr(node, "args", ()) + getattr(node, "items", ())
+        kids += getattr(node, "items", ())
         stack.extend((kid, load) for kid in kids)
 
 
@@ -357,31 +361,6 @@ class EvalError(ValueError):
         super().__init__(msg)
 
 
-@dataclass(frozen=True)
-class EvalContext:
-    """Operator resolution for a declared handle."""
-
-    ring: Ring
-    weight: Scalar
-    precision: int
-
-    def rb_for(self, handle: Handle) -> Hom:
-        if isinstance(handle, ShaHandle):
-            return freerb.free_rb_operator(handle)
-        if isinstance(handle, HurwitzHandle):
-            return hurwitz.lifted_rb(handle, self.rb_for(handle.inner))
-        if handle.ring.is_rational and handle.weight.is_zero:
-            return algebra.integration_on(handle, handle.variables[0])
-        return algebra.scaled_identity_on(handle)
-
-    def derivation_for(self, handle: Handle) -> Hom:
-        if isinstance(handle, ShaHandle):
-            return freerb.free_derivation(handle, self.derivation_for(handle.inner))
-        if isinstance(handle, HurwitzHandle):
-            return hurwitz.shift_derivation(handle)
-        return algebra.weighted_derivation(handle)
-
-
 def _embed(x, expected: Handle, pos: int):
     """Coerce an element into an enclosing carrier, one layer at a time."""
     if x.handle == expected:
@@ -418,19 +397,17 @@ _BINARY = {"#": _tensor_concat, "+": operator.add, "-": operator.sub}
 _LEVEL = {"#": 0, "+": 1, "-": 1, "*": 2}
 
 
-def evaluate(node, handle: Handle, ctx: EvalContext):
+def evaluate(node, handle: Handle):
     """Evaluate a parsed expression against the declared handle.
 
     The result normally lives in the declared carrier; a top-level ``eps``,
     ``mu``, or ``beta`` descends to the appropriate target carrier.
     """
     if isinstance(node, Call) and node.fn in ("eps", "mu", "beta"):
-        if len(node.args) != 1:
-            raise EvalError(f"{node.fn} takes one argument", node.pos)
-        arg = _eval_at(node.args[0], handle, ctx)
+        arg = _eval_at(node.arg, handle)
         if node.fn == "eps":
             if isinstance(handle, ShaHandle):
-                return freerb.counit_eval(arg, ctx.rb_for(handle.inner))
+                return freerb.counit_eval(arg, distlaw.canonical_rb(handle.inner))
             if isinstance(handle, HurwitzHandle):
                 return hurwitz.counit(arg)
             raise EvalError("eps needs a tensor or series carrier", node.pos)
@@ -441,13 +418,13 @@ def evaluate(node, handle: Handle, ctx: EvalContext):
         if not (isinstance(handle, ShaHandle) and isinstance(handle.inner, HurwitzHandle)):
             raise EvalError("beta needs tensors over a series carrier", node.pos)
         return distlaw.beta(arg)
-    return _eval_at(node, handle, ctx)
+    return _eval_at(node, handle)
 
 
-def _eval_at(node, expected: Handle, ctx: EvalContext):
+def _eval_at(node, expected: Handle):
     if isinstance(node, Num):
         try:
-            c = ctx.ring.from_fraction(node.value)
+            c = expected.ring.from_fraction(node.value)
         except RingError as e:
             raise EvalError(str(e), node.pos) from None
         return algebra.unit(expected).scale(c)
@@ -460,10 +437,10 @@ def _eval_at(node, expected: Handle, ctx: EvalContext):
                             f"(have {', '.join(base.variables)})", node.pos)
         return _embed(Poly.variable(base, node.name), expected, node.pos)
     if isinstance(node, Neg):
-        x = _eval_at(node.arg, expected, ctx)
-        return x.scale(-ctx.ring.one())
+        x = _eval_at(node.arg, expected)
+        return x.scale(-expected.ring.one())
     if isinstance(node, Pow):
-        x = _eval_at(node.base, expected, ctx)
+        x = _eval_at(node.base, expected)
         out = algebra.unit(expected)
         for _ in range(node.exponent):
             out = _product(out, x, node.pos)
@@ -479,50 +456,48 @@ def _eval_at(node, expected: Handle, ctx: EvalContext):
         while isinstance(node, BinOp) and _LEVEL[node.op] == level:
             chain.append(node)
             node = node.lhs
-        x = _eval_at(node, expected, ctx)
+        x = _eval_at(node, expected)
         for link in reversed(chain):
-            y = _eval_at(link.rhs, expected, ctx)
+            y = _eval_at(link.rhs, expected)
             x = _product(x, y, link.pos) if link.op == "*" else _BINARY[link.op](x, y)
         return x
     if isinstance(node, SeriesLit):
         if isinstance(expected, ShaHandle):
             # a literal inside a tensor carrier names a factor one level down
-            return freerb.eta(_eval_at(node, expected.inner, ctx), expected)
+            return freerb.eta(_eval_at(node, expected.inner), expected)
         if not isinstance(expected, HurwitzHandle):
             raise EvalError(f"series literal needs a series carrier, not {expected}",
                             node.pos)
-        values = tuple(_eval_at(item, expected.inner, ctx) for item in node.items)
+        values = tuple(_eval_at(item, expected.inner) for item in node.items)
         return Series(expected, values)
     if isinstance(node, Call):
         if node.fn in ("eps", "mu", "beta"):
             raise EvalError(f"{node.fn} is only allowed at the top level", node.pos)
-        if len(node.args) != 1:
-            raise EvalError(f"{node.fn} takes one argument", node.pos)
         if node.fn == "eta":
             if not isinstance(expected, ShaHandle):
                 raise EvalError(f"eta embeds into a tensor carrier, not {expected}",
                                 node.pos)
-            return freerb.eta(_eval_at(node.args[0], expected.inner, ctx), expected)
+            return freerb.eta(_eval_at(node.arg, expected.inner), expected)
         if node.fn == "partial":
             if not isinstance(expected, HurwitzHandle):
                 raise EvalError(f"partial acts on series carriers, not {expected}",
                                 node.pos)
-            arg = _eval_at(node.args[0], expected, ctx)
+            arg = _eval_at(node.arg, expected)
             if arg.precision < 1:
                 raise EvalError("cannot shift a precision-0 series", node.pos)
             return hurwitz.shift(arg)
-        arg = _eval_at(node.args[0], expected, ctx)
+        arg = _eval_at(node.arg, expected)
         if node.fn == "P":
-            return ctx.rb_for(expected)(arg)
+            return distlaw.canonical_rb(expected)(arg)
         if node.fn == "D":
-            return ctx.derivation_for(expected)(arg)
+            return distlaw.canonical_derivation(expected)(arg)
     raise EvalError(f"cannot evaluate node {node!r}", getattr(node, "pos", 0))
 
 
-def eval_text(src: str, handle: Handle, ctx: EvalContext):
+def eval_text(src: str, handle: Handle):
     """Parse and evaluate in one step; every failure carries a source span."""
     try:
-        return evaluate(parse(src), handle, ctx)
+        return evaluate(parse(src), handle)
     except EvalError as e:
         line, col = _line_col(src, e.pos)
         raise EvalError(f"line {line}, col {col}: {e.msg}", e.pos) from None

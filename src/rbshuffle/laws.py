@@ -18,11 +18,11 @@ from math import comb, gcd
 from typing import Sequence
 
 from . import algebra, distlaw, freerb, hurwitz
-from .algebra import (ExpSpan, Hom, HurwitzHandle, Poly, PolyHandle,
-                      SampleBudget, ShaHandle, Terms, alg_eq, exp_span_rb,
-                      poly_handle, random_element, random_subst_hom,
-                      weighted_derivation)
+from .algebra import (Hom, HurwitzHandle, Poly, PolyHandle, SampleBudget,
+                      ShaHandle, Terms, alg_eq, exp_span_rb, poly_handle,
+                      random_element, random_subst_hom)
 from .coeffs import RATIONALS, Ring, Scalar, parse_scalar
+from .distlaw import canonical_derivation, canonical_rb
 from .freerb import Tensor
 from .hurwitz import Series
 from .reports import LawReport, LawSuite
@@ -203,23 +203,24 @@ def _check_rb_identity(rng: random.Random, cfg: SampleConfig, i: int):
                {"weight": RATIONALS.zero(), "f": f, "g": g})
 
 
-def _random_expspan(rng: random.Random, budget: SampleBudget) -> ExpSpan:
+# the decay modes e_k = exp(-kt) are the powers E^k of E = exp(-t)
+_DECAY = poly_handle(("e",), RATIONALS)
+
+
+def _random_expspan(rng: random.Random, budget: SampleBudget) -> Poly:
     terms = {}
     for _ in range(rng.randint(0, budget.max_terms)):
-        terms[rng.randint(1, 4)] = RATIONALS.from_int(
+        terms[(rng.randint(1, 4),)] = RATIONALS.from_int(
             rng.randint(budget.coeff_lo, budget.coeff_hi))
-    return ExpSpan(terms)
+    return Poly(_DECAY, terms)
 
 
 def _leibniz_targets(cfg: SampleConfig, lam: Scalar):
     """(name, handle, derivation) triples expected to obey the weighted rule."""
     h1 = _poly_x(cfg, lam)
-    d = weighted_derivation(h1)
-    hh = HurwitzHandle(h1, cfg.precision)
-    s1 = ShaHandle(h1)
-    return [("poly", h1, d),
-            ("series-shift", hh, hurwitz.shift_derivation(hh)),
-            ("free", s1, freerb.free_derivation(s1, d))]
+    return [(name, h, canonical_derivation(h)) for name, h in (
+        ("poly", h1), ("series-shift", HurwitzHandle(h1, cfg.precision)),
+        ("free", ShaHandle(h1)))]
 
 
 def _check_lambda_leibniz(rng: random.Random, cfg: SampleConfig, i: int):
@@ -236,7 +237,7 @@ def _check_lambda_leibniz(rng: random.Random, cfg: SampleConfig, i: int):
 
 def _check_higher_leibniz(rng: random.Random, cfg: SampleConfig, i: int):
     h = _poly_x(cfg, cfg.weight(i))
-    d = weighted_derivation(h)
+    d = canonical_derivation(h)
     b = cfg.budget()
     n = i % 6  # orders 0..5
     x = random_element(h, b, rng)
@@ -295,7 +296,7 @@ def _check_t_structure(rng: random.Random, cfg: SampleConfig, i: int):
 
 def _check_costructure(rng: random.Random, cfg: SampleConfig, i: int):
     h = _poly_x(cfg, cfg.weight(i))
-    d = weighted_derivation(h)
+    d = canonical_derivation(h)
     f = hurwitz.costructure_hom(d, cfg.precision)
     b = cfg.budget()
     a = random_element(h, b, rng)
@@ -394,7 +395,7 @@ def _check_n_morphism(rng: random.Random, cfg: SampleConfig, i: int):
 
 def _check_power_sequence(rng: random.Random, cfg: SampleConfig, i: int):
     h = _poly_x(cfg, cfg.weight(i))
-    d = weighted_derivation(h)
+    d = canonical_derivation(h)
     b = cfg.budget()
     a = random_element(h, b, rng)
     n = rng.randint(0, 5)
@@ -412,7 +413,7 @@ def _check_drb(rng: random.Random, cfg: SampleConfig, i: int):
     lam = cfg.weight(i)
     h = _poly_x(cfg, lam)
     s = ShaHandle(h)
-    dfree = freerb.free_derivation(s, weighted_derivation(h))
+    dfree = canonical_derivation(s)
     b = cfg.budget()
     u = random_element(s, b, rng)
     yield "free-derivation-section", dfree(freerb.rb_prepend(u)), u, {"u": u}
@@ -460,8 +461,7 @@ def _check_beta_hom(rng: random.Random, cfg: SampleConfig, i: int):
     v = random_element(sh, nb, rng)
     yield ("beta-multiplicative", distlaw.beta(u * v),
            distlaw.beta(u) * distlaw.beta(v), {"u": u, "v": v})
-    lifted = hurwitz.lifted_rb(HurwitzHandle(sa, cfg.precision),
-                               freerb.free_rb_operator(sa))
+    lifted = canonical_rb(HurwitzHandle(sa, cfg.precision))
     yield ("beta-intertwines", distlaw.beta(freerb.rb_prepend(u)),
            lifted(distlaw.beta(u)), {"u": u})
     yield ("beta-unital", distlaw.beta(Tensor.one(sh)),
@@ -491,7 +491,7 @@ def _check_lifted_structures(rng: random.Random, cfg: SampleConfig, i: int):
     yield ("lifted-structure-multiplication", lifted(freerb.sha_map(lifted, big)),
            lifted(freerb.mu(big)), {"w": big})
     # lifted costructure on the tensor carrier
-    co = hurwitz.costructure_hom(weighted_derivation(h), cfg.precision)
+    co = hurwitz.costructure_hom(canonical_derivation(h), cfg.precision)
     lifted_co = distlaw.lift_costructure_hom(co)
     u = random_element(ShaHandle(h), nb, rng)
     fu = distlaw.lift_costructure(co, u)
@@ -503,9 +503,8 @@ def _check_lifted_structures(rng: random.Random, cfg: SampleConfig, i: int):
 def _check_mixed_compat(rng: random.Random, cfg: SampleConfig, i: int):
     h = _poly_x(cfg, cfg.weight(i))
     s = ShaHandle(h)
-    evaluation = freerb.structure_hom(freerb.free_rb_operator(s))
-    costr = hurwitz.costructure_hom(
-        freerb.free_derivation(s, weighted_derivation(h)), cfg.precision)
+    evaluation = freerb.structure_hom(canonical_rb(s))
+    costr = hurwitz.costructure_hom(canonical_derivation(s), cfg.precision)
     w = random_element(ShaHandle(s), cfg.nested_budget(), rng)
     yield ("mixed-compatibility",
            *distlaw.mixed_compat_sides(evaluation, costr, w), {"w": w})
@@ -516,12 +515,12 @@ def _check_adjunction_triangles(rng: random.Random, cfg: SampleConfig, i: int):
     hh = HurwitzHandle(h, cfg.precision)
     f = random_element(hh, cfg.budget(), rng)
     # round trip through iterated shifts and heads recovers the series
-    tower = hurwitz.derivation_series(f, hurwitz.shift_derivation(hh), cfg.precision)
+    tower = hurwitz.derivation_series(f, canonical_derivation(hh), cfg.precision)
     yield ("triangle-counit-unit",
            hurwitz.map_pointwise(hurwitz.counit_hom(hh), tower), f, {"f": f})
     # on the free carrier: the iterate series is a morphism for both operators
     s = ShaHandle(h)
-    d = freerb.free_derivation(s, weighted_derivation(h))
+    d = canonical_derivation(s)
     u = random_element(s, cfg.nested_budget(), rng)
     ds = hurwitz.derivation_series(u, d, cfg.precision)
     yield "triangle-point", hurwitz.counit(ds), u, {"u": u}
@@ -529,7 +528,7 @@ def _check_adjunction_triangles(rng: random.Random, cfg: SampleConfig, i: int):
     yield ("iterates-intertwine-derivation", hurwitz.shift(ds),
            hurwitz.derivation_series(d(u), d, cfg.precision), {"u": u})
     yield ("iterates-intertwine-operator",
-           hurwitz.rb_lift_apply(ds, freerb.free_rb_operator(s)),
+           hurwitz.rb_lift_apply(ds, canonical_rb(s)),
            hurwitz.derivation_series(freerb.rb_prepend(u), d, cfg.precision), {"u": u})
 
 

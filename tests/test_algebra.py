@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from rbshuffle.algebra import (ExpSpan, HandleMismatchError, Hom, HurwitzHandle,
+from rbshuffle.algebra import (HandleMismatchError, Hom, HurwitzHandle,
                                Poly, SampleBudget, ShaHandle, WeightError,
                                alg_eq, derivative_on, difference_quotient,
                                exp_span_rb, poly_derivative, poly_handle,
@@ -134,19 +134,21 @@ def test_scaled_identity_weighted_identity_sampled():
 
 
 def test_exp_span_operator():
-    e1 = ExpSpan.mode(1)
-    e2 = ExpSpan.mode(2)
-    assert exp_span_rb(e1) == ExpSpan.mode(1, -Q.one())
-    assert exp_span_rb(e2) == ExpSpan.mode(2, -HALF)
-    assert exp_span_rb(ExpSpan({})) == ExpSpan({})
-    assert e1 * e2 == ExpSpan.mode(3)
+    # the decay mode e_k is the k-th power of E = exp(-t)
+    h = poly_handle(("e",), Q)
+    e1 = Poly.variable(h, "e")
+    e2 = Poly.monomial(h, (2,))
+    assert exp_span_rb(e1) == Poly.monomial(h, (1,), -Q.one())
+    assert exp_span_rb(e2) == Poly.monomial(h, (2,), -HALF)
+    assert exp_span_rb(Poly.zero(h)) == Poly.zero(h)
+    assert e1 * e2 == Poly.monomial(h, (3,))
     with pytest.raises(ValueError):
-        ExpSpan({0: Q.one()})
+        exp_span_rb(Poly.one(h))
     rng = random.Random(3)
     for _ in range(200):
-        f = ExpSpan({rng.randint(1, 4): Q.from_int(rng.randint(-3, 3))
+        f = Poly(h, {(rng.randint(1, 4),): Q.from_int(rng.randint(-3, 3))
                      for _ in range(rng.randint(0, 3))})
-        g = ExpSpan({rng.randint(1, 4): Q.from_int(rng.randint(-3, 3))
+        g = Poly(h, {(rng.randint(1, 4),): Q.from_int(rng.randint(-3, 3))
                      for _ in range(rng.randint(0, 3))})
         lhs = exp_span_rb(f) * exp_span_rb(g)
         rhs = exp_span_rb(f * exp_span_rb(g)) + exp_span_rb(g * exp_span_rb(f))

@@ -17,17 +17,11 @@ from rbshuffle.algebra import (HurwitzHandle, Poly, SampleBudget, ShaHandle,
                                alg_eq, random_element)
 from rbshuffle.cli import bench_product, main
 from rbshuffle.coeffs import RATIONALS, residues
-from rbshuffle.exprs import (EvalContext, EvalError, ParseError, eval_text,
-                             parse, parse_handle)
+from rbshuffle.exprs import EvalError, ParseError, eval_text, parse, parse_handle
 from rbshuffle.freerb import Tensor, interleavings
 
 Q = RATIONALS
 HALF = Q.from_fraction(Fraction(1, 2))
-
-
-def ctx(ring=Q, lam=None, precision=4):
-    return EvalContext(ring=ring, weight=lam if lam is not None else ring.zero(),
-                       precision=precision)
 
 
 def test_parse_shapes():
@@ -45,18 +39,16 @@ def test_parse_shapes():
 
 
 def test_eval_prepend_on_tensors():
-    c = ctx(lam=HALF)
-    h = parse_handle("sha(poly(x,y))", Q, c.weight, 4)
-    out = eval_text("P(x)", h, c)
+    h = parse_handle("sha(poly(x,y))", Q, HALF, 4)
+    out = eval_text("P(x)", h)
     x = Poly.variable(h.inner, "x")
     one = Poly.one(h.inner)
     assert out == Tensor.from_factors(h, (one, x))
 
 
 def test_eval_worked_example_with_units():
-    c = ctx(lam=HALF)
-    h = parse_handle("sha(poly(x,y))", Q, c.weight, 4)
-    out = eval_text("(x # 1) * (y # 1 # 1)", h, c)
+    h = parse_handle("sha(poly(x,y))", Q, HALF, 4)
+    out = eval_text("(x # 1) * (y # 1 # 1)", h)
     x = Poly.variable(h.inner, "x")
     y = Poly.variable(h.inner, "y")
     one = Poly.one(h.inner)
@@ -66,36 +58,33 @@ def test_eval_worked_example_with_units():
 
 
 def test_eval_counit_with_integration():
-    c = ctx()
-    h = parse_handle("sha(poly(x))", Q, c.weight, 4)
+    h = parse_handle("sha(poly(x))", Q, Q.zero(), 4)
     x = Poly.variable(h.inner, "x")
-    assert eval_text("eps(x)", h, c) == x
-    assert eval_text("eps(1 # x)", h, c) == (x * x).scale(HALF)
+    assert eval_text("eps(x)", h) == x
+    assert eval_text("eps(1 # x)", h) == (x * x).scale(HALF)
 
 
 def test_eval_type_errors_carry_spans():
-    c = ctx()
-    h = parse_handle("sha(poly(x))", Q, c.weight, 4)
+    h = parse_handle("sha(poly(x))", Q, Q.zero(), 4)
     with pytest.raises(EvalError):
-        eval_text("beta(x)", h, c)          # factors are not series
+        eval_text("beta(x)", h)             # factors are not series
     with pytest.raises(EvalError):
-        eval_text("z + 1", h, c)            # unknown variable
+        eval_text("z + 1", h)               # unknown variable
     with pytest.raises(EvalError):
-        eval_text("P(eps(x))", h, c)        # descending map not at top level
-    hh = parse_handle("hur(poly(x),4)", Q, c.weight, 4)
+        eval_text("P(eps(x))", h)           # descending map not at top level
+    hh = parse_handle("hur(poly(x),4)", Q, Q.zero(), 4)
     with pytest.raises(EvalError):
-        eval_text("x # 1", hh, c)           # no tensor layer on a series carrier
+        eval_text("x # 1", hh)              # no tensor layer on a series carrier
     with pytest.raises(EvalError):
-        eval_text("partial([x])", hh, c)    # nothing left to shift
+        eval_text("partial([x])", hh)       # nothing left to shift
 
 
 def test_eval_mu_and_beta_shapes():
-    c = ctx(lam=HALF)
-    s2 = parse_handle("sha(sha(poly(x)))", Q, c.weight, 4)
-    out = eval_text("mu(eta(x # 1) # eta(1 # x))", s2, c)
+    s2 = parse_handle("sha(sha(poly(x)))", Q, HALF, 4)
+    out = eval_text("mu(eta(x # 1) # eta(1 # x))", s2)
     assert out.handle == s2.inner
-    sh = parse_handle("sha(hur(poly(x),4))", Q, c.weight, 4)
-    series = eval_text("beta([x; 1; 0; 0; 0] # [1; x; 0; 0; 0])", sh, c)
+    sh = parse_handle("sha(hur(poly(x),4))", Q, HALF, 4)
+    series = eval_text("beta([x; 1; 0; 0; 0] # [1; x; 0; 0; 0])", sh)
     assert series.handle == HurwitzHandle(ShaHandle(sh.inner.inner), 4)
     assert series.precision == 4
 
@@ -117,24 +106,22 @@ ROUND_TRIP_HANDLES = ("poly(x,y)", "sha(poly(x,y))", "hur(poly(x,y),4)",
 
 @pytest.mark.parametrize("spec", ROUND_TRIP_HANDLES)
 def test_print_parse_round_trip(spec):
-    c = ctx(lam=HALF)
-    handle = parse_handle(spec, Q, c.weight, 4)
+    handle = parse_handle(spec, Q, HALF, 4)
     rng = random.Random(17)
     budget = SampleBudget(max_tensor_len=2, max_terms=2)
     for _ in range(500):
         element = random_element(handle, budget, rng)
-        again = eval_text(str(element), handle, c)
+        again = eval_text(str(element), handle)
         assert alg_eq(element, again), f"{element} reparsed as {again}"
 
 
 def test_print_parse_round_trip_residue_ring():
     ring = residues(5)
-    c = ctx(ring=ring, lam=ring.one())
     handle = parse_handle("sha(poly(x,y))", ring, ring.one(), 4)
     rng = random.Random(23)
     for _ in range(200):
         element = random_element(handle, SampleBudget(), rng)
-        assert alg_eq(element, eval_text(str(element), handle, c))
+        assert alg_eq(element, eval_text(str(element), handle))
 
 
 def _delannoy(m, n):
@@ -185,17 +172,39 @@ def test_bench_rejects_precision():
     assert exit_.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [["eval", "--handle", "poly(x)", "--bogus", "x"],
+                                  ["check", "--bogus"]], ids=["eval", "check"])
+def test_unknown_option_exits_2_with_one_line(argv, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0] == "error: unrecognized arguments: --bogus"
+
+
 @pytest.mark.parametrize("argv", [
     ["eval", "--handle", "poly(x)", "1/0"],
     ["eval", "--handle", "poly(x)", "--lambda", "1/0", "x"],
     ["check", "--precision", "-1", "--suite", "hurwitz_algebra"],
-], ids=["eval-literal", "eval-weight", "check-precision"])
+    ["eval", "--handle", "poly(x)"],
+    ["eval", "--handle", "poly(x,y)", "P(x, y)"],
+], ids=["eval-literal", "eval-weight", "check-precision", "eval-no-expression",
+        "call-of-two-arguments"])
 def test_bad_input_exits_2_with_one_line(argv, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+@pytest.mark.parametrize("handle,expr", [("poly(x)", "-x"), ("sha(poly(x,y))", "-(x # y)"),
+                                         ("poly(x)", "-2/5*x")])
+def test_leading_minus_is_an_expression(handle, expr, capsys):
+    # argparse takes "-x" for an unknown option; it still fills the expression
+    assert main(["eval", "--handle", handle, expr]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.strip() == expr and captured.err == ""
 
 
 def test_weighted_derivation_needs_no_unit_weight(capsys):
@@ -254,50 +263,48 @@ def test_flat_operator_chain_evaluates_without_recursion(op, printed):
 
 
 def test_operator_chains_associate_left():
-    c = ctx()
-    h = parse_handle("sha(poly(x,y))", Q, c.weight, 4)
+    h = parse_handle("sha(poly(x,y))", Q, Q.zero(), 4)
     x, y = (Poly.variable(h.inner, v) for v in "xy")
     one = Tensor.one(h)
     tx, ty = Tensor.from_factors(h, (x,)), Tensor.from_factors(h, (y,))
-    assert eval_text("x - y + x - 1 - y", h, c) == tx + tx - ty - ty - one
-    assert eval_text("x # y - x # 1 * y", h, c) == Tensor.from_factors(h, (x, y - x, y))
-    assert eval_text("y # x # y * x # 1", h, c) == Tensor.from_factors(
+    assert eval_text("x - y + x - 1 - y", h) == tx + tx - ty - ty - one
+    assert eval_text("x # y - x # 1 * y", h) == Tensor.from_factors(h, (x, y - x, y))
+    assert eval_text("y # x # y * x # 1", h) == Tensor.from_factors(
         h, (y, x, y * x, Poly.one(h.inner)))
 
 
 def test_input_budgets_admit_their_limits():
-    c = ctx()
-    h = parse_handle("poly(x)", Q, c.weight, 4)
+    h = parse_handle("poly(x)", Q, Q.zero(), 4)
     x = Poly.variable(h, "x")
     depth = exprs.MAX_PARSE_DEPTH
-    assert eval_text("(" * depth + "x" + ")" * depth, h, c) == x
-    assert eval_text("-" * depth + "x", h, c) == x
-    hh = parse_handle("hur(poly(x))", Q, c.weight, 4)
-    lifted = eval_text("P(" * (depth - 1) + "[x]" + ")" * (depth - 1), hh, c)
+    assert eval_text("(" * depth + "x" + ")" * depth, h) == x
+    assert eval_text("-" * depth + "x", h) == x
+    hh = parse_handle("hur(poly(x))", Q, Q.zero(), 4)
+    lifted = eval_text("P(" * (depth - 1) + "[x]" + ")" * (depth - 1), hh)
     assert lifted.precision == depth - 1
     for src in ("(" * (depth + 1) + "x" + ")" * (depth + 1), "-" * (depth + 1) + "x"):
         with pytest.raises(ParseError):
             parse(src)
     top = exprs.MAX_EXPONENT
-    assert eval_text(f"(x^2)^{top // 2}", h, c) == Poly.monomial(h, (top,))
+    assert eval_text(f"(x^2)^{top // 2}", h) == Poly.monomial(h, (top,))
     for src in (f"x^{top + 1}", f"(x^2 + 1)^{top // 2 + 1}", f"x^2^{top // 2 + 1}",
                 f"[x^0^{top + 1}]"):
         with pytest.raises(ParseError):
             parse(src)
     n = exprs.MAX_PRECISION
-    assert parse_handle(f"hur(poly(x),{n})", Q, c.weight, 4).precision == n
+    assert parse_handle(f"hur(poly(x),{n})", Q, Q.zero(), 4).precision == n
     with pytest.raises(ParseError):
-        parse_handle(f"hur(poly(x),{n + 1})", Q, c.weight, 4)
+        parse_handle(f"hur(poly(x),{n + 1})", Q, Q.zero(), 4)
     with pytest.raises(ParseError):
-        parse_handle("hur(poly(x))", Q, c.weight, n + 1)
-    assert eval_text("[" + ";".join(["1"] * (n + 1)) + "]", hh, c).precision == n
+        parse_handle("hur(poly(x))", Q, Q.zero(), n + 1)
+    assert eval_text("[" + ";".join(["1"] * (n + 1)) + "]", hh).precision == n
     # D(8, 8) = 265,729 words bound a product of two length-9 tensors
     sh = parse_handle("sha(poly(x))", Q, Q.one(), 4)
     nine = " # ".join(["1"] * 9)
-    square = eval_text(f"({nine}) * ({nine})", sh, ctx(lam=Q.one()))
+    square = eval_text(f"({nine}) * ({nine})", sh)
     assert square.lengths() == {k: 1 for k in range(9, 18)}
     with pytest.raises(EvalError, match="above 300000"):
-        eval_text(f"({nine}) * ({nine} # 1)", sh, ctx(lam=Q.one()))
+        eval_text(f"({nine}) * ({nine} # 1)", sh)
 
 
 @pytest.mark.parametrize("spec,precision,col", (("hur(poly(x),99)", 4, 13),
@@ -313,9 +320,8 @@ def test_precision_error_points_at_its_number(spec, precision, col):
 @pytest.mark.parametrize("ring,a,b", ((Q, 1, -1), (residues(6), 2, 4)), ids=str)
 def test_tensor_concatenation_with_cancelling_pieces(ring, a, b):
     # a + b = 0 in the ring: x # (y # z) and (x # y) # z are the same word
-    c = ctx(ring=ring)
-    h = parse_handle("sha(poly(x,y,z))", ring, c.weight, 4)
-    out = eval_text(f"({a}*x + (x # y)) # ((y # z) + {b}*z)", h, c)
+    h = parse_handle("sha(poly(x,y,z))", ring, ring.zero(), 4)
+    out = eval_text(f"({a}*x + (x # y)) # ((y # z) + {b}*z)", h)
     x, y, z = (Poly.variable(h.inner, v) for v in "xyz")
     assert out == (Tensor.from_factors(h, (x, z), ring.from_int(a * b))
                    + Tensor.from_factors(h, (x, y, y, z)))

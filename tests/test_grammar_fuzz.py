@@ -3,7 +3,9 @@ escaping, and the value printed on exit 0 evaluates back to an equal value.
 
 The expressions are small and mostly well formed, with a few tokens that
 the carrier rejects (an unknown variable, ``1/0``, ``#`` off a tensor
-carrier, an operator that belongs to another carrier).
+carrier, an operator that belongs to another carrier).  They go into argv
+with no ``--`` before them, so one that starts with ``-`` must still be read
+as the expression, not as an option.
 """
 
 import contextlib
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 
 from rbshuffle.cli import main
 from rbshuffle.coeffs import parse_ring, parse_scalar
-from rbshuffle.exprs import EvalContext, eval_text, parse_handle
+from rbshuffle.exprs import eval_text, parse_handle
 
 WEIGHTS = {"q": ("0", "1", "1/2", "-1"), "zmod:6": ("0", "1", "2", "5")}
 
@@ -62,8 +64,7 @@ CASES = st.one_of(
 def test_eval_exits_0_or_2_and_round_trips(ring, pick, case):
     handle_text, expr = case
     weight = WEIGHTS[ring][pick]
-    argv = ["eval", "--ring", ring, f"--lambda={weight}", "--handle", handle_text,
-            "--", expr]
+    argv = ["eval", "--ring", ring, f"--lambda={weight}", "--handle", handle_text, expr]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -74,9 +75,7 @@ def test_eval_exits_0_or_2_and_round_trips(ring, pick, case):
         assert out.getvalue() == "" and len(lines) == 1 and lines[0].startswith("error:")
         return
     r = parse_ring(ring)
-    lam = parse_scalar(weight, r)
-    ctx = EvalContext(r, lam, 4)
-    value = eval_text(expr, parse_handle(handle_text, r, lam, 4), ctx)
+    value = eval_text(expr, parse_handle(handle_text, r, parse_scalar(weight, r), 4))
     printed = out.getvalue().strip()
     assert printed == str(value)
-    assert eval_text(printed, value.handle, ctx) == value, (argv, printed)
+    assert eval_text(printed, value.handle) == value, (argv, printed)

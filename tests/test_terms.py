@@ -7,7 +7,7 @@ import pytest
 
 from rbshuffle.algebra import Poly, Terms
 from rbshuffle.coeffs import RATIONALS, parse_scalar, residues
-from rbshuffle.exprs import EvalContext, eval_text, parse_handle
+from rbshuffle.exprs import eval_text, parse_handle
 from rbshuffle.freerb import Tensor
 
 Q = RATIONALS
@@ -15,9 +15,8 @@ Z6 = residues(6)
 
 
 def value(handle_text, expr, ring=Q, lam="0"):
-    w = parse_scalar(lam, ring)
-    h = parse_handle(handle_text, ring, w, 2)
-    return eval_text(expr, h, EvalContext(ring=ring, weight=w, precision=2))
+    h = parse_handle(handle_text, ring, parse_scalar(lam, ring), 2)
+    return eval_text(expr, h)
 
 
 # (handle, expression, ring, weight, str, to_json), rendered before Poly and
