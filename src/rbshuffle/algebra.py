@@ -171,6 +171,14 @@ class Terms:
         self._hash = None
 
     @classmethod
+    def _trusted(cls, handle: Handle, terms: dict):
+        """The element with these terms as they stand, with no zero filter:
+        for kernel code whose terms are already canonical and nonzero."""
+        out = cls.__new__(cls)
+        out.handle, out.terms, out._hash = handle, terms, None
+        return out
+
+    @classmethod
     def zero(cls, handle: Handle):
         return cls(handle, {})
 

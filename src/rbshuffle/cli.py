@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import sys
 import time
 from math import comb, factorial
@@ -21,7 +22,7 @@ from .exprs import EvalError, ParseError
 from .freerb import Tensor, distinct_symbol_factors
 
 SCHEMA = "rb-shuffle/1"
-BENCH_MAX = 8
+BENCH_MAX = 9
 
 
 def _json_print(obj: dict) -> None:
@@ -158,7 +159,8 @@ def bench_product(m: int, n: int, ring: Ring, lam: Scalar) -> dict:
             "strata_ok": by_length == expected and bad == 0,
             "top_terms": by_length.get(m + n + 1, 0), "top_expected": comb(m + n, n),
             "elapsed_ms": round(elapsed_ms, 3),
-            "us_per_term": round(elapsed_ms * 1e3 / max(total, 1), 3)}
+            "us_per_term": round(elapsed_ms * 1e3 / max(total, 1), 3),
+            "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}
 
 
 def cmd_bench(args) -> int:
@@ -177,6 +179,7 @@ def cmd_bench(args) -> int:
         for k in sorted(got.keys() | want.keys(), key=int):
             print(f"  length {k}: {got.get(k, 0)} (expected {want.get(k, 0)})")
         print(f"  top stratum {report['top_terms']} (expected {report['top_expected']})")
+        print(f"  peak RSS {report['peak_rss_mb']:.1f} MB (whole process)")
         if report["bad_coefficients"]:
             print(f"  {report['bad_coefficients']} terms with a coefficient other than "
                   f"weight^merges")
@@ -184,6 +187,18 @@ def cmd_bench(args) -> int:
         print("error: stratum count or coefficient mismatch", file=sys.stderr)
         return 1
     return 0
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports its errors as one ``error:`` line (exit 2) and matches only
+    whole option names, so that an expression such as "--j" is never taken
+    for an abbreviation of ``--json``."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
+    def error(self, message: str):
+        raise SystemExit(_usage_error(message))
 
 
 def _add_common(p: argparse.ArgumentParser, with_handle: bool,
@@ -201,7 +216,7 @@ def _add_common(p: argparse.ArgumentParser, with_handle: bool,
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rbshuffle",
         description="Exact tensor, series, and distributive-law calculator "
                     "with a machine-checked law suite.")
@@ -210,7 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate an expression on a carrier")
     _add_common(p_eval, with_handle=True)
     p_eval.add_argument("expr", nargs="?",
-                        help='expression, e.g. "P(x # y) + 2*(x # 1)"')
+                        help='expression, e.g. "P(x # y) + 2*(x # 1)"; put -- '
+                             'before an expression that is exactly -h')
     p_eval.set_defaults(fn=cmd_eval)
 
     p_check = sub.add_parser("check", help="run law suites")
@@ -224,8 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="profile one pure-tensor product")
     _add_common(p_bench, with_handle=False, with_precision=False)
-    p_bench.add_argument("-m", type=int, default=3, help="left tail length (<= 8)")
-    p_bench.add_argument("-n", type=int, default=3, help="right tail length (<= 8)")
+    p_bench.add_argument("-m", type=int, default=3, help=f"left tail length (<= {BENCH_MAX})")
+    p_bench.add_argument("-n", type=int, default=3, help=f"right tail length (<= {BENCH_MAX})")
     p_bench.set_defaults(fn=cmd_bench)
 
     p_repl = sub.add_parser("repl", help="interactive evaluator")

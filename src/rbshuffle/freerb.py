@@ -9,9 +9,11 @@ of Guo-Keigher: for pure tensors a0 # a' and b0 # b',
 where a word of the tail shuffle starts with the first letter of a', or the
 first letter of b', or their product in A with the handle weight as its
 coefficient, and goes on with the shuffle of what remains.  The weighted
-merge is what distinguishes this from the plain shuffle product.  The letters
-of a word are tensor factors on every carrier, and merging two letters is the
-carrier's own product.
+merge is what distinguishes this from the plain shuffle product.  The kernel
+interns each product's canonical factors to small int letters, looks each
+merge up in a per-product table of the carrier's own products, and sums bare
+coefficient values; only the output goes back to factor tuples with
+``Scalar`` coefficients, through the trusted ``Terms._trusted`` constructor.
 
 Canonical form: factors are expanded to basis monomials of A wherever A has
 a basis (polynomial and tensor carriers); factors over sequence carriers are
@@ -21,12 +23,13 @@ tuples and zeros dropped, so equality is syntactic.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Iterator
 
 from . import algebra
 from .algebra import (Handle, HandleMismatchError, Hom, Poly, PolyHandle,
                       ShaHandle, Terms, check_same_handle, summed)
-from .coeffs import Ring, Scalar
+from .coeffs import Ring, RingError, Scalar
 
 
 def _merge_weight(handle: ShaHandle) -> Scalar:
@@ -34,30 +37,34 @@ def _merge_weight(handle: ShaHandle) -> Scalar:
     return handle.weight
 
 
-def _shuffle_tails(u: tuple, v: tuple, lam: Scalar, memo: dict) -> dict:
-    """Mixable shuffle of two words of tensor factors, as word -> coefficient.
+def _shuffle_tails(u: tuple, v: tuple, merged: dict, lam, m: int | None,
+                   memo: dict) -> dict:
+    """Mixable shuffle of two words of interned letters, as word -> int
+    coefficient.
 
-    The letters are the factors themselves.  The first letter is u's, or v's,
-    or (with coefficient lam) the carrier product of both; the rest is the
-    shuffle of what remains.  ``memo`` is keyed on the suffix pair and may be
-    shared by every call with the same lam.
+    Letters are small ints.  The first letter is u's, or v's, or (with
+    coefficient lam, an int) their merge, the letter ``merged[x, y]``; the
+    rest is the shuffle of what remains.  On Z/m (m given) each product with
+    lam is reduced mod m, so that a power of lam that vanishes drops its
+    words.  ``memo`` is keyed on the suffix pair and may be shared by every
+    call with the same table and lam.
     """
     hit = memo.get((u, v))
     if hit is not None:
         return hit
     if not u or not v:
-        out = {u or v: lam.ring.one()}
+        out = {u or v: 1}
     else:
         x, y = u[0], v[0]
-        out = {(x,) + w: c for w, c in _shuffle_tails(u[1:], v, lam, memo).items()}
-        for w, c in _shuffle_tails(u, v[1:], lam, memo).items():
+        out = {(x,) + w: c for w, c in _shuffle_tails(u[1:], v, merged, lam, m, memo).items()}
+        for w, c in _shuffle_tails(u, v[1:], merged, lam, m, memo).items():
             key = (y,) + w
             s = out.get(key)
             out[key] = c if s is None else s + c
-        if not lam.is_zero:
-            z = x * y
-            for w, c in _shuffle_tails(u[1:], v[1:], lam, memo).items():
-                c = c * lam
+        if lam:
+            z = merged[x, y]
+            for w, c in _shuffle_tails(u[1:], v[1:], merged, lam, m, memo).items():
+                c = c * lam % m if m else c * lam
                 if c:  # a power of lam may vanish (2 mod 4): keep surviving words
                     key = (z,) + w
                     s = out.get(key)
@@ -104,30 +111,80 @@ class Tensor(Terms):
 
         Each pair of terms gives the carrier product a0*b0 followed by every
         word of the tail shuffle ``_shuffle_tails``, whose memo all pairs
-        share.  Letters are the canonical factors and merging is the
-        carrier's product.  Over a polynomial carrier the factors are monic
-        monomials, whose products are monic monomials, so output words are
-        canonical as they stand.  Other carriers have no monomial basis:
-        output words are expanded back to canonical factors, which drops
-        every word with a zero factor.
+        share.  The kernel runs on small ints.  Every canonical factor is
+        interned to a letter, and a merge is one lookup in a table of letter
+        products.  Coefficients are bare values, read once through
+        ``bare_items``; a rational weight p/q runs as the int p, and the
+        q-powers it leaves out are restored per output word length.  Each
+        distinct letter and each distinct value goes back to a factor or a
+        ``Scalar`` once, when the output is built.
+
+        Over a polynomial carrier the factors are monic monomials, whose
+        products are monic monomials, so output words are canonical as they
+        stand, and distinct words are distinct terms.  Other carriers have
+        no monomial basis: output words are expanded back to canonical
+        factors, which drops every word with a zero factor.
         """
         check_same_handle(self, other)
         handle = self.handle
-        lam = _merge_weight(handle)
+        if not self.terms or not other.terms:
+            return Tensor._trusted(handle, {})
+        ring = handle.ring
+        weight = _merge_weight(handle)
+        if weight.ring is not ring and weight.ring != ring:
+            raise RingError(f"ring mismatch: {weight.ring} vs {ring}")
+        m = ring.modulus
+        lam, den = weight.value, 1
+        if type(lam) is Fraction:  # a weight p/q runs as p; see the scale below
+            lam, den = lam.numerator, lam.denominator
+        letters: dict = {}
+
+        def spelled(t: tuple) -> tuple:
+            return tuple([letters.setdefault(f, len(letters)) for f in t])
+
+        left = [(a[0], spelled(a[1:]), c) for a, c in self.bare_items()]
+        right = [(b[0], spelled(b[1:]), c) for b, c in other.bare_items()]
+        merged: dict = {}
+        if lam:
+            factors = list(letters)
+            ys = {y for _, v, _ in right for y in v}
+            for x in {x for _, u, _ in left for x in u}:
+                for y in ys:
+                    merged[x, y] = letters.setdefault(factors[x] * factors[y], len(letters))
+        # A tail word of n letters from tails of total length l has l - n
+        # merges.  Scaling each pair by den^(top - l) gives every such word
+        # the denominator den^(top - n), which depends on n alone.
+        top = max(len(u) for _, u, _ in left) + max(len(v) for _, v, _ in right)
         memo: dict = {}
-        words: dict = {}
-        for a, ca in self.terms.items():
-            for b, cb in other.terms.items():
-                head = (a[0] * b[0],)
-                scale = ca * cb
-                for w, c in _shuffle_tails(a[1:], b[1:], lam, memo).items():
-                    key = head + w
-                    c = scale * c
-                    s = words.get(key)
-                    words[key] = c if s is None else s + c
+        by_head: dict = {}  # head letter -> {tail word: bare coefficient}
+        for a0, u, ca in left:
+            for b0, v, cb in right:
+                head = letters.setdefault(a0 * b0, len(letters))
+                scale = ca * cb * den ** (top - len(u) - len(v))
+                shuffle = _shuffle_tails(u, v, merged, lam, m, memo)
+                words = by_head.get(head)
+                if words is None:
+                    by_head[head] = {w: scale * c for w, c in shuffle.items()}
+                    continue
+                for w, c in shuffle.items():
+                    s = words.get(w)
+                    words[w] = scale * c if s is None else s + scale * c
+        del memo, shuffle  # the suffix memo can be as large as the output
+        letter = list(letters).__getitem__
+        if den == 1:
+            scalar = {c: ring.from_int(c)
+                      for words in by_head.values() for c in set(words.values())}
+            terms = {(letter(h), *map(letter, w)): s for h, words in by_head.items()
+                     for w, c in words.items() if (s := scalar[c]).value}
+        else:  # a tail word's length gives its denominator
+            scalar = {(c, n): ring.from_int(Fraction(c, den ** (top - n)))
+                      for words in by_head.values()
+                      for c, n in {(c, len(w)) for w, c in words.items()}}
+            terms = {(letter(h), *map(letter, w)): s for h, words in by_head.items()
+                     for w, c in words.items() if (s := scalar[c, len(w)]).value}
         if isinstance(handle.inner, PolyHandle):
-            return Tensor(handle, words)
-        return Tensor(handle, summed((t, c * v) for w, c in words.items()
+            return Tensor._trusted(handle, terms)
+        return Tensor(handle, summed((t, c * v) for w, c in terms.items()
                                      for t, v in pure_tensor_terms(handle, w)))
 
     def lengths(self) -> dict[int, int]:
@@ -177,7 +234,7 @@ def eta_hom(inner: Handle) -> Hom:
 def rb_prepend(u: Tensor) -> Tensor:
     """The free Rota-Baxter operator: prepend the inner unit to every tensor."""
     one_a = algebra.unit(u.handle.inner)
-    return Tensor(u.handle, {(one_a,) + t: c for t, c in u.terms.items()})
+    return Tensor._trusted(u.handle, {(one_a,) + t: c for t, c in u.terms.items()})
 
 
 def free_rb_operator(handle: ShaHandle) -> Hom:

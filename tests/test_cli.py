@@ -15,7 +15,7 @@ import rbshuffle
 from rbshuffle import exprs, freerb
 from rbshuffle.algebra import (HurwitzHandle, Poly, SampleBudget, ShaHandle,
                                alg_eq, random_element)
-from rbshuffle.cli import bench_product, main
+from rbshuffle.cli import BENCH_MAX, bench_product, main
 from rbshuffle.coeffs import RATIONALS, residues
 from rbshuffle.exprs import EvalError, ParseError, eval_text, parse, parse_handle
 from rbshuffle.freerb import Tensor, interleavings
@@ -182,6 +182,31 @@ def test_unknown_option_exits_2_with_one_line(argv, capsys):
     assert len(lines) == 1 and lines[0] == "error: unrecognized arguments: --bogus"
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["eval", "x"], "the following arguments are required: --handle"),
+    (["check", "--precision", "x"], "argument --precision: invalid int value: 'x'"),
+], ids=["eval-no-handle", "check-precision-not-int"])
+def test_argparse_errors_exit_2_with_one_line(argv, message, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().splitlines() == [f"error: {message}"]
+
+
+def test_options_match_whole_names_only(capsys):
+    # "--j" is no abbreviation of --json: it fills the expression, -(-j)
+    assert main(["eval", "--handle", "poly(j)", "--j"]) == 0
+    assert capsys.readouterr().out.strip() == "j"
+    # after --, even -h is an expression
+    assert main(["eval", "--handle", "poly(h)", "--", "-h"]) == 0
+    assert capsys.readouterr().out.strip() == "-h"
+    with pytest.raises(SystemExit) as exit_:
+        main(["eval", "--hand", "poly(x)", "x"])
+    assert exit_.value.code == 2
+
+
 @pytest.mark.parametrize("argv", [
     ["eval", "--handle", "poly(x)", "1/0"],
     ["eval", "--handle", "poly(x)", "--lambda", "1/0", "x"],
@@ -334,7 +359,7 @@ def test_cli_eval_and_exit_codes(capsys):
     assert main(["eval", "--handle", "sha(poly(x))", "x +"]) == 2
     assert main(["eval", "--handle", "nope(x)", "x"]) == 2
     assert main(["eval", "--ring", "zmod:1", "--handle", "poly(x)", "x"]) == 2
-    assert main(["bench", "-m", "9", "-n", "1"]) == 2
+    assert main(["bench", "-m", str(BENCH_MAX + 1), "-n", "1"]) == 2
     assert main(["check", "--suite", "nosuch"]) == 2
 
 
@@ -375,6 +400,9 @@ def test_cli_bench_text(capsys):
     assert main(["bench", "-m", "1", "-n", "2", "--lambda", "0"]) == 0
     out = capsys.readouterr().out
     assert "top stratum 3 (expected 3)" in out
+    assert "peak RSS" in out and "MB (whole process)" in out
+    assert main(["bench", "-m", "1", "-n", "1", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["peak_rss_mb"] > 0
 
 
 def test_cli_repl(monkeypatch, capsys):

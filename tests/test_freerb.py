@@ -9,13 +9,14 @@ import pytest
 from rbshuffle.algebra import (Hom, HandleMismatchError, Poly, SampleBudget,
                                ShaHandle, alg_eq, integration_on, poly_handle,
                                random_element, scaled_identity_on, subst_hom)
-from rbshuffle.coeffs import INTEGERS, RATIONALS, residues
+from rbshuffle import freerb
+from rbshuffle.coeffs import INTEGERS, RATIONALS, RingError, residues
 from rbshuffle.freerb import (Tensor, counit_eval, eta, eta_hom,
                               free_derivation, free_rb_operator,
                               induced_rb_hom, interleavings, mu, rb_prepend,
                               sha_hom, sha_map, structure_hom)
 from rbshuffle import algebra
-from rbshuffle.exprs import parse_handle
+from rbshuffle.exprs import eval_text, parse_handle
 from rbshuffle.hurwitz import Series
 
 Q = RATIONALS
@@ -371,6 +372,48 @@ def test_words_with_zero_factors_vanish():
     # the merged word 1 # f*g vanishes and the two shuffled words stay
     assert (Tensor.from_factors(s, (one, f)) * Tensor.from_factors(s, (one, g))
             == Tensor.from_factors(s, (one, f, g)) + Tensor.from_factors(s, (one, g, f)))
+
+
+def test_product_checks_coefficient_and_weight_rings(monkeypatch):
+    s = sha_x(Q.one())
+    x = Poly.variable(s.inner, "x")
+    u = Tensor.from_factors(s, (x, x))
+    stray = Tensor(s, {(x,): Z6.from_int(1)})  # a coefficient from Z/6 on a q carrier
+    with pytest.raises(RingError):
+        stray * u
+    with pytest.raises(RingError):
+        u * stray
+    monkeypatch.setattr(freerb, "_merge_weight", lambda handle: Z6.one())
+    with pytest.raises(RingError):
+        u * u
+
+
+def test_merge_onto_an_interned_letter_collects_words():
+    # the merge 1*x is the letter x again, and the word 1 # 1 # x # x arises twice
+    s = parse_handle("sha(poly(x))", Q, Q.one(), 4)
+    expect = eval_text("(1 # 1 # x^2) + (1 # x # x) + 2*(1 # 1 # x # x) + (1 # x # 1 # x)", s)
+    assert eval_text("(1 # 1 # x) * (1 # x)", s) == expect
+    assert len(expect.terms) == 4
+
+
+def test_words_from_pairs_of_unequal_length_collect_at_half_weight():
+    # 1 # x # x comes with no merge from the shorter pair and with one merge
+    # (1*x = x) from the longer, so its coefficient mixes two powers of 1/2
+    s = parse_handle("sha(poly(x))", Q, HALF, 4)
+    expect = eval_text("2*(1 # 1 # x # x) + 1/2*(1 # 1 # x^2) + (1 # x # 1 # x)"
+                       " + 5/2*(1 # x # x) + 1/2*(1 # x^2)", s)
+    assert eval_text("((1 # 1 # x) + (1 # x)) * (1 # x)", s) == expect
+
+
+def test_zero_operand_gives_the_zero_tensor():
+    s = sha_x(Q.one())
+    x = Poly.variable(s.inner, "x")
+    u = Tensor.from_factors(s, (x, x, x))
+    zero = Tensor.zero(s)
+    for prod in (zero * u, u * zero, zero * zero):
+        assert prod.is_zero and prod.handle == s and prod == zero
+    with pytest.raises(HandleMismatchError):
+        zero * Tensor.zero(sha_x(variables=("y",)))
 
 
 def test_handle_mismatch():
