@@ -13,9 +13,10 @@ explicit precision.  Canonical form makes equality a syntactic check
 (precision-bounded for series).  Polynomials and tensors are both term maps
 (key -> nonzero scalar): ``Terms`` holds their shared sum, scaling, linear
 maps, equality, hashing, basis expansion and printing, and alone owns the
-coefficient format, including the bare-value view that fast kernels sum.
-``summed`` is the one accumulator of (key, scalar) pairs outside the
-product kernels.
+coefficient format.  The product kernels read coefficients as bare values
+through ``bare_items``, which checks their ring, and build their output
+through ``_trusted``.  ``summed`` is the one accumulator of (key, scalar)
+pairs outside the product kernels.
 """
 
 from __future__ import annotations
@@ -181,13 +182,6 @@ class Terms:
     @classmethod
     def zero(cls, handle: Handle):
         return cls(handle, {})
-
-    @classmethod
-    def from_bare(cls, handle: Handle, values: Mapping):
-        """The element with bare coefficient values: ints, or Fractions on q,
-        each rebuilt into a ``Scalar`` through ``Ring.from_int``."""
-        ring = handle.ring
-        return cls(handle, {k: ring.from_int(v) for k, v in values.items()})
 
     def bare_items(self) -> list:
         """The (key, bare value) pairs, after checking that every coefficient

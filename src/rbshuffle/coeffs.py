@@ -157,10 +157,7 @@ class Scalar:
         """k-th power for k >= 0, with the convention x**0 = 1."""
         if k < 0:
             raise ValueError("negative exponent")
-        out = self.ring.one()
-        for _ in range(k):
-            out = out * self
-        return out
+        return self._wrap(self.value ** k)
 
     def __str__(self) -> str:
         if self.ring.is_residue:

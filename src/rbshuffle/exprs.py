@@ -381,13 +381,32 @@ def _delannoy(m: int, n: int) -> int:
     return sum(comb(m, k) * comb(n, k) << k for k in range(min(m, n) + 1))
 
 
+def _term_bound(x, y) -> int:
+    """A bound on the tensor terms that x * y forms: each pair of tensor terms
+    gives at most the Delannoy number of their tails' lengths, and a series
+    product multiplies every pair of values up to the common precision.  The
+    bound is bilinear, so over tensor values it takes the summed term counts
+    of each side's values."""
+    if isinstance(x, Series):
+        n = min(x.precision, y.precision) + 1
+        if isinstance(x.handle.inner, HurwitzHandle):
+            return sum(_term_bound(a, b) for a in x.values[:n] for b in y.values[:n])
+        lx, ly = (algebra.summed(kv for v in s.values[:n] for kv in v.lengths().items())
+                  for s in (x, y))
+    else:
+        lx, ly = x.lengths(), y.lengths()
+    return sum(ca * cb * _delannoy(la - 1, lb - 1)
+               for la, ca in lx.items() for lb, cb in ly.items())
+
+
 def _product(x, y, pos: int):
-    """x * y, refused when x and y are tensors whose product could have more
-    than MAX_TERMS terms: each pair of terms gives at most the Delannoy number
-    of their tails' lengths."""
-    if isinstance(x, Tensor):
-        bound = sum(ca * cb * _delannoy(la - 1, lb - 1)
-                    for la, ca in x.lengths().items() for lb, cb in y.lengths().items())
+    """x * y, refused when x and y hold tensors whose products could form more
+    than MAX_TERMS terms in all."""
+    base = x.handle
+    while isinstance(base, HurwitzHandle):
+        base = base.inner
+    if isinstance(base, ShaHandle):
+        bound = _term_bound(x, y)
         if bound > MAX_TERMS:
             raise EvalError(f"a product of up to {bound} terms is above {MAX_TERMS}", pos)
     return x * y

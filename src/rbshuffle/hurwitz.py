@@ -10,21 +10,27 @@ Hurwitz product in the pair form of Guo and Keigher:
 which at weight 0 collapses to the classical binomial convolution
 (only i + l = n survives).  ``Series.__mul__`` and ``higher_leibniz`` are
 the two callers of one kernel, ``_pair_sums``, over one cached table of
-these coefficients.  Every operation records its exact output precision:
-products take the minimum, the shift loses one, the Rota-Baxter lift gains
-one, comultiplication fills the triangle m+n <= N.  Comparisons are
-relative to the common precision.
+these coefficients.  Over a polynomial inner algebra the kernel works on
+bare values alone: exponent vectors packed into ints and int or Fraction
+coefficients, with the powers of a rational weight brought to one common
+denominator D, so it builds no ``Poly`` or ``Scalar`` between reading its
+operands and building its output.  Every operation records its exact
+output precision: products take the minimum, the shift loses one, the
+Rota-Baxter lift gains one, comultiplication fills the triangle m+n <= N.
+Comparisons are relative to the common precision.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
+from operator import mul
 from typing import Sequence
 
 from . import algebra
 from .algebra import (Handle, HandleMismatchError, Hom, HurwitzHandle,
-                      check_same_handle)
+                      PolyHandle, check_same_handle)
 from .coeffs import Scalar
 
 
@@ -51,46 +57,87 @@ def _pair_sums(f: Sequence, g: Sequence, inner: Handle, indices: Sequence[int]) 
     prefixes f and g over the inner algebra, in pair form.
 
     Each product f(i)g(l) is formed at most once, and only where some row
-    gives it a nonzero coefficient.  Over carriers with a term map the scaled
+    gives it a nonzero coefficient.  Over carriers with a term map the
     products are summed as bare coefficient values (each ``Scalar.value``:
-    an int, or a Fraction on q), and each sum is rebuilt
-    into a term map once; series-valued inners, which have no term map, are
-    summed as elements, so each value keeps the smallest precision that
-    enters it.
+    an int, or a Fraction on q), and each sum becomes a ``Scalar`` once, in
+    the output.  Over a polynomial carrier the products are bare too: the
+    operands are read once through ``bare_items``, and each exponent vector
+    is packed into one int, its base-B digits, with B above every exponent
+    a product can reach, so exponent vectors add as ints.  Over a tensor
+    carrier each product is one mixable-shuffle product, read through
+    ``bare_items``.  A rational weight runs as ints: every power of it is
+    scaled by the least common multiple D of their denominators, and each
+    output coefficient is divided by D once.  Series-valued inners, which
+    have no term map, are summed as elements, so each value keeps the
+    smallest precision that enters it.
     """
     ring = inner.ring
     m = ring.modulus
     powers = [_lambda_power(inner.weight, k).value for k in range(max(indices) + 1)]
-    generic = isinstance(inner, HurwitzHandle)
+    den = lcm(*(w.denominator for w in powers))
+    powers = [w.numerator * (den // w.denominator) for w in powers]
     products: dict = {}
+    unpack = None
+    if isinstance(inner, PolyHandle):
+        fb = [v.bare_items() for v in f[:len(powers)]]
+        gb = [v.bare_items() for v in g[:len(powers)]]
+        base = 1 + sum(max([e for items in vb for a, _ in items for e in a], default=0)
+                       for vb in (fb, gb))
+        places = [base ** j for j in range(len(inner.variables))]
+        fb, gb = ([[(sum(map(mul, a, places)), x) for a, x in items] for items in vb]
+                  for vb in (fb, gb))
+
+        def product(i: int, l: int) -> list:
+            out: dict = {}
+            for a, x in fb[i]:
+                for b, y in gb[l]:
+                    key = a + b
+                    s = out.get(key)
+                    out[key] = x * y if s is None else s + x * y
+            return list(out.items())
+
+        def unpack(key: int) -> tuple:
+            return tuple([key // p % base for p in places])
+    elif isinstance(inner, HurwitzHandle):
+        def product(i: int, l: int):
+            return f[i] * g[l]
+    else:
+        def product(i: int, l: int) -> list:
+            return (f[i] * g[l]).bare_items()
 
     def weighted(n: int):
-        """(bare coefficient, product) for each pair of row n that survives."""
+        """(int coefficient, product) for each pair of row n that survives;
+        the coefficient carries the factor D."""
         for i, l, k, count in _pair_row(n):
             c = count * powers[k] % m if m else count * powers[k]
             if not c:
                 continue
             p = products.get((i, l))
             if p is None:
-                p = products[i, l] = f[i] * g[l] if generic else (f[i] * g[l]).bare_items()
+                p = products[i, l] = product(i, l)
             yield c, p
 
     out = []
-    if generic:
+    if isinstance(inner, HurwitzHandle):
         for n in indices:
             acc = algebra.zero(inner)
             for c, p in weighted(n):
-                acc = acc + p.scale(ring.from_int(c))
+                acc = acc + p.scale(ring.from_int(Fraction(c, den) if den > 1 else c))
             out.append(acc)
         return out
-    make = type(f[0])
+    from_int = ring.from_int
     for n in indices:
         sums: dict = {}
         for c, p in weighted(n):
             for key, v in p:
                 s = sums.get(key)
                 sums[key] = c * v if s is None else s + c * v
-        out.append(make.from_bare(inner, sums))
+        terms = {}
+        for key, v in sums.items():
+            s = from_int(Fraction(v, den) if den > 1 else v)
+            if s.value:
+                terms[unpack(key) if unpack else key] = s
+        out.append(type(f[0])._trusted(inner, terms))
     return out
 
 
@@ -287,11 +334,6 @@ def higher_leibniz(x, y, d: Hom, n: int):
 
     Contract: equals d applied n times to x*y.
     """
-    if x.handle != d.src or y.handle != d.src:
-        raise HandleMismatchError("operands must live on the derivation's handle")
-    dx = [x]
-    dy = [y]
-    for _ in range(n):
-        dx.append(d(dx[-1]))
-        dy.append(d(dy[-1]))
-    return _pair_sums(dx, dy, x.handle, (n,))[0]
+    dx = derivation_series(x, d, n).values
+    dy = derivation_series(y, d, n).values
+    return _pair_sums(dx, dy, d.src, (n,))[0]

@@ -263,9 +263,10 @@ def test_check_on_zmod6_cycles_a_unit_weight(capsys):
     ["check", "--precision", "100000", "--suite", "hurwitz_algebra"],
     ["eval", "--handle", "hur(poly(x),2)", "[" + ";".join(["1"] * 66) + "] * [1]"],
     ["eval", "--lambda", "1", "--handle", "sha(poly(x,y))", "(x # y # 1 # x)^5"],
+    ["eval", "--lambda", "1", "--handle", "hur(sha(poly(x,y)),1)", "[x # y # 1 # x; 0]^5"],
 ], ids=["parentheses", "unary-minus", "carrier-nesting", "exponent",
         "nested-exponents", "handle-precision", "eval-precision", "check-precision",
-        "series-literal", "tensor-terms"])
+        "series-literal", "tensor-terms", "series-of-tensor-terms"])
 def test_input_budgets_exit_2_promptly(argv):
     # a fresh interpreter under a timeout, so a lost budget fails instead of hanging
     env = dict(os.environ, PYTHONPATH=str(Path(rbshuffle.__file__).resolve().parents[1]))
@@ -330,6 +331,14 @@ def test_input_budgets_admit_their_limits():
     assert square.lengths() == {k: 1 for k in range(9, 18)}
     with pytest.raises(EvalError, match="above 300000"):
         eval_text(f"({nine}) * ({nine} # 1)", sh)
+    # a series product sums the bound over its value pairs: the fourth
+    # product below may form 255,735 tensor terms, the fifth 14,514,241
+    hs = parse_handle("hur(sha(poly(x,y)),1)", Q, Q.one(), 4)
+    power = eval_text("[x # y # 1 # x; 0]^4", hs)
+    assert len(power.values[0].terms) > 1 and power.values[1].is_zero
+    nested = parse_handle("hur(hur(sha(poly(x)),1),1)", Q, Q.one(), 4)
+    with pytest.raises(EvalError, match="above 300000"):
+        eval_text(f"[[{nine}]] * [[{nine} # 1]]", nested)
 
 
 @pytest.mark.parametrize("spec,precision,col", (("hur(poly(x),99)", 4, 13),

@@ -221,13 +221,16 @@ def triple_sum_product(f, g):
     return Series(f.handle, values)
 
 
-ORACLE_RINGS = (RATIONALS, INTEGERS, residues(6))
+# zmod:4 at weight 2 has w^2 = 0; -2/3 and 1/2 give every power of w > 1 a
+# denominator, which the kernel clears with one common factor
+ORACLE_RINGS = (RATIONALS, INTEGERS, residues(6), residues(4))
+THIRD = Q.from_fraction(Fraction(1, 3))
 
 
 def oracle_weights(ring):
     out = [ring.from_int(w) for w in (0, 1, 2, -1)]
     if ring.is_rational:
-        out.append(HALF)
+        out += [HALF, Q.from_fraction(Fraction(-2, 3))]
     return out
 
 
@@ -258,6 +261,9 @@ def test_product_matches_triple_sum(ring, lam):
             fg = f * g
             assert fg.precision == min(pf, pg)
             assert fg == triple_sum_product(f, g)
+            if ring.is_rational:  # values with Fraction coefficients
+                f, g = f.scale(THIRD), g.scale(THIRD)
+                assert f * g == triple_sum_product(f, g)
 
 
 @pytest.mark.parametrize("ring,lam", oracle_cases())
