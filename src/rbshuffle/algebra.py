@@ -15,14 +15,16 @@ explicit precision.  Canonical form makes equality a syntactic check
 maps, equality, hashing, basis expansion and printing, and alone owns the
 coefficient format.  The product kernels read coefficients as bare values
 through ``bare_items``, which checks their ring, and build their output
-through ``_trusted``.  ``summed`` is the one accumulator of (key, scalar)
-pairs outside the product kernels.
+through ``_trusted``; ``bare_sum`` builds one element, of any carrier, from
+bare values scaled and summed (``bare_view``).  ``summed`` is the one
+accumulator of (key, scalar) pairs outside the product kernels.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from fractions import Fraction
 from math import comb
 from typing import Callable, Mapping, Sequence, Union
 
@@ -38,6 +40,15 @@ class HandleMismatchError(ValueError):
 
 class WeightError(ValueError):
     """The operation constrains the weight (e.g. needs a nonzero one)."""
+
+
+def _cached_hash(handle) -> int:
+    """A handle's hash, from its fields on first use, then kept."""
+    h = handle.__dict__.get("_hash")
+    if h is None:
+        values = [getattr(handle, f.name) for f in fields(handle)]
+        h = handle.__dict__["_hash"] = hash((type(handle), *values))
+    return h
 
 
 @dataclass(frozen=True)
@@ -60,6 +71,8 @@ class PolyHandle:
 
     def __str__(self) -> str:
         return f"poly({','.join(self.variables)})"
+
+    __hash__ = _cached_hash  # a dataclass overrides an inherited __hash__
 
 
 @dataclass(frozen=True)
@@ -86,6 +99,8 @@ class ShaHandle:
 
     def __str__(self) -> str:
         return f"sha({self.inner})"
+
+    __hash__ = _cached_hash  # a dataclass overrides an inherited __hash__
 
 
 @dataclass(frozen=True)
@@ -116,6 +131,8 @@ class HurwitzHandle:
     def __str__(self) -> str:
         return f"hur({self.inner},{self.precision})"
 
+    __hash__ = _cached_hash  # a dataclass overrides an inherited __hash__
+
 
 Handle = Union[PolyHandle, ShaHandle, HurwitzHandle]
 
@@ -136,7 +153,7 @@ def hurwitz(inner: Handle, precision: int) -> HurwitzHandle:
 
 
 def check_same_handle(x, y) -> None:
-    if x.handle != y.handle:
+    if x.handle is not y.handle and x.handle != y.handle:
         raise HandleMismatchError(f"handle mismatch: {x.handle} vs {y.handle}")
 
 
@@ -224,7 +241,8 @@ class Terms:
         return type(self)(self.handle if handle is None else handle, summed(pairs))
 
     def __eq__(self, other) -> bool:
-        return (type(other) is type(self) and self.handle == other.handle
+        return (type(other) is type(self)
+                and (self.handle is other.handle or self.handle == other.handle)
                 and self.terms == other.terms)
 
     def __hash__(self) -> int:
@@ -239,7 +257,7 @@ class Terms:
     def basis_expansion(self) -> list:
         """Decompose into (coefficient, basis element) pairs."""
         one = self.handle.ring.one()
-        return [(c, type(self)(self.handle, {k: one})) for k, c in self.terms.items()]
+        return [(c, type(self)._trusted(self.handle, {k: one})) for k, c in self.terms.items()]
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -359,12 +377,46 @@ def zero(handle: Handle):
 
 def alg_eq(x, y) -> bool:
     """Equality of canonical forms; series compare up to the smaller precision."""
-    if x.handle != y.handle:
+    if x.handle is not y.handle and x.handle != y.handle:
         return False
     if isinstance(x.handle, HurwitzHandle):
         n = min(x.precision, y.precision)
         return all(alg_eq(x.values[i], y.values[i]) for i in range(n + 1))
     return x == y
+
+
+def bare_view(x):
+    """An element as bare values: a term map's ``bare_items``, or a series'
+    list of the views of its values."""
+    if isinstance(x.handle, HurwitzHandle):
+        return [bare_view(v) for v in x.values]
+    return x.bare_items()
+
+
+def bare_sum(handle: Handle, pairs: list, den: int = 1, unpack: Callable | None = None):
+    """The sum of c * v / den over pairs of a bare value c and a bare view v,
+    built once: per key (mapped through unpack) in a term map, index by index
+    in a series, at the smallest precision among the handle's and the vs'."""
+    if isinstance(handle, HurwitzHandle):
+        from .hurwitz import Series
+        n = min([handle.precision] + [len(v) - 1 for _, v in pairs])
+        return Series(handle, [bare_sum(handle.inner, [(c, v[j]) for c, v in pairs], den)
+                               for j in range(n + 1)])
+    sums: dict = {}
+    for c, v in pairs:
+        for key, x in v:
+            s = sums.get(key)
+            sums[key] = c * x if s is None else s + c * x
+    from_int = handle.ring.from_int
+    terms = {}
+    for key, x in sums.items():
+        s = from_int(Fraction(x, den) if den > 1 else x)
+        if s.value:
+            terms[unpack(key) if unpack else key] = s
+    if isinstance(handle, PolyHandle):
+        return Poly._trusted(handle, terms)
+    from .freerb import Tensor
+    return Tensor._trusted(handle, terms)
 
 
 # --------------------------------------------------------------------------
@@ -389,7 +441,7 @@ class Hom:
     name: str = ""
 
     def __call__(self, x):
-        if x.handle != self.src:
+        if x.handle is not self.src and x.handle != self.src:
             raise HandleMismatchError(f"{self.name or 'hom'} expects {self.src}, got {x.handle}")
         return self.fn(x)
 

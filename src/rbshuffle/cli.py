@@ -259,8 +259,9 @@ def main(argv: list[str] | None = None) -> int:
         args.expr = extras.pop(0)
     if extras:
         raise SystemExit(_usage_error(f"unrecognized arguments: {' '.join(extras)}"))
-    if "precision" in args and not 0 <= args.precision <= exprs.MAX_PRECISION:
-        return _usage_error(f"precision must be 0 to {exprs.MAX_PRECISION}, got {args.precision}")
+    low, high = (1 if args.command == "check" else 0), exprs.MAX_PRECISION  # laws shift series
+    if "precision" in args and not low <= args.precision <= high:
+        return _usage_error(f"precision must be {low} to {high}, got {args.precision}")
     try:
         return args.fn(args)
     except SystemExit as e:

@@ -9,11 +9,13 @@ of Guo-Keigher: for pure tensors a0 # a' and b0 # b',
 where a word of the tail shuffle starts with the first letter of a', or the
 first letter of b', or their product in A with the handle weight as its
 coefficient, and goes on with the shuffle of what remains.  The weighted
-merge is what distinguishes this from the plain shuffle product.  The kernel
-interns each product's canonical factors to small int letters, looks each
-merge up in a per-product table of the carrier's own products, and sums bare
-coefficient values; only the output goes back to factor tuples with
-``Scalar`` coefficients, through the trusted ``Terms._trusted`` constructor.
+merge is what distinguishes this from the plain shuffle product.  The
+kernel, ``_Kernel``, interns the canonical factors of a set of operands to
+small int letters once, looks each merge up in one table of the carrier's
+own products, and sums bare coefficient values; only the output goes back
+to factor tuples with ``Scalar`` coefficients, through ``Terms._trusted``.
+``Tensor.__mul__`` runs it on two operands, the Hurwitz product over
+tensors on polynomials on all values of two series at once.
 
 Canonical form: factors are expanded to basis monomials of A wherever A has
 a basis (polynomial and tensor carriers); factors over sequence carriers are
@@ -73,6 +75,85 @@ def _shuffle_tails(u: tuple, v: tuple, merged: dict, lam, m: int | None,
     return out
 
 
+class _Kernel:
+    """The mixable-shuffle kernel over a fixed set of left and right tensor
+    operands, read once through ``bare_items``, on int letters.
+
+    All products of the operands share one table of merges (every left by
+    every right tail letter), one ``_shuffle_tails`` memo and one table of
+    head products.  A rational weight p/q runs as the int p: ``top`` is the
+    longest left plus the longest right tail, and a pair of terms with tails
+    of total length l is scaled by q^(top - l), so a word of n tail letters
+    (l - n merges) has the denominator q^(top - n), which depends on n alone.
+    """
+
+    def __init__(self, handle: ShaHandle, lefts: list, rights: list):
+        ring = self.ring = handle.ring
+        weight = _merge_weight(handle)
+        if weight.ring is not ring and weight.ring != ring:
+            raise RingError(f"ring mismatch: {weight.ring} vs {ring}")
+        self.m = ring.modulus
+        self.lam, self.q = weight.value, 1
+        if type(self.lam) is Fraction:
+            self.lam, self.q = self.lam.numerator, self.lam.denominator
+        letters = self.letters = {}
+
+        def spelled(items: list) -> list:
+            return [(letters.setdefault(t[0], len(letters)),
+                     tuple([letters.setdefault(f, len(letters)) for f in t[1:]]), c)
+                    for t, c in items]
+
+        self.lefts = [spelled(u.bare_items()) for u in lefts]
+        self.rights = [spelled(u.bare_items()) for u in rights]
+        self.factors = factors = list(letters)
+        self.merged: dict = {}
+        if self.lam:
+            ys = {y for items in self.rights for _, v, _ in items for y in v}
+            for x in {x for items in self.lefts for _, u, _ in items for x in u}:
+                for y in ys:
+                    self.merged[x, y] = letters.setdefault(factors[x] * factors[y], len(letters))
+        self.top = sum(max([len(u) for items in side for _, u, _ in items], default=0)
+                       for side in (self.lefts, self.rights))
+        self.memo, self.heads = {}, {}  # (u, v) -> shuffle; (a0, b0) -> head letter
+
+    def add_product(self, by_head: dict, left: list, right: list, scale: int = 1) -> None:
+        """Add scale times the product of two spelled operands to by_head,
+        head letter -> {tail word: bare coefficient}."""
+        letters, factors, heads = self.letters, self.factors, self.heads
+        merged, lam, m, q, top, memo = self.merged, self.lam, self.m, self.q, self.top, self.memo
+        for a0, u, ca in left:
+            for b0, v, cb in right:
+                head = heads.get((a0, b0))
+                if head is None:
+                    head = heads[a0, b0] = letters.setdefault(factors[a0] * factors[b0],
+                                                              len(letters))
+                c = scale * ca * cb * q ** (top - len(u) - len(v))
+                shuffle = _shuffle_tails(u, v, merged, lam, m, memo)
+                words = by_head.get(head)
+                if words is None:
+                    by_head[head] = {w: c * k for w, k in shuffle.items()}
+                    continue
+                for w, k in shuffle.items():
+                    s = words.get(w)
+                    words[w] = c * k if s is None else s + c * k
+
+    def terms(self, by_head: dict, den: int = 1) -> dict:
+        """The factor-tuple terms of by_head, each coefficient of a word of n
+        tail letters divided by den * q^(top - n), with zeros dropped."""
+        ring, q, top = self.ring, self.q, self.top
+        letter = list(self.letters).__getitem__
+        if den == q == 1:
+            scalar = {c: ring.from_int(c)
+                      for words in by_head.values() for c in set(words.values())}
+            return {(letter(h), *map(letter, w)): s for h, words in by_head.items()
+                    for w, c in words.items() if (s := scalar[c]).value}
+        scalar = {(c, n): ring.from_int(Fraction(c, den * q ** (top - n)))
+                  for words in by_head.values()
+                  for c, n in {(c, len(w)) for w, c in words.items()}}
+        return {(letter(h), *map(letter, w)): s for h, words in by_head.items()
+                for w, c in words.items() if (s := scalar[c, len(w)]).value}
+
+
 def pure_tensor_terms(handle: ShaHandle, factors: tuple) -> list:
     """The (canonical factor tuple, coefficient) pairs of the pure tensor with
     the given (at least one) arbitrary factors, expanded multilinearly; no
@@ -110,14 +191,8 @@ class Tensor(Terms):
         """The mixable-shuffle product, extended bilinearly from pure tensors.
 
         Each pair of terms gives the carrier product a0*b0 followed by every
-        word of the tail shuffle ``_shuffle_tails``, whose memo all pairs
-        share.  The kernel runs on small ints.  Every canonical factor is
-        interned to a letter, and a merge is one lookup in a table of letter
-        products.  Coefficients are bare values, read once through
-        ``bare_items``; a rational weight p/q runs as the int p, and the
-        q-powers it leaves out are restored per output word length.  Each
-        distinct letter and each distinct value goes back to a factor or a
-        ``Scalar`` once, when the output is built.
+        word of the tail shuffle, summed by one ``_Kernel`` on interned
+        letters and bare values (see there).
 
         Over a polynomial carrier the factors are monic monomials, whose
         products are monic monomials, so output words are canonical as they
@@ -129,59 +204,11 @@ class Tensor(Terms):
         handle = self.handle
         if not self.terms or not other.terms:
             return Tensor._trusted(handle, {})
-        ring = handle.ring
-        weight = _merge_weight(handle)
-        if weight.ring is not ring and weight.ring != ring:
-            raise RingError(f"ring mismatch: {weight.ring} vs {ring}")
-        m = ring.modulus
-        lam, den = weight.value, 1
-        if type(lam) is Fraction:  # a weight p/q runs as p; see the scale below
-            lam, den = lam.numerator, lam.denominator
-        letters: dict = {}
-
-        def spelled(t: tuple) -> tuple:
-            return tuple([letters.setdefault(f, len(letters)) for f in t])
-
-        left = [(a[0], spelled(a[1:]), c) for a, c in self.bare_items()]
-        right = [(b[0], spelled(b[1:]), c) for b, c in other.bare_items()]
-        merged: dict = {}
-        if lam:
-            factors = list(letters)
-            ys = {y for _, v, _ in right for y in v}
-            for x in {x for _, u, _ in left for x in u}:
-                for y in ys:
-                    merged[x, y] = letters.setdefault(factors[x] * factors[y], len(letters))
-        # A tail word of n letters from tails of total length l has l - n
-        # merges.  Scaling each pair by den^(top - l) gives every such word
-        # the denominator den^(top - n), which depends on n alone.
-        top = max(len(u) for _, u, _ in left) + max(len(v) for _, v, _ in right)
-        memo: dict = {}
+        kernel = _Kernel(handle, [self], [other])
         by_head: dict = {}  # head letter -> {tail word: bare coefficient}
-        for a0, u, ca in left:
-            for b0, v, cb in right:
-                head = letters.setdefault(a0 * b0, len(letters))
-                scale = ca * cb * den ** (top - len(u) - len(v))
-                shuffle = _shuffle_tails(u, v, merged, lam, m, memo)
-                words = by_head.get(head)
-                if words is None:
-                    by_head[head] = {w: scale * c for w, c in shuffle.items()}
-                    continue
-                for w, c in shuffle.items():
-                    s = words.get(w)
-                    words[w] = scale * c if s is None else s + scale * c
-        del memo, shuffle  # the suffix memo can be as large as the output
-        letter = list(letters).__getitem__
-        if den == 1:
-            scalar = {c: ring.from_int(c)
-                      for words in by_head.values() for c in set(words.values())}
-            terms = {(letter(h), *map(letter, w)): s for h, words in by_head.items()
-                     for w, c in words.items() if (s := scalar[c]).value}
-        else:  # a tail word's length gives its denominator
-            scalar = {(c, n): ring.from_int(Fraction(c, den ** (top - n)))
-                      for words in by_head.values()
-                      for c, n in {(c, len(w)) for w, c in words.items()}}
-            terms = {(letter(h), *map(letter, w)): s for h, words in by_head.items()
-                     for w, c in words.items() if (s := scalar[c, len(w)]).value}
+        kernel.add_product(by_head, kernel.lefts[0], kernel.rights[0])
+        kernel.memo.clear()  # the suffix memo can be as large as the output
+        terms = kernel.terms(by_head)
         if isinstance(handle.inner, PolyHandle):
             return Tensor._trusted(handle, terms)
         return Tensor(handle, summed((t, c * v) for w, c in terms.items()
@@ -265,13 +292,16 @@ def induced_rb_hom(phi: Hom, rb: Hom, u: Tensor):
         raise HandleMismatchError(f"phi maps {phi.src}, tensor is over {u.handle.inner}")
     if rb.src != phi.dst:
         raise HandleMismatchError("operator must live on phi's target")
-    out = algebra.zero(phi.dst)
-    for t, c in u.terms.items():
+    dst = phi.dst
+    pairs = []
+    for t, c in u.bare_items():
         v = phi(t[-1])
         for x in reversed(t[:-1]):
             v = phi(x) * rb(v)
-        out = out + v.scale(c)
-    return out
+        if v.handle is not dst and v.handle != dst:
+            raise HandleMismatchError(f"{phi.name or 'phi'} gave {v.handle}, expected {dst}")
+        pairs.append((c, algebra.bare_view(v)))
+    return algebra.bare_sum(dst, pairs)
 
 
 def induced_hom(phi: Hom, rb: Hom) -> Hom:

@@ -10,11 +10,12 @@ Hurwitz product in the pair form of Guo and Keigher:
 which at weight 0 collapses to the classical binomial convolution
 (only i + l = n survives).  ``Series.__mul__`` and ``higher_leibniz`` are
 the two callers of one kernel, ``_pair_sums``, over one cached table of
-these coefficients.  Over a polynomial inner algebra the kernel works on
-bare values alone: exponent vectors packed into ints and int or Fraction
-coefficients, with the powers of a rational weight brought to one common
-denominator D, so it builds no ``Poly`` or ``Scalar`` between reading its
-operands and building its output.  Every operation records its exact
+these coefficients.  The kernel sums each output value in bare int or
+Fraction coefficients, with the powers of a rational weight brought to one
+common denominator D, and builds it once.  Over polynomials and tensors on
+polynomials it builds no ``Scalar`` and no element per pair of values;
+over other inner algebras each inner product is an element, read back as
+bare values.  Every operation records its exact
 output precision: products take the minimum, the shift loses one, the
 Rota-Baxter lift gains one, comultiplication fills the triangle m+n <= N.
 Comparisons are relative to the common precision.
@@ -22,15 +23,14 @@ Comparisons are relative to the common precision.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
 from operator import mul
 from typing import Sequence
 
-from . import algebra
+from . import algebra, freerb
 from .algebra import (Handle, HandleMismatchError, Hom, HurwitzHandle,
-                      PolyHandle, check_same_handle)
+                      PolyHandle, ShaHandle, check_same_handle)
 from .coeffs import Scalar
 
 
@@ -56,27 +56,37 @@ def _pair_sums(f: Sequence, g: Sequence, inner: Handle, indices: Sequence[int]) 
     """The values (fg)(n), n in indices, of the weighted product of the value
     prefixes f and g over the inner algebra, in pair form.
 
-    Each product f(i)g(l) is formed at most once, and only where some row
-    gives it a nonzero coefficient.  Over carriers with a term map the
-    products are summed as bare coefficient values (each ``Scalar.value``:
-    an int, or a Fraction on q), and each sum becomes a ``Scalar`` once, in
-    the output.  Over a polynomial carrier the products are bare too: the
-    operands are read once through ``bare_items``, and each exponent vector
-    is packed into one int, its base-B digits, with B above every exponent
-    a product can reach, so exponent vectors add as ints.  Over a tensor
-    carrier each product is one mixable-shuffle product, read through
-    ``bare_items``.  A rational weight runs as ints: every power of it is
-    scaled by the least common multiple D of their denominators, and each
-    output coefficient is divided by D once.  Series-valued inners, which
-    have no term map, are summed as elements, so each value keeps the
-    smallest precision that enters it.
+    Each product f(i)g(l) is formed at most once, only where some row gives
+    it a nonzero coefficient, and each row is summed in bare values and
+    built once.  A rational weight runs as ints: every power of it is scaled
+    by the least common multiple D of their denominators, and each output
+    coefficient is divided by D once.  Over a polynomial carrier each
+    exponent vector is packed into one int, its base-B digits, with B above
+    every exponent a product can reach, so exponent vectors add as ints.
+    Over tensors on polynomials one ``freerb._Kernel`` takes every value of
+    f and g and sums each row straight from the tail shuffles of its pairs.
+    Over other carriers each product is an element, read through
+    ``bare_view``; a series row takes the smallest precision entering it.
     """
     ring = inner.ring
     m = ring.modulus
     powers = [_lambda_power(inner.weight, k).value for k in range(max(indices) + 1)]
     den = lcm(*(w.denominator for w in powers))
     powers = [w.numerator * (den // w.denominator) for w in powers]
-    products: dict = {}
+
+    # (int coefficient, i, l) for each pair of row n that survives; the
+    # coefficient carries the factor D
+    rows = [[(c, i, l) for i, l, k, count in _pair_row(n)
+             if (c := count * powers[k] % m if m else count * powers[k])] for n in indices]
+    if isinstance(inner, ShaHandle) and isinstance(inner.inner, PolyHandle):
+        kernel = freerb._Kernel(inner, f[:len(powers)], g[:len(powers)])
+        out = []
+        for row in rows:
+            by_head: dict = {}
+            for c, i, l in row:
+                kernel.add_product(by_head, kernel.lefts[i], kernel.rights[l], c)
+            out.append(freerb.Tensor._trusted(inner, kernel.terms(by_head, den)))
+        return out
     unpack = None
     if isinstance(inner, PolyHandle):
         fb = [v.bare_items() for v in f[:len(powers)]]
@@ -98,47 +108,13 @@ def _pair_sums(f: Sequence, g: Sequence, inner: Handle, indices: Sequence[int]) 
 
         def unpack(key: int) -> tuple:
             return tuple([key // p % base for p in places])
-    elif isinstance(inner, HurwitzHandle):
-        def product(i: int, l: int):
-            return f[i] * g[l]
     else:
         def product(i: int, l: int) -> list:
-            return (f[i] * g[l]).bare_items()
-
-    def weighted(n: int):
-        """(int coefficient, product) for each pair of row n that survives;
-        the coefficient carries the factor D."""
-        for i, l, k, count in _pair_row(n):
-            c = count * powers[k] % m if m else count * powers[k]
-            if not c:
-                continue
-            p = products.get((i, l))
-            if p is None:
-                p = products[i, l] = product(i, l)
-            yield c, p
-
-    out = []
-    if isinstance(inner, HurwitzHandle):
-        for n in indices:
-            acc = algebra.zero(inner)
-            for c, p in weighted(n):
-                acc = acc + p.scale(ring.from_int(Fraction(c, den) if den > 1 else c))
-            out.append(acc)
-        return out
-    from_int = ring.from_int
-    for n in indices:
-        sums: dict = {}
-        for c, p in weighted(n):
-            for key, v in p:
-                s = sums.get(key)
-                sums[key] = c * v if s is None else s + c * v
-        terms = {}
-        for key, v in sums.items():
-            s = from_int(Fraction(v, den) if den > 1 else v)
-            if s.value:
-                terms[unpack(key) if unpack else key] = s
-        out.append(type(f[0])._trusted(inner, terms))
-    return out
+            return algebra.bare_view(f[i] * g[l])
+    products = {key: product(*key) for key in dict.fromkeys(
+        (i, l) for row in rows for _, i, l in row)}
+    return [algebra.bare_sum(inner, [(c, products[i, l]) for c, i, l in row], den, unpack)
+            for row in rows]
 
 
 class Series:
@@ -149,8 +125,9 @@ class Series:
     def __init__(self, handle: HurwitzHandle, values: Sequence):
         if not values:
             raise ValueError("a series stores at least the index-0 value")
+        inner = handle.inner
         for v in values:
-            if v.handle != handle.inner:
+            if v.handle is not inner and v.handle != inner:
                 raise HandleMismatchError(f"value over {v.handle}, expected {handle.inner}")
         self.handle = handle
         self.values = tuple(values)

@@ -172,6 +172,47 @@ def test_handle_mismatch_raises():
         a + b
 
 
+def test_equal_handles_built_apart_compare_and_hash_equal():
+    for build in (lambda: handle(HALF), lambda: ShaHandle(handle(HALF)),
+                  lambda: HurwitzHandle(ShaHandle(handle(HALF)), 3)):
+        a, b = build(), build()
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert hash(a) == hash(a)  # the kept hash, on a second use
+        assert len({a, b}) == 1
+
+
+def test_replaced_handle_gets_its_own_hash():
+    h = handle(HALF)
+    hash(h)  # keep h's hash before the copy is made
+    other = replace(h, weight=Q.one())
+    assert other != h and hash(other) != hash(h)
+    assert hash(replace(other, weight=HALF)) == hash(h)
+    hh = HurwitzHandle(h, 3)
+    hash(hh)
+    assert hash(replace(hh, precision=4)) == hash(HurwitzHandle(h, 4)) != hash(hh)
+
+
+def test_elements_on_equal_handle_objects_combine():
+    a, b = handle(HALF), handle(HALF)
+    x, y = Poly.variable(a, "x"), Poly.variable(b, "y")
+    assert (x + y).terms == {(1, 0): Q.one(), (0, 1): Q.one()}
+    assert x * y == Poly.monomial(a, (1, 1)) == Poly.monomial(b, (1, 1))
+    f = random_element(HurwitzHandle(a, 2), SampleBudget(), 1)
+    g = random_element(HurwitzHandle(b, 2), SampleBudget(), 2)
+    assert alg_eq(f * g, g * f) and (f + g).handle == HurwitzHandle(a, 2)
+
+
+def test_mismatched_handles_still_raise():
+    x = Poly.variable(handle(HALF), "x")
+    for other in (handle(Q.one()), handle(HALF, ("x", "z"))):
+        with pytest.raises(HandleMismatchError):
+            x * Poly.variable(other, "x")
+    f = random_element(HurwitzHandle(handle(HALF), 2), SampleBudget(), 1)
+    g = random_element(HurwitzHandle(handle(HALF), 3), SampleBudget(), 1)
+    with pytest.raises(HandleMismatchError):
+        f * g
+
+
 def test_random_element_contract():
     h = handle()
     budget = SampleBudget()

@@ -213,8 +213,9 @@ def test_options_match_whole_names_only(capsys):
     ["check", "--precision", "-1", "--suite", "hurwitz_algebra"],
     ["eval", "--handle", "poly(x)"],
     ["eval", "--handle", "poly(x,y)", "P(x, y)"],
+    ["check", "--precision", "0"],
 ], ids=["eval-literal", "eval-weight", "check-precision", "eval-no-expression",
-        "call-of-two-arguments"])
+        "call-of-two-arguments", "check-precision-zero"])
 def test_bad_input_exits_2_with_one_line(argv, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
 
@@ -11,6 +11,7 @@ from rbshuffle.algebra import (HurwitzHandle, Poly, SampleBudget, ShaHandle,
                                integration_on, poly_handle, random_element,
                                scaled_identity_on, zero)
 from rbshuffle.coeffs import INTEGERS, RATIONALS, RingError, residues
+from rbshuffle import freerb, hurwitz
 from rbshuffle.hurwitz import (PrecisionError, Series, comult, comult_hom,
                                costructure_hom, counit, counit_hom,
                                derivation_series, higher_leibniz, lifted_rb,
@@ -282,6 +283,90 @@ def test_higher_leibniz_matches_iteration_over_rings(ring, lam):
             assert higher_leibniz(x, y, d, n) == d.power(x * y, n)
 
 
+# --------------------------------------------------------------------------
+# Tensor and series inners against the per-pair element sum
+
+
+def per_pair_product(f, g):
+    """The weighted product in pair form, summed as elements: each kept pair
+    gives one ``Tensor`` or ``Series`` product f(i)g(l), scaled and added
+    with ``+``, so each value keeps the smallest precision that enters it."""
+    ring, lam = f.handle.ring, f.handle.weight
+    values = []
+    for n in range(min(f.precision, g.precision) + 1):
+        acc = zero(f.handle.inner)
+        for i in range(n + 1):
+            for l in range(n - i, n + 1):
+                k = i + l - n
+                count = factorial(n) // (factorial(k) * factorial(n - i) * factorial(n - l))
+                c = ring.from_int(count) * lam.pow_nat(k)
+                if not c.is_zero:
+                    acc = acc + (f.values[i] * g.values[l]).scale(c)
+        values.append(acc)
+    return Series(f.handle, values)
+
+
+NESTED_WEIGHTS = [(Q, Q.zero()), (Q, Q.one()), (Q, HALF), (Q, Q.from_fraction(Fraction(-2, 3))),
+                  (INTEGERS, INTEGERS.from_int(-1)), (residues(4), residues(4).from_int(2)),
+                  (residues(6), residues(6).from_int(3))]
+
+
+def ragged(f, rng):
+    """f with some values zero and, over a series inner, the others cut to
+    random precisions of their own."""
+    values = []
+    for v in f.values:
+        if rng.random() < 0.2:
+            v = zero(f.handle.inner)
+        elif isinstance(v, Series):
+            v = v.truncate(rng.randint(0, v.precision))
+        values.append(v)
+    return Series(f.handle, values)
+
+
+@pytest.mark.parametrize("ring,lam", [pytest.param(r, w, id=f"{r}-{w.render_bare()}")
+                                      for r, w in NESTED_WEIGHTS])
+def test_nested_inner_products_match_per_pair_element_sum(ring, lam):
+    rng = random.Random(f"per-pair:{ring}:{lam.value}")
+    xy = poly_handle(("x", "y"), ring, lam)
+    x = poly_handle(("x",), ring, lam)
+    deepest = HurwitzHandle(HurwitzHandle(x, 1), 1)  # series of series as inner values
+    for n in range(5):
+        for hh in (HurwitzHandle(ShaHandle(xy), n), HurwitzHandle(HurwitzHandle(x, 2), n),
+                   HurwitzHandle(deepest, min(n, 2))):
+            for _ in range(2):
+                budget = SampleBudget(precision=rng.randint(0, n))
+                f = ragged(random_element(hh, budget, rng), rng)
+                g = ragged(random_element(hh, budget, rng), rng)
+                fg = f * g
+                assert fg == per_pair_product(f, g)
+                if ring.is_rational:  # values with Fraction coefficients
+                    f, g = f.scale(THIRD), g.scale(THIRD)
+                    assert f * g == per_pair_product(f, g)
+
+
+def test_tensor_inner_product_reaches_the_merge_weight(monkeypatch):
+    h = poly_handle(("x",), Q, Q.one())
+    hh = HurwitzHandle(ShaHandle(h), 2)
+    f = random_element(hh, SampleBudget(max_tensor_len=3), 11)
+    g = random_element(hh, SampleBudget(max_tensor_len=3), 12)
+    before = f * g
+    monkeypatch.setattr(freerb, "_merge_weight", lambda handle: handle.weight + handle.ring.one())
+    assert f * g != before
+
+
+def test_series_inner_product_reaches_the_lambda_power(monkeypatch):
+    h = poly_handle(("x",), Q, Q.one())
+    hh = HurwitzHandle(HurwitzHandle(h, 2), 2)
+    f = random_element(hh, SampleBudget(precision=2), 13)
+    g = random_element(hh, SampleBudget(precision=2), 14)
+    before = f * g
+    original = hurwitz._lambda_power
+    monkeypatch.setattr(hurwitz, "_lambda_power",
+                        lambda lam, k: original(lam + lam.ring.one(), k))
+    assert f * g != before
+
+
 def test_mixed_ring_coefficients_rejected():
     # a q carrier holding z coefficients: every product of two values stays
     # in z, so only the check against the carrier's ring can catch it
@@ -292,3 +377,18 @@ def test_mixed_ring_coefficients_rejected():
         f * f
     with pytest.raises(RingError):
         higher_leibniz(p, p, derivative_on(h, "x"), 0)
+    # the same stray coefficients inside tensor and series values
+    x = Poly.variable(h, "x")
+    t = freerb.Tensor(ShaHandle(h), {(x, x): INTEGERS.from_int(2)})
+    for value in (t, f):
+        hh = HurwitzHandle(value.handle, 1)
+        with pytest.raises(RingError):
+            Series(hh, (value, value)) * Series.one(hh)
+
+
+def test_tensor_inner_product_checks_the_merge_weight_ring(monkeypatch):
+    hh = HurwitzHandle(ShaHandle(poly_handle(("x",), Q, Q.one())), 1)
+    f = random_element(hh, SampleBudget(precision=1), 3)
+    monkeypatch.setattr(freerb, "_merge_weight", lambda handle: residues(6).one())
+    with pytest.raises(RingError):
+        f * f
