@@ -16,7 +16,9 @@ maps, equality, hashing, basis expansion and printing, and alone owns the
 coefficient format.  The product kernels read coefficients as bare values
 through ``bare_items``, which checks their ring, and build their output
 through ``_trusted``; ``bare_sum`` builds one element, of any carrier, from
-bare values scaled and summed (``bare_view``).  ``summed`` is the one
+bare values scaled and summed (``bare_view``).  ``row_products`` is every
+product kernel's one interface: this module owns the polynomial kernel,
+``freerb`` the tensor one, ``hurwitz`` the series branch.  ``summed`` is the one
 accumulator of (key, scalar) pairs outside the product kernels.
 """
 
@@ -26,6 +28,7 @@ import random
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from math import comb
+from operator import mul
 from typing import Callable, Mapping, Sequence, Union
 
 from .coeffs import RATIONALS, Ring, RingError, Scalar
@@ -419,6 +422,39 @@ def bare_sum(handle: Handle, pairs: list, den: int = 1, unpack: Callable | None 
     return Tensor._trusted(handle, terms)
 
 
+def row_products(handle: Handle, lefts: Sequence, rights: Sequence, rows: list, den: int) -> list:
+    """One element per row: the sum of c * lefts[i] * rights[l] / den over the
+    row's (c, i, l), for int c.  Polynomials: each product is formed once, in
+    bare values, and each exponent vector is packed into one int (base-B
+    digits, B above every exponent a product can reach), so vectors add as ints."""
+    if not isinstance(handle, PolyHandle):
+        from . import freerb, hurwitz
+        carrier = freerb if isinstance(handle, ShaHandle) else hurwitz
+        return carrier.row_products(handle, lefts, rights, rows, den)
+    lb, rb = ([v.bare_items() for v in side] for side in (lefts, rights))
+    base = 1 + sum(max([e for items in vb for a, _ in items for e in a], default=0)
+                   for vb in (lb, rb))
+    places = [base ** j for j in range(len(handle.variables))]
+    lb, rb = ([[(sum(map(mul, a, places)), x) for a, x in items] for items in vb]
+              for vb in (lb, rb))
+
+    def product(i: int, l: int) -> list:
+        out: dict = {}
+        for a, x in lb[i]:
+            for b, y in rb[l]:
+                key = a + b
+                s = out.get(key)
+                out[key] = x * y if s is None else s + x * y
+        return list(out.items())
+
+    def unpack(key: int) -> tuple:
+        return tuple([key // p % base for p in places])
+    products = {key: product(*key) for key in dict.fromkeys(
+        (i, l) for row in rows for _, i, l in row)}
+    return [bare_sum(handle, [(c, products[i, l]) for c, i, l in row], den, unpack)
+            for row in rows]
+
+
 # --------------------------------------------------------------------------
 # Named linear maps and operator structures
 
@@ -614,8 +650,8 @@ def random_element(handle: Handle, budget: SampleBudget, seed):
             c = _random_coeff(handle, budget, rng)
             pairs += [(t, c * v) for t, v in freerb.pure_tensor_terms(handle, factors)]
         return freerb.Tensor(handle, summed(pairs))
-    values = tuple(random_element(handle.inner, replace(budget, max_terms=2), rng)
-                   for _ in range(budget.precision + 1))
+    small = replace(budget, max_terms=2)
+    values = tuple(random_element(handle.inner, small, rng) for _ in range(budget.precision + 1))
     return hur.Series(handle, values)
 
 
@@ -630,7 +666,7 @@ def random_basis_factor(handle: Handle, budget: SampleBudget, rng: random.Random
         factors = tuple(random_basis_factor(handle.inner, budget, rng)
                         for _ in range(length))
         return freerb.Tensor.from_factors(handle, factors)
-    return random_element(handle, replace(budget, max_terms=2), rng)
+    return random_element(handle, budget, rng)  # its values take two terms at most
 
 
 def random_subst_hom(handle: PolyHandle, budget: SampleBudget, rng: random.Random) -> Hom:

@@ -11,7 +11,7 @@ with the product taken in the series-of-tensors algebra and ``lift`` the
 Rota-Baxter lift of the prepend operator.  This is the induced-homomorphism
 evaluation through the pointwise embedding, so a single audited evaluator
 drives it.  Output precision is the minimum factor precision, capped at the
-handle's working precision; an explicit target precision must not exceed it.
+handle's working precision.
 
 Each carrier's canonical operators resolve here, where the tensor and series
 layers meet: ``canonical_rb`` and ``canonical_derivation`` pick them from the
@@ -23,7 +23,7 @@ from __future__ import annotations
 from . import algebra, freerb, hurwitz
 from .algebra import Handle, HandleMismatchError, Hom, HurwitzHandle, ShaHandle
 from .freerb import Tensor
-from .hurwitz import PrecisionError, Series
+from .hurwitz import Series
 
 
 def canonical_rb(handle: Handle) -> Hom:
@@ -54,26 +54,21 @@ def canonical_derivation(handle: Handle) -> Hom:
     return algebra.difference_quotient_on(handle, handle.variables[0])
 
 
-def beta(u: Tensor, n_out: int | None = None) -> Series:
+def beta(u: Tensor) -> Series:
     """Swap the carrier order: tensors of series to a series of tensors."""
     hur_h = u.handle.inner
     if not isinstance(hur_h, HurwitzHandle):
         raise HandleMismatchError(f"expected tensors over a series carrier, got {u.handle}")
     sha_a = ShaHandle(hur_h.inner)
     target = HurwitzHandle(sha_a, hur_h.precision)
-    nat = min((f.precision for t in u.terms for f in t), default=hur_h.precision)
-    cap = min(nat, hur_h.precision)
-    if n_out is None:
-        n_out = cap
-    elif n_out > cap:
-        raise PrecisionError(f"requested precision {n_out} exceeds available {cap}")
+    cap = min([hur_h.precision] + [f.precision for t in u.terms for f in t])
 
     def embed(f: Series) -> Series:
         return Series(target, tuple(freerb.eta(v, sha_a) for v in f.values))
 
     phi = Hom(hur_h, target, embed, name="embed^seq")
     out = freerb.induced_rb_hom(phi, canonical_rb(target), u)
-    return out.truncate(n_out) if out.precision > n_out else out
+    return out.truncate(cap) if out.precision > cap else out
 
 
 def beta_hom(src: ShaHandle) -> Hom:

@@ -14,8 +14,8 @@ kernel, ``_Kernel``, interns the canonical factors of a set of operands to
 small int letters once, looks each merge up in one table of the carrier's
 own products, and sums bare coefficient values; only the output goes back
 to factor tuples with ``Scalar`` coefficients, through ``Terms._trusted``.
-``Tensor.__mul__`` runs it on two operands, the Hurwitz product over
-tensors on polynomials on all values of two series at once.
+``row_products`` drives it for every tensor carrier, on one pair in
+``Tensor.__mul__`` and on all values of two series in a Hurwitz product.
 
 Canonical form: factors are expanded to basis monomials of A wherever A has
 a basis (polynomial and tensor carriers); factors over sequence carriers are
@@ -116,28 +116,31 @@ class _Kernel:
                        for side in (self.lefts, self.rights))
         self.memo, self.heads = {}, {}  # (u, v) -> shuffle; (a0, b0) -> head letter
 
-    def add_product(self, by_head: dict, left: list, right: list, scale: int = 1) -> None:
-        """Add scale times the product of two spelled operands to by_head,
-        head letter -> {tail word: bare coefficient}."""
+    def row_sum(self, row: list) -> dict:
+        """The sum of c times the product of spelled operands i and l over the
+        row's (c, i, l), as head letter -> {tail word: bare coefficient}."""
         letters, factors, heads = self.letters, self.factors, self.heads
         merged, lam, m, q, top, memo = self.merged, self.lam, self.m, self.q, self.top, self.memo
-        for a0, u, ca in left:
-            for b0, v, cb in right:
-                head = heads.get((a0, b0))
-                if head is None:
-                    head = heads[a0, b0] = letters.setdefault(factors[a0] * factors[b0],
-                                                              len(letters))
-                c = scale * ca * cb * q ** (top - len(u) - len(v))
-                shuffle = _shuffle_tails(u, v, merged, lam, m, memo)
-                words = by_head.get(head)
-                if words is None:
-                    by_head[head] = {w: c * k for w, k in shuffle.items()}
-                    continue
-                for w, k in shuffle.items():
-                    s = words.get(w)
-                    words[w] = c * k if s is None else s + c * k
+        by_head: dict = {}
+        for scale, i, l in row:
+            for a0, u, ca in self.lefts[i]:
+                for b0, v, cb in self.rights[l]:
+                    head = heads.get((a0, b0))
+                    if head is None:
+                        head = heads[a0, b0] = letters.setdefault(factors[a0] * factors[b0],
+                                                                  len(letters))
+                    c = scale * ca * cb * q ** (top - len(u) - len(v))
+                    shuffle = _shuffle_tails(u, v, merged, lam, m, memo)
+                    words = by_head.get(head)
+                    if words is None:
+                        by_head[head] = {w: c * k for w, k in shuffle.items()}
+                        continue
+                    for w, k in shuffle.items():
+                        s = words.get(w)
+                        words[w] = c * k if s is None else s + c * k
+        return by_head
 
-    def terms(self, by_head: dict, den: int = 1) -> dict:
+    def terms(self, by_head: dict, den: int) -> dict:
         """The factor-tuple terms of by_head, each coefficient of a word of n
         tail letters divided by den * q^(top - n), with zeros dropped."""
         ring, q, top = self.ring, self.q, self.top
@@ -152,6 +155,26 @@ class _Kernel:
                   for c, n in {(c, len(w)) for w, c in words.items()}}
         return {(letter(h), *map(letter, w)): s for h, words in by_head.items()
                 for w, c in words.items() if (s := scalar[c, len(w)]).value}
+
+
+def row_products(handle: ShaHandle, lefts: list, rights: list, rows: list, den: int) -> list:
+    """One tensor per row: the sum of c * lefts[i] * rights[l] / den over the
+    row's (c, i, l), all on one ``_Kernel``.
+
+    Over a polynomial carrier the factors are monic monomials, whose
+    products are monic monomials, so output words are canonical as they
+    stand, and distinct words are distinct terms.  Other carriers have no
+    monomial basis: output words are expanded back to canonical factors,
+    which drops every word with a zero factor.
+    """
+    kernel = _Kernel(handle, lefts, rights)
+    sums = [kernel.row_sum(row) for row in rows]
+    kernel.memo.clear()  # the suffix memo can be as large as the output
+    if isinstance(handle.inner, PolyHandle):
+        return [Tensor._trusted(handle, kernel.terms(by_head, den)) for by_head in sums]
+    return [Tensor(handle, summed((t, c * v) for w, c in kernel.terms(by_head, den).items()
+                                  for t, v in pure_tensor_terms(handle, w)))
+            for by_head in sums]
 
 
 def pure_tensor_terms(handle: ShaHandle, factors: tuple) -> list:
@@ -188,31 +211,10 @@ class Tensor(Terms):
         return cls(handle, {t: coeff * c for t, c in pure_tensor_terms(handle, tuple(factors))})
 
     def __mul__(self, other: Tensor) -> Tensor:
-        """The mixable-shuffle product, extended bilinearly from pure tensors.
-
-        Each pair of terms gives the carrier product a0*b0 followed by every
-        word of the tail shuffle, summed by one ``_Kernel`` on interned
-        letters and bare values (see there).
-
-        Over a polynomial carrier the factors are monic monomials, whose
-        products are monic monomials, so output words are canonical as they
-        stand, and distinct words are distinct terms.  Other carriers have
-        no monomial basis: output words are expanded back to canonical
-        factors, which drops every word with a zero factor.
-        """
+        """The mixable-shuffle product, extended bilinearly from pure tensors:
+        one row of one pair of ``row_products``."""
         check_same_handle(self, other)
-        handle = self.handle
-        if not self.terms or not other.terms:
-            return Tensor._trusted(handle, {})
-        kernel = _Kernel(handle, [self], [other])
-        by_head: dict = {}  # head letter -> {tail word: bare coefficient}
-        kernel.add_product(by_head, kernel.lefts[0], kernel.rights[0])
-        kernel.memo.clear()  # the suffix memo can be as large as the output
-        terms = kernel.terms(by_head)
-        if isinstance(handle.inner, PolyHandle):
-            return Tensor._trusted(handle, terms)
-        return Tensor(handle, summed((t, c * v) for w, c in terms.items()
-                                     for t, v in pure_tensor_terms(handle, w)))
+        return row_products(self.handle, [self], [other], [[(1, 0, 0)]], 1)[0]
 
     def lengths(self) -> dict[int, int]:
         """Term counts grouped by tensor length."""

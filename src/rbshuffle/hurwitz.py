@@ -8,15 +8,14 @@ Hurwitz product in the pair form of Guo and Keigher:
     k = i + l - n,
 
 which at weight 0 collapses to the classical binomial convolution
-(only i + l = n survives).  ``Series.__mul__`` and ``higher_leibniz`` are
-the two callers of one kernel, ``_pair_sums``, over one cached table of
-these coefficients.  The kernel sums each output value in bare int or
-Fraction coefficients, with the powers of a rational weight brought to one
-common denominator D, and builds it once.  Over polynomials and tensors on
-polynomials it builds no ``Scalar`` and no element per pair of values;
-over other inner algebras each inner product is an element, read back as
-bare values.  Every operation records its exact
-output precision: products take the minimum, the shift loses one, the
+(only i + l = n survives).  ``Series.__mul__`` and ``higher_leibniz``
+hand rows of one cached table of these coefficients (``_pair_table``) to
+the inner carrier's ``algebra.row_products``: ``algebra`` owns the
+polynomial kernel, ``freerb`` the tensor one, and this module the series
+branch, which turns each row into rows over the operands' values for its
+inner carrier, so a product at any depth is one bare pass of the innermost
+kernel.  Every operation records its exact output precision:
+products take the minimum, the shift loses one, the
 Rota-Baxter lift gains one, comultiplication fills the triangle m+n <= N.
 Comparisons are relative to the common precision.
 """
@@ -24,13 +23,12 @@ Comparisons are relative to the common precision.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate, islice
 from math import factorial, lcm
-from operator import mul
 from typing import Sequence
 
-from . import algebra, freerb
-from .algebra import (Handle, HandleMismatchError, Hom, HurwitzHandle,
-                      PolyHandle, ShaHandle, check_same_handle)
+from . import algebra
+from .algebra import Handle, HandleMismatchError, Hom, HurwitzHandle, check_same_handle
 from .coeffs import Scalar
 
 
@@ -52,69 +50,36 @@ def _pair_row(n: int) -> tuple[tuple[int, int, int, int], ...]:
                  for i in range(n + 1) for l in range(n - i, n + 1))
 
 
-def _pair_sums(f: Sequence, g: Sequence, inner: Handle, indices: Sequence[int]) -> list:
-    """The values (fg)(n), n in indices, of the weighted product of the value
-    prefixes f and g over the inner algebra, in pair form.
-
-    Each product f(i)g(l) is formed at most once, only where some row gives
-    it a nonzero coefficient, and each row is summed in bare values and
-    built once.  A rational weight runs as ints: every power of it is scaled
-    by the least common multiple D of their denominators, and each output
-    coefficient is divided by D once.  Over a polynomial carrier each
-    exponent vector is packed into one int, its base-B digits, with B above
-    every exponent a product can reach, so exponent vectors add as ints.
-    Over tensors on polynomials one ``freerb._Kernel`` takes every value of
-    f and g and sums each row straight from the tail shuffles of its pairs.
-    Over other carriers each product is an element, read through
-    ``bare_view``; a series row takes the smallest precision entering it.
-    """
-    ring = inner.ring
-    m = ring.modulus
-    powers = [_lambda_power(inner.weight, k).value for k in range(max(indices) + 1)]
+def _pair_table(handle: Handle, indices: Sequence[int]) -> tuple[list, int]:
+    """The pair table's rows n in indices at the handle's weight, as the
+    (c, i, l) with nonzero int c, and D: a rational weight runs as ints, each
+    power scaled by the lcm D of their denominators, so c carries the factor D."""
+    m = handle.ring.modulus
+    powers = [_lambda_power(handle.weight, k).value for k in range(max(indices) + 1)]
     den = lcm(*(w.denominator for w in powers))
     powers = [w.numerator * (den // w.denominator) for w in powers]
+    return [[(c, i, l) for i, l, k, count in _pair_row(n)
+             if (c := count * powers[k] % m if m else count * powers[k])] for n in indices], den
 
-    # (int coefficient, i, l) for each pair of row n that survives; the
-    # coefficient carries the factor D
-    rows = [[(c, i, l) for i, l, k, count in _pair_row(n)
-             if (c := count * powers[k] % m if m else count * powers[k])] for n in indices]
-    if isinstance(inner, ShaHandle) and isinstance(inner.inner, PolyHandle):
-        kernel = freerb._Kernel(inner, f[:len(powers)], g[:len(powers)])
-        out = []
-        for row in rows:
-            by_head: dict = {}
-            for c, i, l in row:
-                kernel.add_product(by_head, kernel.lefts[i], kernel.rights[l], c)
-            out.append(freerb.Tensor._trusted(inner, kernel.terms(by_head, den)))
-        return out
-    unpack = None
-    if isinstance(inner, PolyHandle):
-        fb = [v.bare_items() for v in f[:len(powers)]]
-        gb = [v.bare_items() for v in g[:len(powers)]]
-        base = 1 + sum(max([e for items in vb for a, _ in items for e in a], default=0)
-                       for vb in (fb, gb))
-        places = [base ** j for j in range(len(inner.variables))]
-        fb, gb = ([[(sum(map(mul, a, places)), x) for a, x in items] for items in vb]
-                  for vb in (fb, gb))
 
-        def product(i: int, l: int) -> list:
-            out: dict = {}
-            for a, x in fb[i]:
-                for b, y in gb[l]:
-                    key = a + b
-                    s = out.get(key)
-                    out[key] = x * y if s is None else s + x * y
-            return list(out.items())
+def row_products(handle: HurwitzHandle, lefts: list, rights: list, rows: list, den: int) -> list:
+    """One series per row: the sum of c * lefts[i] * rights[l] / den over the
+    row's (c, i, l), at the least precision of the handle and every pair's
+    operands; value n of each row goes on as pair-table rows n, all in one call."""
+    tops = [min([handle.precision] + [min(lefts[i].precision, rights[l].precision)
+                                      for _, i, l in row]) for row in rows]
+    n_max = max(tops)
+    table, d = _pair_table(handle, range(n_max + 1))
 
-        def unpack(key: int) -> tuple:
-            return tuple([key // p % base for p in places])
-    else:
-        def product(i: int, l: int) -> list:
-            return algebra.bare_view(f[i] * g[l])
-    products = {key: product(*key) for key in dict.fromkeys(
-        (i, l) for row in rows for _, i, l in row)}
-    return [algebra.bare_sum(inner, [(c, products[i, l]) for c, i, l in row], den, unpack)
-            for row in rows]
+    def flat(side: Sequence) -> tuple[list, list]:
+        # every operand's values up to n_max in one list, and where each starts
+        cut = [f.values[:n_max + 1] for f in side]
+        return [v for vs in cut for v in vs], list(accumulate(map(len, cut), initial=0))
+    (lv, ls), (rv, rs) = flat(lefts), flat(rights)
+    inner = [[(c * e, ls[i] + a, rs[l] + b) for c, i, l in row for e, a, b in table[n]]
+             for row, top in zip(rows, tops) for n in range(top + 1)]
+    values = iter(algebra.row_products(handle.inner, lv, rv, inner, den * d))
+    return [Series(handle, tuple(islice(values, top + 1))) for top in tops]
 
 
 class Series:
@@ -176,9 +141,10 @@ class Series:
 
     def __mul__(self, other: Series) -> Series:
         check_same_handle(self, other)
-        n_out = min(self.precision, other.precision)
-        return Series(self.handle, _pair_sums(self.values, other.values,
-                                              self.handle.inner, range(n_out + 1)))
+        n, inner = min(self.precision, other.precision), self.handle.inner
+        rows, den = _pair_table(inner, range(n + 1))
+        return Series(self.handle, algebra.row_products(inner, self.values[:n + 1],
+                                                        other.values[:n + 1], rows, den))
 
     def __eq__(self, other) -> bool:
         # strict: same precision and identical values (hash-compatible);
@@ -313,4 +279,5 @@ def higher_leibniz(x, y, d: Hom, n: int):
     """
     dx = derivation_series(x, d, n).values
     dy = derivation_series(y, d, n).values
-    return _pair_sums(dx, dy, d.src, (n,))[0]
+    rows, den = _pair_table(d.src, (n,))
+    return algebra.row_products(d.src, dx, dy, rows, den)[0]

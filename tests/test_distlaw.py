@@ -13,7 +13,7 @@ from rbshuffle.coeffs import RATIONALS
 from rbshuffle.distlaw import (beta, beta_hom, lift_costructure, lift_t_structure,
                                mixed_compat_sides)
 from rbshuffle.freerb import Tensor
-from rbshuffle.hurwitz import PrecisionError, Series
+from rbshuffle.hurwitz import Series
 
 Q = RATIONALS
 HALF = Q.from_fraction(Fraction(1, 2))
@@ -99,10 +99,6 @@ def test_precision_contract():
     f4 = Series(hh, (x, x, x, x, x))       # precision 4
     u = Tensor.from_factors(sh, (f4, f3))
     assert beta(u).precision == 3          # the scarcest factor wins
-    assert beta(u, 2).precision == 2
-    with pytest.raises(PrecisionError):
-        beta(u, 4)
-    assert beta(u, 3) == beta(u)
 
 
 def test_beta_requires_series_factors():

@@ -333,7 +333,8 @@ def test_nested_inner_products_match_per_pair_element_sum(ring, lam):
     deepest = HurwitzHandle(HurwitzHandle(x, 1), 1)  # series of series as inner values
     for n in range(5):
         for hh in (HurwitzHandle(ShaHandle(xy), n), HurwitzHandle(HurwitzHandle(x, 2), n),
-                   HurwitzHandle(deepest, min(n, 2))):
+                   HurwitzHandle(deepest, min(n, 2)), HurwitzHandle(ShaHandle(ShaHandle(x)), n),
+                   HurwitzHandle(ShaHandle(HurwitzHandle(x, 1)), n)):
             for _ in range(2):
                 budget = SampleBudget(precision=rng.randint(0, n))
                 f = ragged(random_element(hh, budget, rng), rng)
@@ -347,12 +348,14 @@ def test_nested_inner_products_match_per_pair_element_sum(ring, lam):
 
 def test_tensor_inner_product_reaches_the_merge_weight(monkeypatch):
     h = poly_handle(("x",), Q, Q.one())
-    hh = HurwitzHandle(ShaHandle(h), 2)
-    f = random_element(hh, SampleBudget(max_tensor_len=3), 11)
-    g = random_element(hh, SampleBudget(max_tensor_len=3), 12)
-    before = f * g
+    pairs = [(random_element(hh, budget, 11), random_element(hh, budget, 12))
+             for hh, budget in ((HurwitzHandle(ShaHandle(h), 2), SampleBudget(max_tensor_len=3)),
+                                (HurwitzHandle(ShaHandle(ShaHandle(h)), 2),
+                                 SampleBudget(max_tensor_len=2, precision=2)))]
+    before = [f * g for f, g in pairs]
     monkeypatch.setattr(freerb, "_merge_weight", lambda handle: handle.weight + handle.ring.one())
-    assert f * g != before
+    for (f, g), fg in zip(pairs, before):
+        assert f * g != fg
 
 
 def test_series_inner_product_reaches_the_lambda_power(monkeypatch):
