@@ -10,26 +10,25 @@ Elements are immutable, hashable, and kept in canonical form: polynomials
 as sparse exponent-vector maps with no zero coefficients, tensors as linear
 combinations of tuples of basis factors, series as value prefixes of
 explicit precision.  Canonical form makes equality a syntactic check
-(precision-bounded for series).  Polynomials and tensors are both term maps
-(key -> nonzero scalar): ``Terms`` holds their shared sum, scaling, linear
-maps, equality, hashing, basis expansion and printing, and alone owns the
-coefficient format.  The product kernels read coefficients as bare values
-through ``bare_items``, which checks their ring, and build their output
-through ``_trusted``; ``bare_sum`` builds one element, of any carrier, from
-bare values scaled and summed (``bare_view``).  ``row_products`` is every
-product kernel's one interface: this module owns the polynomial kernel,
-``freerb`` the tensor one, ``hurwitz`` the series branch.  ``summed`` is the one
-accumulator of (key, scalar) pairs outside the product kernels.
+(precision-bounded for series).  Polynomials and tensors are both term maps,
+``Terms``, which alone owns the coefficient format: one representation,
+bare values (``Ring.reduce``) in a private dict, with ``Scalar`` only at the
+public constructor and the read-only ``.terms`` view.  Sums, scaling, linear
+maps, products and ``bare_sum``, which builds one element of any carrier
+from elements scaled and summed, all work on the bare values.
+``row_products`` is every product kernel's one interface: this module owns
+the polynomial kernel, ``freerb`` the tensor one, ``hurwitz`` the series branch.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from math import comb
 from operator import mul
-from typing import Callable, Mapping, Sequence, Union
+from typing import Union
 
 from .coeffs import RATIONALS, Ring, RingError, Scalar
 
@@ -161,8 +160,8 @@ def check_same_handle(x, y) -> None:
 
 
 def summed(pairs) -> dict:
-    """The (key, scalar) pairs as one term dict, with equal keys summed; the
-    sums may be zero, which every term-map constructor drops."""
+    """The (key, value) pairs as one dict, with equal keys summed; the sums
+    may be zero, or bare values not yet reduced."""
     out: dict = {}
     for k, c in pairs:
         s = out.get(k)
@@ -174,83 +173,105 @@ def summed(pairs) -> dict:
 # Term maps
 
 
-class Terms:
-    """Linear combination over basis keys: key -> nonzero scalar.
+class _ScalarView(Mapping):
+    """A term map's coefficients as a read-only mapping to ``Scalar``s, each
+    wrapped only when it is read."""
 
-    The one owner of the coefficient format, shared by polynomials and
-    tensors: construction drops zero coefficients, so equal elements have
-    equal term maps.  Subclasses give the product, the key order
-    (``_key_order``) and the text of one term (``_term_str``).
+    __slots__ = ("_ring", "_bare")
+
+    def __init__(self, ring: Ring, bare: dict):
+        self._ring, self._bare = ring, bare
+
+    def __getitem__(self, key) -> Scalar:
+        return Scalar(self._ring, self._bare[key])
+
+    def __iter__(self):
+        return iter(self._bare)
+
+    def __len__(self) -> int:
+        return len(self._bare)
+
+
+class Terms:
+    """Linear combination over basis keys, shared by polynomials and tensors:
+    key -> nonzero coefficient, stored as a canonical bare value with zeros
+    dropped, so equal elements have equal term maps.  The constructor takes
+    key -> ``Scalar`` of the handle's ring.  Subclasses give the product, the
+    key order (``_key_order``) and the text of one term (``_term_str``).
     """
 
-    __slots__ = ("handle", "terms", "_hash")
+    __slots__ = ("handle", "_bare", "_hash")
     _TEXT_REVERSED = False  # print terms against key order
 
     def __init__(self, handle: Handle, terms: Mapping):
-        self.handle = handle
-        self.terms = {k: c for k, c in terms.items() if not c.is_zero}
-        self._hash = None
+        ring = handle.ring
+        self.handle, self._hash = handle, None
+        self._bare = {k: v for k, c in terms.items() if (v := ring.reduce(ring.unwrap(c)))}
 
     @classmethod
-    def _trusted(cls, handle: Handle, terms: dict):
-        """The element with these terms as they stand, with no zero filter:
-        for kernel code whose terms are already canonical and nonzero."""
+    def _trusted(cls, handle: Handle, bare: dict):
+        """The element with these bare values, already canonical and nonzero."""
         out = cls.__new__(cls)
-        out.handle, out.terms, out._hash = handle, terms, None
+        out.handle, out._bare, out._hash = handle, bare, None
         return out
+
+    @classmethod
+    def _reduced(cls, handle: Handle, sums: dict):
+        """The element with these bare values, each reduced to canonical form,
+        and the zeros dropped."""
+        reduce = handle.ring.reduce
+        return cls._trusted(handle, {k: v for k, x in sums.items() if (v := reduce(x))})
 
     @classmethod
     def zero(cls, handle: Handle):
-        return cls(handle, {})
+        return cls._trusted(handle, {})
 
-    def bare_items(self) -> list:
-        """The (key, bare value) pairs, after checking that every coefficient
-        lives in the handle's ring; a bare value is a ``Scalar.value``."""
-        ring = self.handle.ring
-        out = []
-        for key, c in self.terms.items():
-            if c.ring is not ring and c.ring != ring:
-                raise RingError(f"ring mismatch: {c.ring} vs {ring}")
-            out.append((key, c.value))
-        return out
+    @property
+    def terms(self) -> Mapping:
+        """The coefficients as a read-only mapping key -> ``Scalar``."""
+        return _ScalarView(self.handle.ring, self._bare)
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._bare
 
     # sums inline: summed() over both term lists slows series products
     def __add__(self, other):
         check_same_handle(self, other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
+        out = dict(self._bare)
+        for k, c in other._bare.items():
             s = out.get(k)
             out[k] = c if s is None else s + c
-        return type(self)(self.handle, out)
+        return self._reduced(self.handle, out)
 
     def __neg__(self):
-        return type(self)(self.handle, {k: -c for k, c in self.terms.items()})
+        return self._reduced(self.handle, {k: -c for k, c in self._bare.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c: Scalar):
-        return type(self)(self.handle, {k: c * v for k, v in self.terms.items()})
+        x = self.handle.ring.unwrap(c)
+        return self._reduced(self.handle, {k: x * v for k, v in self._bare.items()})
 
     def linear_map(self, image: Callable, handle: Handle | None = None):
         """The linear extension of image, which sends one basis key to
-        (key, scalar) pairs; the result lives on handle, by default this
-        element's."""
-        pairs = ((k, c * v) for key, c in self.terms.items() for k, v in image(key))
-        return type(self)(self.handle if handle is None else handle, summed(pairs))
+        (key, bare value) pairs; the result lives on handle, by default this
+        element's, whose ring must be this element's."""
+        handle = handle or self.handle
+        if handle.ring is not self.handle.ring and handle.ring != self.handle.ring:
+            raise RingError(f"ring mismatch: {handle.ring} vs {self.handle.ring}")
+        return self._reduced(handle, summed((k, c * v) for key, c in self._bare.items()
+                                       for k, v in image(key)))
 
     def __eq__(self, other) -> bool:
         return (type(other) is type(self)
                 and (self.handle is other.handle or self.handle == other.handle)
-                and self.terms == other.terms)
+                and self._bare == other._bare)
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.handle, frozenset(self.terms.items())))
+            self._hash = hash((self.handle, frozenset(self._bare.items())))
         return self._hash
 
     def _ordered_terms(self, reverse: bool = False) -> list:
@@ -258,9 +279,8 @@ class Terms:
                       reverse=reverse)
 
     def basis_expansion(self) -> list:
-        """Decompose into (coefficient, basis element) pairs."""
-        one = self.handle.ring.one()
-        return [(c, type(self)._trusted(self.handle, {k: one})) for k, c in self.terms.items()]
+        """Decompose into (bare coefficient, basis element) pairs."""
+        return [(c, self._trusted(self.handle, {k: 1})) for k, c in self._bare.items()]
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -294,7 +314,7 @@ class Poly(Terms):
 
     @classmethod
     def one(cls, handle: PolyHandle) -> Poly:
-        return cls.constant(handle, handle.ring.one())
+        return cls._trusted(handle, {(0,) * len(handle.variables): 1})
 
     @classmethod
     def constant(cls, handle: PolyHandle, c: Scalar) -> Poly:
@@ -303,12 +323,10 @@ class Poly(Terms):
     @classmethod
     def monomial(cls, handle: PolyHandle, exps: Sequence[int],
                  coeff: Scalar | None = None) -> Poly:
-        if coeff is None:
-            coeff = handle.ring.one()
         exps = tuple(exps)
         if len(exps) != len(handle.variables) or any(e < 0 for e in exps):
             raise ValueError(f"bad exponent vector {exps} for {handle}")
-        return cls(handle, {exps: coeff})
+        return cls._trusted(handle, {exps: 1}) if coeff is None else cls(handle, {exps: coeff})
 
     @classmethod
     def variable(cls, handle: PolyHandle, name: str) -> Poly:
@@ -319,14 +337,14 @@ class Poly(Terms):
 
     def __mul__(self, other: Poly) -> Poly:
         check_same_handle(self, other)
-        out: dict[tuple[int, ...], Scalar] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
+        out: dict = {}
+        for m1, c1 in self._bare.items():
+            for m2, c2 in other._bare.items():
                 m = tuple(a + b for a, b in zip(m1, m2))
                 c = c1 * c2
                 s = out.get(m)
                 out[m] = c if s is None else s + c
-        return Poly(self.handle, out)
+        return Poly._reduced(self.handle, out)
 
     def substitute(self, images: Mapping[str, Poly]) -> Poly:
         """Evaluate at variable -> polynomial (same handle), exactly."""
@@ -337,7 +355,7 @@ class Poly(Terms):
                     img = images.get(name, Poly.variable(self.handle, name))
                     for _ in range(e):
                         term = term * img
-            return term.terms.items()
+            return term._bare.items()
         return self.linear_map(image)
 
     @staticmethod
@@ -388,34 +406,24 @@ def alg_eq(x, y) -> bool:
     return x == y
 
 
-def bare_view(x):
-    """An element as bare values: a term map's ``bare_items``, or a series'
-    list of the views of its values."""
-    if isinstance(x.handle, HurwitzHandle):
-        return [bare_view(v) for v in x.values]
-    return x.bare_items()
-
-
 def bare_sum(handle: Handle, pairs: list, den: int = 1, unpack: Callable | None = None):
-    """The sum of c * v / den over pairs of a bare value c and a bare view v,
-    built once: per key (mapped through unpack) in a term map, index by index
-    in a series, at the smallest precision among the handle's and the vs'."""
+    """The sum of c * v / den over pairs of a bare value c and an element v
+    of handle (on a term map, v may also be a dict key -> bare value), built
+    once: per key (mapped through unpack) in a term map, index by index in a
+    series, at the smallest precision among the handle's and the vs'."""
     if isinstance(handle, HurwitzHandle):
         from .hurwitz import Series
-        n = min([handle.precision] + [len(v) - 1 for _, v in pairs])
-        return Series(handle, [bare_sum(handle.inner, [(c, v[j]) for c, v in pairs], den)
+        n = min([handle.precision] + [v.precision for _, v in pairs])
+        return Series(handle, [bare_sum(handle.inner, [(c, v.values[j]) for c, v in pairs], den)
                                for j in range(n + 1)])
     sums: dict = {}
     for c, v in pairs:
-        for key, x in v:
+        for key, x in (v if type(v) is dict else v._bare).items():
             s = sums.get(key)
             sums[key] = c * x if s is None else s + c * x
-    from_int = handle.ring.from_int
-    terms = {}
-    for key, x in sums.items():
-        s = from_int(Fraction(x, den) if den > 1 else x)
-        if s.value:
-            terms[unpack(key) if unpack else key] = s
+    reduce = handle.ring.reduce
+    terms = {unpack(key) if unpack else key: s for key, x in sums.items()
+             if (s := reduce(Fraction(x, den) if den > 1 else x))}
     if isinstance(handle, PolyHandle):
         return Poly._trusted(handle, terms)
     from .freerb import Tensor
@@ -431,21 +439,20 @@ def row_products(handle: Handle, lefts: Sequence, rights: Sequence, rows: list, 
         from . import freerb, hurwitz
         carrier = freerb if isinstance(handle, ShaHandle) else hurwitz
         return carrier.row_products(handle, lefts, rights, rows, den)
-    lb, rb = ([v.bare_items() for v in side] for side in (lefts, rights))
-    base = 1 + sum(max([e for items in vb for a, _ in items for e in a], default=0)
-                   for vb in (lb, rb))
+    base = 1 + sum(max([e for v in side for a in v._bare for e in a], default=0)
+                   for side in (lefts, rights))
     places = [base ** j for j in range(len(handle.variables))]
-    lb, rb = ([[(sum(map(mul, a, places)), x) for a, x in items] for items in vb]
-              for vb in (lb, rb))
+    lb, rb = ([[(sum(map(mul, a, places)), x) for a, x in v._bare.items()] for v in side]
+              for side in (lefts, rights))
 
-    def product(i: int, l: int) -> list:
+    def product(i: int, l: int) -> dict:
         out: dict = {}
         for a, x in lb[i]:
             for b, y in rb[l]:
                 key = a + b
                 s = out.get(key)
                 out[key] = x * y if s is None else s + x * y
-        return list(out.items())
+        return out
 
     def unpack(key: int) -> tuple:
         return tuple([key // p % base for p in places])
@@ -481,12 +488,6 @@ class Hom:
             raise HandleMismatchError(f"{self.name or 'hom'} expects {self.src}, got {x.handle}")
         return self.fn(x)
 
-    def then(self, other: Hom) -> Hom:
-        if self.dst != other.src:
-            raise HandleMismatchError(f"cannot compose {other.name} after {self.name}")
-        return Hom(self.src, other.dst, lambda x: other.fn(self.fn(x)),
-                   name=f"{other.name}.{self.name}")
-
     @staticmethod
     def identity(handle: Handle) -> Hom:
         return Hom(handle, handle, lambda x: x, name="id")
@@ -509,12 +510,11 @@ def _difference_image(handle: PolyHandle, var: str, w) -> Callable:
     if var not in handle.variables:
         raise ValueError(f"unknown variable {var!r} in {handle}")
     i = handle.variables.index(var)
-    from_int = handle.ring.from_int
 
     def image(m: tuple[int, ...]) -> list:
         n = m[i]
         low = 0 if w else max(n - 1, 0)  # at w = 0 only k = n - 1 survives
-        return [(m[:i] + (k,) + m[i + 1:], from_int(comb(n, k) * w ** (n - 1 - k)))
+        return [(m[:i] + (k,) + m[i + 1:], comb(n, k) * w ** (n - 1 - k))
                 for k in range(low, n)]
     return image
 
@@ -556,10 +556,9 @@ def poly_integrate(f: Poly, var: str) -> Poly:
     if var not in handle.variables:
         raise ValueError(f"unknown variable {var!r} in {handle}")
     i = handle.variables.index(var)
-    from_int = handle.ring.from_int
 
     def image(m: tuple[int, ...]):
-        return ((m[:i] + (m[i] + 1,) + m[i + 1:], from_int(m[i] + 1).inverse()),)
+        return ((m[:i] + (m[i] + 1,) + m[i + 1:], Fraction(1, m[i] + 1)),)
     return f.linear_map(image)
 
 
@@ -578,7 +577,7 @@ def exp_span_rb(f: Poly) -> Poly:
         k, = m
         if k == 0:
             raise ValueError("decay modes are indexed by k >= 1")
-        return ((m, -from_int(k).inverse()),)
+        return ((m, -from_int(k).inverse().value),)
     return f.linear_map(image)
 
 
@@ -619,10 +618,6 @@ class SampleBudget:
     precision: int = 4
 
 
-def _random_coeff(handle: Handle, budget: SampleBudget, rng: random.Random) -> Scalar:
-    return handle.ring.from_int(rng.randint(budget.coeff_lo, budget.coeff_hi))
-
-
 def _random_monomial(handle: PolyHandle, budget: SampleBudget, rng: random.Random) -> tuple[int, ...]:
     total = rng.randint(0, budget.max_degree)
     exps = [0] * len(handle.variables)
@@ -637,9 +632,9 @@ def random_element(handle: Handle, budget: SampleBudget, seed):
     """Pseudo-random element within the budget; pure in (handle, budget, seed)."""
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     if isinstance(handle, PolyHandle):
-        return Poly(handle, summed((_random_monomial(handle, budget, rng),
-                                    _random_coeff(handle, budget, rng))
-                                   for _ in range(rng.randint(0, budget.max_terms))))
+        return Poly._reduced(handle, summed((_random_monomial(handle, budget, rng),
+                                        rng.randint(budget.coeff_lo, budget.coeff_hi))
+                                       for _ in range(rng.randint(0, budget.max_terms))))
     from . import freerb, hurwitz as hur
     if isinstance(handle, ShaHandle):
         pairs: list = []
@@ -647,9 +642,9 @@ def random_element(handle: Handle, budget: SampleBudget, seed):
             length = rng.randint(1, budget.max_tensor_len)
             factors = tuple(random_basis_factor(handle.inner, budget, rng)
                             for _ in range(length))
-            c = _random_coeff(handle, budget, rng)
+            c = rng.randint(budget.coeff_lo, budget.coeff_hi)
             pairs += [(t, c * v) for t, v in freerb.pure_tensor_terms(handle, factors)]
-        return freerb.Tensor(handle, summed(pairs))
+        return freerb.Tensor._reduced(handle, summed(pairs))
     small = replace(budget, max_terms=2)
     values = tuple(random_element(handle.inner, small, rng) for _ in range(budget.precision + 1))
     return hur.Series(handle, values)

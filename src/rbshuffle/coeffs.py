@@ -2,7 +2,8 @@
 
 Three ring modes are supported: arbitrary-precision rationals, arbitrary
 precision integers, and residues mod m (m >= 2).  Values are immutable and
-normalized at construction.  A rational that is whole is stored as an
+normalized at construction by ``Ring.reduce``, which term maps also apply to
+the bare values they store.  A rational that is whole is stored as an
 ``int``, any other as a ``fractions.Fraction`` in lowest terms with positive
 denominator; nearly every coefficient the laws produce is whole, and ``int``
 arithmetic is far cheaper.  Integers are ``int``s and residues ``int``s in
@@ -58,17 +59,27 @@ class Ring:
     def one(self) -> Scalar:
         return self.from_int(1)
 
+    def reduce(self, v):
+        """The canonical form of a bare value v of this ring: reduced mod m
+        on Z/m, and on q a whole ``Fraction`` as its ``int``."""
+        if self.modulus:
+            return v % self.modulus
+        if type(v) is Fraction and v.denominator == 1:
+            return v.numerator
+        return v
+
+    def unwrap(self, c: Scalar):
+        """The bare value of c, which must live in this ring."""
+        if c.ring is not self and c.ring != self:
+            raise RingError(f"ring mismatch: {c.ring} vs {self}")
+        return c.value
+
     def from_int(self, n: int) -> Scalar:
         """The image of n, which must be an ``int``; on q it may also be a
         ``Fraction`` (a bare value).  Anything else raises ``TypeError``."""
         t = type(n)
-        if self.kind == _RATIONAL:
-            if t is int:
-                return Scalar(self, n)
-            if t is Fraction:
-                return Scalar(self, n.numerator if n.denominator == 1 else n)
-        elif t is int:
-            return Scalar(self, n % self.modulus if self.modulus else n)
+        if t is int or (t is Fraction and self.kind == _RATIONAL):
+            return Scalar(self, self.reduce(n))
         raise TypeError(f"ring {self} takes no {t.__name__} value: {n!r}")
 
     def from_fraction(self, q: Fraction) -> Scalar:
@@ -110,12 +121,7 @@ class Scalar:
 
     def _wrap(self, v) -> Scalar:
         """The result v of an operation, in canonical form."""
-        ring = self.ring
-        if ring.modulus:
-            return Scalar(ring, v % ring.modulus)
-        if type(v) is Fraction and v.denominator == 1:
-            return Scalar(ring, v.numerator)
-        return Scalar(ring, v)
+        return Scalar(self.ring, self.ring.reduce(v))
 
     def __add__(self, other: Scalar) -> Scalar:
         self._check(other)

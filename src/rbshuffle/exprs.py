@@ -373,7 +373,7 @@ def _embed(x, expected: Handle, pos: int):
 
 
 def _tensor_concat(u: Tensor, v: Tensor) -> Tensor:
-    return u.linear_map(lambda t1: [(t1 + t2, c2) for t2, c2 in v.terms.items()])
+    return u.linear_map(lambda t1: [(t1 + t2, c2) for t2, c2 in v._bare.items()])
 
 
 def _delannoy(m: int, n: int) -> int:

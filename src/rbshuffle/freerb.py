@@ -12,8 +12,8 @@ coefficient, and goes on with the shuffle of what remains.  The weighted
 merge is what distinguishes this from the plain shuffle product.  The
 kernel, ``_Kernel``, interns the canonical factors of a set of operands to
 small int letters once, looks each merge up in one table of the carrier's
-own products, and sums bare coefficient values; only the output goes back
-to factor tuples with ``Scalar`` coefficients, through ``Terms._trusted``.
+own products, and sums the operands' bare coefficient values; its output
+goes back to factor tuples, with canonical bare values, as term maps do.
 ``row_products`` drives it for every tensor carrier, on one pair in
 ``Tensor.__mul__`` and on all values of two series in a Hurwitz product.
 
@@ -77,7 +77,7 @@ def _shuffle_tails(u: tuple, v: tuple, merged: dict, lam, m: int | None,
 
 class _Kernel:
     """The mixable-shuffle kernel over a fixed set of left and right tensor
-    operands, read once through ``bare_items``, on int letters.
+    operands, on int letters.
 
     All products of the operands share one table of merges (every left by
     every right tail letter), one ``_shuffle_tails`` memo and one table of
@@ -89,22 +89,19 @@ class _Kernel:
 
     def __init__(self, handle: ShaHandle, lefts: list, rights: list):
         ring = self.ring = handle.ring
-        weight = _merge_weight(handle)
-        if weight.ring is not ring and weight.ring != ring:
-            raise RingError(f"ring mismatch: {weight.ring} vs {ring}")
         self.m = ring.modulus
-        self.lam, self.q = weight.value, 1
+        self.lam, self.q = ring.unwrap(_merge_weight(handle)), 1
         if type(self.lam) is Fraction:
             self.lam, self.q = self.lam.numerator, self.lam.denominator
         letters = self.letters = {}
 
-        def spelled(items: list) -> list:
+        def spelled(items) -> list:
             return [(letters.setdefault(t[0], len(letters)),
                      tuple([letters.setdefault(f, len(letters)) for f in t[1:]]), c)
                     for t, c in items]
 
-        self.lefts = [spelled(u.bare_items()) for u in lefts]
-        self.rights = [spelled(u.bare_items()) for u in rights]
+        self.lefts = [spelled(u._bare.items()) for u in lefts]
+        self.rights = [spelled(u._bare.items()) for u in rights]
         self.factors = factors = list(letters)
         self.merged: dict = {}
         if self.lam:
@@ -143,18 +140,17 @@ class _Kernel:
     def terms(self, by_head: dict, den: int) -> dict:
         """The factor-tuple terms of by_head, each coefficient of a word of n
         tail letters divided by den * q^(top - n), with zeros dropped."""
-        ring, q, top = self.ring, self.q, self.top
+        reduce, q, top = self.ring.reduce, self.q, self.top
         letter = list(self.letters).__getitem__
         if den == q == 1:
-            scalar = {c: ring.from_int(c)
-                      for words in by_head.values() for c in set(words.values())}
+            canon = {c: reduce(c) for words in by_head.values() for c in set(words.values())}
             return {(letter(h), *map(letter, w)): s for h, words in by_head.items()
-                    for w, c in words.items() if (s := scalar[c]).value}
-        scalar = {(c, n): ring.from_int(Fraction(c, den * q ** (top - n)))
-                  for words in by_head.values()
-                  for c, n in {(c, len(w)) for w, c in words.items()}}
+                    for w, c in words.items() if (s := canon[c])}
+        canon = {(c, n): reduce(Fraction(c, den * q ** (top - n)))
+                 for words in by_head.values()
+                 for c, n in {(c, len(w)) for w, c in words.items()}}
         return {(letter(h), *map(letter, w)): s for h, words in by_head.items()
-                for w, c in words.items() if (s := scalar[c, len(w)]).value}
+                for w, c in words.items() if (s := canon[c, len(w)])}
 
 
 def row_products(handle: ShaHandle, lefts: list, rights: list, rows: list, den: int) -> list:
@@ -172,15 +168,17 @@ def row_products(handle: ShaHandle, lefts: list, rights: list, rows: list, den: 
     kernel.memo.clear()  # the suffix memo can be as large as the output
     if isinstance(handle.inner, PolyHandle):
         return [Tensor._trusted(handle, kernel.terms(by_head, den)) for by_head in sums]
-    return [Tensor(handle, summed((t, c * v) for w, c in kernel.terms(by_head, den).items()
-                                  for t, v in pure_tensor_terms(handle, w)))
+    return [Tensor._reduced(handle, summed((t, c * v)
+                                           for w, c in kernel.terms(by_head, den).items()
+                                           for t, v in pure_tensor_terms(handle, w)))
             for by_head in sums]
 
 
 def pure_tensor_terms(handle: ShaHandle, factors: tuple) -> list:
-    """The (canonical factor tuple, coefficient) pairs of the pure tensor with
-    the given (at least one) arbitrary factors, expanded multilinearly; no
-    two pairs share a tuple."""
+    """The (canonical factor tuple, bare coefficient) pairs of the pure tensor
+    with the given (at least one) arbitrary factors, expanded multilinearly;
+    no two pairs share a tuple.  A coefficient is a product of canonical
+    values, not yet reduced (it may be zero on Z/m)."""
     for f in factors:
         if f.handle != handle.inner:
             raise HandleMismatchError(f"factor over {f.handle}, expected {handle.inner}")
@@ -198,17 +196,16 @@ class Tensor(Terms):
 
     @classmethod
     def one(cls, handle: ShaHandle) -> Tensor:
-        return cls(handle, {(algebra.unit(handle.inner),): handle.ring.one()})
+        return cls._trusted(handle, {(algebra.unit(handle.inner),): 1})
 
     @classmethod
     def from_factors(cls, handle: ShaHandle, factors: tuple,
                      coeff: Scalar | None = None) -> Tensor:
         """Pure tensor with arbitrary factors, normalized to canonical form."""
-        if coeff is None:
-            coeff = handle.ring.one()
+        x = 1 if coeff is None else handle.ring.unwrap(coeff)
         if not factors:
             raise ValueError("pure tensors have at least one factor")
-        return cls(handle, {t: coeff * c for t, c in pure_tensor_terms(handle, tuple(factors))})
+        return cls._reduced(handle, {t: x * c for t, c in pure_tensor_terms(handle, tuple(factors))})
 
     def __mul__(self, other: Tensor) -> Tensor:
         """The mixable-shuffle product, extended bilinearly from pure tensors:
@@ -219,7 +216,7 @@ class Tensor(Terms):
     def lengths(self) -> dict[int, int]:
         """Term counts grouped by tensor length."""
         out: dict[int, int] = {}
-        for t in self.terms:
+        for t in self._bare:
             out[len(t)] = out.get(len(t), 0) + 1
         return out
 
@@ -233,7 +230,7 @@ class Tensor(Terms):
         factors are wrapped in eta(...) to mark their level."""
         body = " # ".join(f"eta({f})" if isinstance(f, Tensor) else str(f) for f in t)
         plain = mag == "1"
-        if len(t) > 1 and not (plain and len(self.terms) == 1 and not negative):
+        if len(t) > 1 and not (plain and len(self._bare) == 1 and not negative):
             body = f"({body})"
         return body if plain else f"{mag}*{body}"
 
@@ -263,7 +260,7 @@ def eta_hom(inner: Handle) -> Hom:
 def rb_prepend(u: Tensor) -> Tensor:
     """The free Rota-Baxter operator: prepend the inner unit to every tensor."""
     one_a = algebra.unit(u.handle.inner)
-    return Tensor._trusted(u.handle, {(one_a,) + t: c for t, c in u.terms.items()})
+    return Tensor._trusted(u.handle, {(one_a,) + t: c for t, c in u._bare.items()})
 
 
 def free_rb_operator(handle: ShaHandle) -> Hom:
@@ -295,14 +292,16 @@ def induced_rb_hom(phi: Hom, rb: Hom, u: Tensor):
     if rb.src != phi.dst:
         raise HandleMismatchError("operator must live on phi's target")
     dst = phi.dst
+    if dst.ring != u.handle.ring:
+        raise RingError(f"ring mismatch: {dst.ring} vs {u.handle.ring}")
     pairs = []
-    for t, c in u.bare_items():
+    for t, c in u._bare.items():
         v = phi(t[-1])
         for x in reversed(t[:-1]):
             v = phi(x) * rb(v)
         if v.handle is not dst and v.handle != dst:
             raise HandleMismatchError(f"{phi.name or 'phi'} gave {v.handle}, expected {dst}")
-        pairs.append((c, algebra.bare_view(v)))
+        pairs.append((c, v))
     return algebra.bare_sum(dst, pairs)
 
 
@@ -361,8 +360,9 @@ def free_derivation_apply(u: Tensor, d: Hom) -> Tensor:
     """The derivation on sha(A) induced by a derivation d on A."""
     if d.src != u.handle.inner:
         raise HandleMismatchError(f"derivation on {d.src} cannot act on {u.handle}")
-    lam = u.handle.weight
-    return u.linear_map(lambda t: [(k, w * v) for w, factors in _free_derivation_terms(t, d, lam)
+    lam, unwrap = u.handle.weight, u.handle.ring.unwrap
+    return u.linear_map(lambda t: [(k, unwrap(w) * v)
+                                   for w, factors in _free_derivation_terms(t, d, lam)
                                    for k, v in pure_tensor_terms(u.handle, factors)])
 
 

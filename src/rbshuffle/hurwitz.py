@@ -54,12 +54,12 @@ def _pair_table(handle: Handle, indices: Sequence[int]) -> tuple[list, int]:
     """The pair table's rows n in indices at the handle's weight, as the
     (c, i, l) with nonzero int c, and D: a rational weight runs as ints, each
     power scaled by the lcm D of their denominators, so c carries the factor D."""
-    m = handle.ring.modulus
-    powers = [_lambda_power(handle.weight, k).value for k in range(max(indices) + 1)]
+    unwrap, reduce = handle.ring.unwrap, handle.ring.reduce
+    powers = [unwrap(_lambda_power(handle.weight, k)) for k in range(max(indices) + 1)]
     den = lcm(*(w.denominator for w in powers))
     powers = [w.numerator * (den // w.denominator) for w in powers]
     return [[(c, i, l) for i, l, k, count in _pair_row(n)
-             if (c := count * powers[k] % m if m else count * powers[k])] for n in indices], den
+             if (c := reduce(count * powers[k]))] for n in indices], den
 
 
 def row_products(handle: HurwitzHandle, lefts: list, rights: list, rows: list, den: int) -> list:
@@ -157,12 +157,10 @@ class Series:
             self._hash = hash((self.handle, self.values))
         return self._hash
 
-    def basis_expansion(self) -> list[tuple[Scalar, Series]]:
+    def basis_expansion(self) -> list[tuple[int, Series]]:
         # sequence carriers expose no basis: nonzero factors stay whole,
         # while a zero factor annihilates its tensor
-        if self.is_zero:
-            return []
-        return [(self.handle.ring.one(), self)]
+        return [] if self.is_zero else [(1, self)]
 
     def __str__(self) -> str:
         return "[" + "; ".join(str(v) for v in self.values) + "]"

@@ -103,7 +103,7 @@ def test_sha_map_functorial():
     for _ in range(50):
         u = random_element(s, budget, rng)
         assert sha_map(ident, u) == u
-        assert sha_map(psi, sha_map(phi, u)) == sha_map(phi.then(psi), u)
+        assert sha_map(psi, sha_map(phi, u)) == sha_map(Hom(h, h, lambda a: psi(phi(a))), u)
     assert sha_map(phi, Tensor.from_factors(s, (x, x))) == Tensor.from_factors(
         s, (x + one, x + one))
 
@@ -378,14 +378,28 @@ def test_product_checks_coefficient_and_weight_rings(monkeypatch):
     s = sha_x(Q.one())
     x = Poly.variable(s.inner, "x")
     u = Tensor.from_factors(s, (x, x))
-    stray = Tensor(s, {(x,): Z6.from_int(1)})  # a coefficient from Z/6 on a q carrier
+    # a coefficient from Z/6 on a q carrier is refused where it would enter
     with pytest.raises(RingError):
-        stray * u
+        Tensor(s, {(x,): Z6.from_int(1)})
     with pytest.raises(RingError):
-        u * stray
+        Tensor.from_factors(s, (x,), Z6.one())
+    with pytest.raises(RingError):
+        u.scale(Z6.from_int(2))
     monkeypatch.setattr(freerb, "_merge_weight", lambda handle: Z6.one())
     with pytest.raises(RingError):
         u * u
+
+
+def test_maps_into_another_ring_are_refused():
+    # q coefficients are carried into no Z/6 target, factorwise or evaluated
+    s = sha_x()
+    h6 = poly_handle(("x",), Z6)
+    f = Hom(s.inner, h6, lambda p: Poly.variable(h6, "x"), name="to-z6")
+    u = Tensor.from_factors(s, (Poly.variable(s.inner, "x"),) * 2, Q.from_int(2))
+    with pytest.raises(RingError):
+        sha_map(f, u)
+    with pytest.raises(RingError):
+        induced_rb_hom(f, scaled_identity_on(h6), u)
 
 
 def test_merge_onto_an_interned_letter_collects_words():

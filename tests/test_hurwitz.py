@@ -371,22 +371,21 @@ def test_series_inner_product_reaches_the_lambda_power(monkeypatch):
 
 
 def test_mixed_ring_coefficients_rejected():
-    # a q carrier holding z coefficients: every product of two values stays
-    # in z, so only the check against the carrier's ring can catch it
+    # z coefficients on a q carrier: products of z values stay in z, so only
+    # the check against the carrier's ring catches them, and it runs where a
+    # coefficient enters a term map, before any series or product holds it
     h = poly_handle(("x",), Q, Q.one())
-    p = Poly(h, {(1,): INTEGERS.from_int(2)})
-    f = Series(HurwitzHandle(h, 2), (p, p, p))
     with pytest.raises(RingError):
-        f * f
-    with pytest.raises(RingError):
-        higher_leibniz(p, p, derivative_on(h, "x"), 0)
-    # the same stray coefficients inside tensor and series values
+        Poly(h, {(1,): INTEGERS.from_int(2)})
     x = Poly.variable(h, "x")
-    t = freerb.Tensor(ShaHandle(h), {(x, x): INTEGERS.from_int(2)})
-    for value in (t, f):
-        hh = HurwitzHandle(value.handle, 1)
-        with pytest.raises(RingError):
-            Series(hh, (value, value)) * Series.one(hh)
+    with pytest.raises(RingError):
+        freerb.Tensor(ShaHandle(h), {(x, x): INTEGERS.from_int(2)})
+    # a scalar from z scales neither a value nor a series of them
+    f = Series(HurwitzHandle(h, 2), (x, x, x))
+    with pytest.raises(RingError):
+        x.scale(INTEGERS.from_int(2))
+    with pytest.raises(RingError):
+        f.scale(INTEGERS.from_int(2))
 
 
 def test_tensor_inner_product_checks_the_merge_weight_ring(monkeypatch):

@@ -1,14 +1,19 @@
 """The shared term map: printed text, JSON form, sums and equality of
-polynomials and tensors."""
+polynomials and tensors, and the canonical bare values it stores."""
 
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
-from rbshuffle.algebra import Poly, Terms
-from rbshuffle.coeffs import RATIONALS, parse_scalar, residues
+from rbshuffle.algebra import (HurwitzHandle, Poly, SampleBudget, ShaHandle, Terms,
+                               random_element)
+from rbshuffle.coeffs import RATIONALS, Scalar, parse_ring, parse_scalar, residues
+from rbshuffle.distlaw import canonical_derivation
 from rbshuffle.exprs import eval_text, parse_handle
-from rbshuffle.freerb import Tensor
+from rbshuffle.freerb import Tensor, sha_map
+from rbshuffle.hurwitz import Series
 
 Q = RATIONALS
 Z6 = residues(6)
@@ -112,3 +117,59 @@ def test_poly_never_equals_tensor():
     fake = Tensor(h.inner, x.terms)
     assert x != fake and fake != x
     assert x == Poly(h.inner, x.terms)
+
+
+# (ring, weight): the weight 3 on Z/6 is a zero divisor, so merged words and
+# scaled sums vanish there
+RINGS = (("q", "1/2"), ("z", "-1"), ("zmod:6", "3"))
+HANDLES = ("poly(x,y)", "sha(poly(x,y))", "hur(poly(x,y),2)", "sha(hur(poly(x),1))")
+
+
+def _term_maps(x):
+    """Every term map in x: itself, a series' values, a tensor's factors."""
+    if isinstance(x, Series):
+        for v in x.values:
+            yield from _term_maps(v)
+        return
+    yield x
+    if isinstance(x, Tensor):
+        for t in x.terms:
+            for f in t:
+                yield from _term_maps(f)
+
+
+def _assert_canonical(x):
+    for p in _term_maps(x):
+        ring = p.handle.ring
+        for v in p._bare.values():
+            assert v != 0
+            assert type(v) is int or (ring.is_rational and type(v) is Fraction
+                                       and v.denominator > 1)
+            assert not ring.modulus or 0 <= v < ring.modulus
+        assert type(p)(p.handle, p.terms) == p
+        assert all(type(c) is Scalar and c.ring == ring for c in p.terms.values())
+        with pytest.raises(TypeError):
+            p.terms[next(iter(p.terms), ())] = ring.one()
+
+
+@pytest.mark.parametrize("ring,lam", RINGS)
+@pytest.mark.parametrize("text", HANDLES)
+def test_stored_values_stay_canonical(text, ring, lam):
+    r = parse_ring(ring)
+    h = parse_handle(text, r, parse_scalar(lam, r), 2)
+    budget = SampleBudget(max_terms=2, max_tensor_len=2, precision=2)
+    rng = random.Random(f"{text} {ring}")
+    d = canonical_derivation(h)
+
+    def six_times(key):  # zero on Z/6
+        return [(key, 3), (key, 3)]
+    for _ in range(6):
+        x, y = (random_element(h, budget, rng) for _ in range(2))
+        c = r.from_int(rng.choice((-2, 2, 3)))
+        outs = [x + y, x - y, -x, x.scale(c), x * y, d(x), d(x * y)]
+        if isinstance(h, ShaHandle):
+            outs.append(sha_map(canonical_derivation(h.inner), x))
+        if not isinstance(h, HurwitzHandle):
+            outs.append(x.linear_map(six_times))
+        for out in [x, y] + outs:
+            _assert_canonical(out)
