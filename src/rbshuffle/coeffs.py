@@ -83,14 +83,12 @@ class Ring:
         raise TypeError(f"ring {self} takes no {t.__name__} value: {n!r}")
 
     def from_fraction(self, q: Fraction) -> Scalar:
-        """Embed p/q, dividing by q where the ring allows it."""
-        if self.kind == _RATIONAL:
-            return self.from_int(q)
+        """Embed p/q as p times the inverse of q: ``RingError`` where q is no
+        unit of the ring (any q > 1 on the integers)."""
+        p = self.from_int(q.numerator)
         if q.denominator == 1:
-            return self.from_int(q.numerator)
-        if self.kind == _RESIDUE:
-            return self.from_int(q.numerator) * self.from_int(q.denominator).inverse()
-        raise RingError(f"{q} has no image in the integer ring")
+            return p
+        return p * self.from_int(q.denominator).inverse()
 
     def __str__(self) -> str:
         if self.kind == _RESIDUE:

@@ -61,7 +61,7 @@ def beta(u: Tensor) -> Series:
         raise HandleMismatchError(f"expected tensors over a series carrier, got {u.handle}")
     sha_a = ShaHandle(hur_h.inner)
     target = HurwitzHandle(sha_a, hur_h.precision)
-    cap = min([hur_h.precision] + [f.precision for t in u._bare for f in t])
+    cap = min([hur_h.precision] + [f.precision for t in u.terms for f in t])
 
     def embed(f: Series) -> Series:
         return Series(target, tuple(freerb.eta(v, sha_a) for v in f.values))

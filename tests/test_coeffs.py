@@ -80,8 +80,11 @@ def test_rendering_and_parsing():
     assert parse_scalar("2 mod 5", Z5) == Z5.from_int(2)
     assert parse_scalar("1/2", Z5) == Z5.from_int(3)
     assert parse_scalar("-4", INTEGERS) == INTEGERS.from_int(-4)
+    assert parse_scalar("6/-3", INTEGERS) == INTEGERS.from_int(-2)
     with pytest.raises(RingError):
         parse_scalar("1/2", INTEGERS)
+    with pytest.raises(RingError):
+        parse_scalar("1/2", residues(4))
     with pytest.raises(RingError):
         parse_scalar("2 mod 7", Z5)
     assert parse_ring("zmod:11") == residues(11)
