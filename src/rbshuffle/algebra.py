@@ -14,8 +14,11 @@ explicit precision.  Canonical form makes equality a syntactic check
 ``Terms``, which alone owns the coefficient format: one representation,
 bare values (``Ring.reduce``) in a private dict, with ``Scalar`` only at the
 public constructor and the read-only ``.terms`` view.  Sums, scaling, linear
-maps, products and ``bare_sum``, which builds one element of any carrier
-from elements scaled and summed, all work on the bare values.
+maps and products all work on the bare values.  ``bare_sum`` is the one
+accumulator of linear combinations sum c * v: linear maps, random draws,
+evaluations and the kernels' rows build their output through it; only the
+hot inner loops (``Terms.__add__``, ``Poly.__mul__``, one packed polynomial
+product, ``freerb``'s shuffle) sum inline.
 ``row_products`` is every product kernel's one interface: this module owns
 the polynomial kernel, ``freerb`` the tensor one, ``hurwitz`` the series branch.
 """
@@ -159,16 +162,6 @@ def check_same_handle(x, y) -> None:
         raise HandleMismatchError(f"handle mismatch: {x.handle} vs {y.handle}")
 
 
-def summed(pairs) -> dict:
-    """The (key, value) pairs as one dict, with equal keys summed; the sums
-    may be zero, or bare values not yet reduced."""
-    out: dict = {}
-    for k, c in pairs:
-        s = out.get(k)
-        out[k] = c if s is None else s + c
-    return out
-
-
 # --------------------------------------------------------------------------
 # Term maps
 
@@ -235,7 +228,7 @@ class Terms:
     def is_zero(self) -> bool:
         return not self._bare
 
-    # sums inline: summed() over both term lists slows series products
+    # sums inline: bare_sum over both term lists slows series products
     def __add__(self, other):
         check_same_handle(self, other)
         out = dict(self._bare)
@@ -256,13 +249,12 @@ class Terms:
 
     def linear_map(self, image: Callable, handle: Handle | None = None):
         """The linear extension of image, which sends one basis key to
-        (key, bare value) pairs; the result lives on handle, by default this
-        element's, whose ring must be this element's."""
+        (key, bare value) pairs, summed by ``bare_sum``; the result lives on
+        handle, by default this element's, whose ring must be this element's."""
         handle = handle or self.handle
         if handle.ring is not self.handle.ring and handle.ring != self.handle.ring:
             raise RingError(f"ring mismatch: {handle.ring} vs {self.handle.ring}")
-        return self._reduced(handle, summed((k, c * v) for key, c in self._bare.items()
-                                       for k, v in image(key)))
+        return bare_sum(handle, [(c, image(key)) for key, c in self._bare.items()])
 
     def __eq__(self, other) -> bool:
         return (type(other) is type(self)
@@ -315,10 +307,6 @@ class Poly(Terms):
     @classmethod
     def one(cls, handle: PolyHandle) -> Poly:
         return cls._trusted(handle, {(0,) * len(handle.variables): 1})
-
-    @classmethod
-    def constant(cls, handle: PolyHandle, c: Scalar) -> Poly:
-        return cls(handle, {(0,) * len(handle.variables): c})
 
     @classmethod
     def monomial(cls, handle: PolyHandle, exps: Sequence[int],
@@ -407,10 +395,11 @@ def alg_eq(x, y) -> bool:
 
 
 def bare_sum(handle: Handle, pairs: list, den: int = 1, unpack: Callable | None = None):
-    """The sum of c * v / den over pairs of a bare value c and an element v
-    of handle (on a term map, v may also be a dict key -> bare value), built
-    once: per key (mapped through unpack) in a term map, index by index in a
-    series, at the smallest precision among the handle's and the vs'."""
+    """The sum of c * v / den over pairs of a bare value c and v, an element
+    of handle or, on a term map, an iterable of (key, bare value) pairs whose
+    keys may repeat.  It is built once: per key (mapped through unpack) in a
+    term map, index by index in a series, at the smallest precision among
+    the handle's and the vs'."""
     if isinstance(handle, HurwitzHandle):
         from .hurwitz import Series
         n = min([handle.precision] + [v.precision for _, v in pairs])
@@ -418,7 +407,7 @@ def bare_sum(handle: Handle, pairs: list, den: int = 1, unpack: Callable | None 
                                for j in range(n + 1)])
     sums: dict = {}
     for c, v in pairs:
-        for key, x in (v if type(v) is dict else v._bare).items():
+        for key, x in (v._bare.items() if isinstance(v, Terms) else v):
             s = sums.get(key)
             sums[key] = c * x if s is None else s + c * x
     reduce = handle.ring.reduce
@@ -458,7 +447,7 @@ def row_products(handle: Handle, lefts: Sequence, rights: Sequence, rows: list, 
         return tuple([key // p % base for p in places])
     products = {key: product(*key) for key in dict.fromkeys(
         (i, l) for row in rows for _, i, l in row)}
-    return [bare_sum(handle, [(c, products[i, l]) for c, i, l in row], den, unpack)
+    return [bare_sum(handle, [(c, products[i, l].items()) for c, i, l in row], den, unpack)
             for row in rows]
 
 
@@ -632,9 +621,9 @@ def random_element(handle: Handle, budget: SampleBudget, seed):
     """Pseudo-random element within the budget; pure in (handle, budget, seed)."""
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     if isinstance(handle, PolyHandle):
-        return Poly._reduced(handle, summed((_random_monomial(handle, budget, rng),
-                                        rng.randint(budget.coeff_lo, budget.coeff_hi))
-                                       for _ in range(rng.randint(0, budget.max_terms))))
+        return bare_sum(handle, [(1, [(_random_monomial(handle, budget, rng),
+                                       rng.randint(budget.coeff_lo, budget.coeff_hi))
+                                      for _ in range(rng.randint(0, budget.max_terms))])])
     from . import freerb, hurwitz as hur
     if isinstance(handle, ShaHandle):
         pairs: list = []
@@ -643,8 +632,8 @@ def random_element(handle: Handle, budget: SampleBudget, seed):
             factors = tuple(random_basis_factor(handle.inner, budget, rng)
                             for _ in range(length))
             c = rng.randint(budget.coeff_lo, budget.coeff_hi)
-            pairs += [(t, c * v) for t, v in freerb.pure_tensor_terms(handle, factors)]
-        return freerb.Tensor._reduced(handle, summed(pairs))
+            pairs.append((c, freerb.pure_tensor_terms(handle, factors)))
+        return bare_sum(handle, pairs)
     small = replace(budget, max_terms=2)
     values = tuple(random_element(handle.inner, small, rng) for _ in range(budget.precision + 1))
     return hur.Series(handle, values)

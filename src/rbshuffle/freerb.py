@@ -30,7 +30,7 @@ from typing import Iterator
 
 from . import algebra
 from .algebra import (Handle, HandleMismatchError, Hom, Poly, PolyHandle,
-                      ShaHandle, Terms, check_same_handle, summed)
+                      ShaHandle, Terms, check_same_handle)
 from .coeffs import Ring, RingError, Scalar
 
 
@@ -168,9 +168,8 @@ def row_products(handle: ShaHandle, lefts: list, rights: list, rows: list, den: 
     kernel.memo.clear()  # the suffix memo can be as large as the output
     if isinstance(handle.inner, PolyHandle):
         return [Tensor._trusted(handle, kernel.terms(by_head, den)) for by_head in sums]
-    return [Tensor._reduced(handle, summed((t, c * v)
-                                           for w, c in kernel.terms(by_head, den).items()
-                                           for t, v in pure_tensor_terms(handle, w)))
+    return [algebra.bare_sum(handle, [(c, pure_tensor_terms(handle, w))
+                                      for w, c in kernel.terms(by_head, den).items()])
             for by_head in sums]
 
 

@@ -41,25 +41,29 @@ def _lambda_power(lam: Scalar, k: int) -> Scalar:
     return lam.pow_nat(k)
 
 
-@lru_cache(maxsize=None)
-def _pair_row(n: int) -> tuple[tuple[int, int, int, int], ...]:
-    """The pair table's row n: (i, l, k, n! / (k! (n-i)! (n-l)!)) for every
-    i, l <= n <= i + l, with k = i + l - n the weight exponent."""
-    fact = [factorial(j) for j in range(n + 1)]
-    return tuple((i, l, i + l - n, fact[n] // (fact[i + l - n] * fact[n - i] * fact[n - l]))
-                 for i in range(n + 1) for l in range(n - i, n + 1))
-
-
-def _pair_table(handle: Handle, indices: Sequence[int]) -> tuple[list, int]:
-    """The pair table's rows n in indices at the handle's weight, as the
-    (c, i, l) with nonzero int c, and D: a rational weight runs as ints, each
-    power scaled by the lcm D of their denominators, so c carries the factor D."""
-    unwrap, reduce = handle.ring.unwrap, handle.ring.reduce
-    powers = [unwrap(_lambda_power(handle.weight, k)) for k in range(max(indices) + 1)]
+@lru_cache(maxsize=64)
+def _weighted_table(power, lam: Scalar, top: int) -> tuple[tuple, int]:
+    """Rows 0..top of the pair table at weight lam, with power(lam, k) the
+    weight powers, and D.  Row n holds (c, i, l) for every i, l <= n <= i + l
+    with nonzero c = D * n! / (k! (n-i)! (n-l)!) * lam^k, k = i + l - n; a
+    rational weight runs as ints, each power scaled by the lcm D of their
+    denominators."""
+    ring = lam.ring
+    powers = [ring.unwrap(power(lam, k)) for k in range(top + 1)]
     den = lcm(*(w.denominator for w in powers))
     powers = [w.numerator * (den // w.denominator) for w in powers]
-    return [[(c, i, l) for i, l, k, count in _pair_row(n)
-             if (c := reduce(count * powers[k]))] for n in indices], den
+    fact = [factorial(j) for j in range(top + 1)]
+    return tuple(tuple((c, i, l) for i in range(n + 1) for l in range(n - i, n + 1)
+                       if (c := ring.reduce(fact[n] // (fact[i + l - n] * fact[n - i]
+                                                        * fact[n - l]) * powers[i + l - n])))
+                 for n in range(top + 1)), den
+
+
+def _pair_table(handle: Handle, top: int) -> tuple[tuple, int]:
+    """The pair table's rows 0..top at the handle's weight, and D, cached per
+    seam, weight and top: ``_lambda_power`` is looked up per call, so a
+    patched seam builds its own table."""
+    return _weighted_table(_lambda_power, handle.weight, top)
 
 
 def row_products(handle: HurwitzHandle, lefts: list, rights: list, rows: list, den: int) -> list:
@@ -69,7 +73,7 @@ def row_products(handle: HurwitzHandle, lefts: list, rights: list, rows: list, d
     tops = [min([handle.precision] + [min(lefts[i].precision, rights[l].precision)
                                       for _, i, l in row]) for row in rows]
     n_max = max(tops)
-    table, d = _pair_table(handle, range(n_max + 1))
+    table, d = _pair_table(handle, n_max)
 
     def flat(side: Sequence) -> tuple[list, list]:
         # every operand's values up to n_max in one list, and where each starts
@@ -142,7 +146,7 @@ class Series:
     def __mul__(self, other: Series) -> Series:
         check_same_handle(self, other)
         n, inner = min(self.precision, other.precision), self.handle.inner
-        rows, den = _pair_table(inner, range(n + 1))
+        rows, den = _pair_table(inner, n)
         return Series(self.handle, algebra.row_products(inner, self.values[:n + 1],
                                                         other.values[:n + 1], rows, den))
 
@@ -277,5 +281,5 @@ def higher_leibniz(x, y, d: Hom, n: int):
     """
     dx = derivation_series(x, d, n).values
     dy = derivation_series(y, d, n).values
-    rows, den = _pair_table(d.src, (n,))
-    return algebra.row_products(d.src, dx, dy, rows, den)[0]
+    rows, den = _pair_table(d.src, n)
+    return algebra.row_products(d.src, dx, dy, rows[n:], den)[0]

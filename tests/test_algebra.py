@@ -43,7 +43,7 @@ def test_poly_derivative_examples():
     h = handle()
     x = Poly.variable(h, "x")
     y = Poly.variable(h, "y")
-    two = Poly.constant(h, Q.from_int(2))
+    two = Poly.one(h).scale(Q.from_int(2))
     assert poly_derivative(x * x, "x") == two * x
     assert poly_derivative(Poly.one(h), "x").is_zero
     assert poly_derivative(x * y, "x") == y
@@ -54,8 +54,8 @@ def test_poly_derivative_examples():
 def test_difference_quotient_examples():
     h = handle(HALF, variables=("x",))
     x = Poly.variable(h, "x")
-    lam = Poly.constant(h, HALF)
-    two = Poly.constant(h, Q.from_int(2))
+    lam = Poly.one(h).scale(HALF)
+    two = Poly.one(h).scale(Q.from_int(2))
     # ((x+w) - x)/w = 1 and ((x+w)^2 - x^2)/w = 2x + w, by hand
     assert difference_quotient(x, "x") == Poly.one(h)
     assert difference_quotient(x * x, "x") == two * x + lam

@@ -9,7 +9,7 @@ from rbshuffle import algebra, distlaw, freerb, hurwitz
 from rbshuffle.algebra import (Hom, HandleMismatchError, HurwitzHandle, Poly,
                                SampleBudget, ShaHandle, alg_eq, poly_handle,
                                random_element, scaled_identity_on)
-from rbshuffle.coeffs import RATIONALS
+from rbshuffle.coeffs import INTEGERS, RATIONALS, residues
 from rbshuffle.distlaw import (beta, beta_hom, lift_costructure, lift_t_structure,
                                mixed_compat_sides)
 from rbshuffle.freerb import Tensor
@@ -84,6 +84,61 @@ def test_intertwines_prepend_with_lift(lam):
     for _ in range(50):
         u = random_element(sh, budget, rng)
         assert alg_eq(beta(freerb.rb_prepend(u)), lift(beta(u)))
+
+
+# beta against its coalgebraic characterisation: beta(u)(n) = sha(counit)(D^n u),
+# D the free derivation that the shift induces on sha(hur(A)); the free
+# derivation and the counit never reach beta's series products
+ORACLE_WEIGHTS = [(Q, (0, 1, Fraction(1, 2), Fraction(-2, 3))),
+                  (INTEGERS, (0, 1, 2, -1)),
+                  (residues(6), (0, 1, 5, 3))]
+
+
+def coalgebraic_cases():
+    """(beta(u), [sha(counit)(D^n u) for n <= 3]) for 15 random u per weight,
+    lazily, with D^n u and beta(u) computed when a case is read."""
+    budget = SampleBudget(max_tensor_len=3, precision=3)
+    for ring, weights in ORACLE_WEIGHTS:
+        for w in weights:
+            hh = HurwitzHandle(poly_handle(("x",), ring, ring.from_fraction(Fraction(w))), 3)
+            sh = ShaHandle(hh)
+            d = freerb.free_derivation(sh, hurwitz.shift_derivation(hh))
+            eps = freerb.sha_hom(hurwitz.counit_hom(hh))
+            rng = random.Random(f"{ring}|{w}")
+            for _ in range(15):
+                u = random_element(sh, budget, rng)
+                yield beta(u), [eps(d.power(u, n)) for n in range(4)]
+
+
+def coalgebraic_mismatch(case) -> bool:
+    out, want = case
+    return out.precision != 3 or list(out.values) != want
+
+
+def test_beta_matches_the_coalgebraic_oracle():
+    cases = list(coalgebraic_cases())
+    assert len(cases) == 180
+    assert not [case for case in cases if coalgebraic_mismatch(case)]
+
+
+def test_coalgebraic_oracle_catches_misprinted_seams(monkeypatch):
+    def misprinted(factors, d, lam):  # criterion 9's: the weighted term keeps rest[0]
+        one = lam.ring.one()
+        x0, rest = factors[0], factors[1:]
+        if not rest:
+            return [(one, (d(x0),))]
+        out = [(one, (d(x0),) + rest), (one, (x0 * rest[0],) + rest[1:])]
+        if not lam.is_zero:
+            out.append((lam, (d(x0) * rest[0],) + rest))
+        return out
+
+    original = hurwitz._lambda_power
+    for owner, name, mutant in ((freerb, "_free_derivation_terms", misprinted),
+                                (hurwitz, "_lambda_power",
+                                 lambda lam, k: original(lam + lam.ring.one(), k))):
+        with monkeypatch.context() as mp:
+            mp.setattr(owner, name, mutant)
+            assert any(map(coalgebraic_mismatch, coalgebraic_cases())), name
 
 
 def test_zero_and_unit():

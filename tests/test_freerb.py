@@ -364,8 +364,8 @@ def test_words_with_zero_factors_vanish():
     lam = Z6.from_int(3)
     s = parse_handle("sha(hur(poly(x),3))", Z6, lam, 3)
     hh = s.inner
-    f = Series.constant(Poly.constant(hh.inner, Z6.from_int(2)), hh)
-    g = Series.constant(Poly.constant(hh.inner, Z6.from_int(3)), hh)
+    f = Series.constant(Poly.one(hh.inner).scale(Z6.from_int(2)), hh)
+    g = Series.constant(Poly.one(hh.inner).scale(Z6.from_int(3)), hh)
     one = algebra.unit(hh)
     assert (f * g).is_zero
     assert (Tensor.from_factors(s, (f, g)) * Tensor.from_factors(s, (g, f))).is_zero

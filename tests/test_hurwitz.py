@@ -142,7 +142,7 @@ def test_derivation_series_examples():
     h, hh = make(Q.zero())
     x = Poly.variable(h, "x")
     d = derivative_on(h, "x")
-    two = Poly.constant(h, Q.from_int(2))
+    two = Poly.one(h).scale(Q.from_int(2))
     tower = derivation_series(x * x, d, 3)
     assert tower.values == (x * x, two * x, two, Poly.zero(h))
     assert derivation_series(Poly.one(h), d, 4) == Series.one(HurwitzHandle(h, 4))
@@ -368,6 +368,23 @@ def test_series_inner_product_reaches_the_lambda_power(monkeypatch):
     monkeypatch.setattr(hurwitz, "_lambda_power",
                         lambda lam, k: original(lam + lam.ring.one(), k))
     assert f * g != before
+
+
+def test_cached_pair_table_follows_the_lambda_power(monkeypatch):
+    # the weighted pair table is cached across products; a patched seam is a
+    # new cache key, so the same product changes and, once restored, comes back
+    h, hh = make(HALF, 3)
+    x = Poly.variable(h, "x")
+    f, g = rnd(hh, random.Random(15)), rnd(hh, random.Random(16))
+    d = derivative_on(h, "x")
+    before = f * g, higher_leibniz(x * x, x * x * x, d, 3)
+    assert before == (f * g, higher_leibniz(x * x, x * x * x, d, 3))
+    original = hurwitz._lambda_power
+    with monkeypatch.context() as mp:
+        mp.setattr(hurwitz, "_lambda_power", lambda lam, k: original(lam + lam.ring.one(), k))
+        assert f * g != before[0]
+        assert higher_leibniz(x * x, x * x * x, d, 3) != before[1]
+    assert (f * g, higher_leibniz(x * x, x * x * x, d, 3)) == before
 
 
 def test_mixed_ring_coefficients_rejected():
