@@ -17,10 +17,16 @@ public constructor and the read-only ``.terms`` view.  Sums, scaling, linear
 maps and products all work on the bare values.  ``bare_sum`` is the one
 accumulator of linear combinations sum c * v: linear maps, random draws,
 evaluations and the kernels' rows build their output through it; only the
-hot inner loops (``Terms.__add__``, ``Poly.__mul__``, one packed polynomial
-product, ``freerb``'s shuffle) sum inline.
+hot inner loops (``Terms.__add__``, ``Poly.__mul__``, ``freerb``'s shuffle)
+sum inline, and the polynomial rows need no accumulator.
 ``row_products`` is every product kernel's one interface: this module owns
 the polynomial kernel, ``freerb`` the tensor one, ``hurwitz`` the series branch.
+The polynomial kernel works by Kronecker substitution: every operand of a
+call becomes one int, its coefficients packed as b-bit digits, so that a
+row is a sum of int products, which CPython multiplies in C.  The packed
+ints grow like B^(number of variables) for exponent base B, so a guard
+sends calls whose ints would outweigh their term pairs to ``Poly.__mul__``
+and ``bare_sum``, pair by pair.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ import random
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from operator import mul
 from typing import Union
 
@@ -394,12 +400,11 @@ def alg_eq(x, y) -> bool:
     return x == y
 
 
-def bare_sum(handle: Handle, pairs: list, den: int = 1, unpack: Callable | None = None):
+def bare_sum(handle: Handle, pairs: list, den: int = 1):
     """The sum of c * v / den over pairs of a bare value c and v, an element
     of handle or, on a term map, an iterable of (key, bare value) pairs whose
-    keys may repeat.  It is built once: per key (mapped through unpack) in a
-    term map, index by index in a series, at the smallest precision among
-    the handle's and the vs'."""
+    keys may repeat.  It is built once: per key in a term map, index by index
+    in a series, at the smallest precision among the handle's and the vs'."""
     if isinstance(handle, HurwitzHandle):
         from .hurwitz import Series
         n = min([handle.precision] + [v.precision for _, v in pairs])
@@ -411,19 +416,33 @@ def bare_sum(handle: Handle, pairs: list, den: int = 1, unpack: Callable | None 
             s = sums.get(key)
             sums[key] = c * x if s is None else s + c * x
     reduce = handle.ring.reduce
-    terms = {unpack(key) if unpack else key: s for key, x in sums.items()
-             if (s := reduce(Fraction(x, den) if den > 1 else x))}
+    terms = {key: s for key, x in sums.items() if (s := reduce(Fraction(x, den) if den > 1 else x))}
     if isinstance(handle, PolyHandle):
         return Poly._trusted(handle, terms)
     from .freerb import Tensor
     return Tensor._trusted(handle, terms)
 
 
+def _int_terms(side: Sequence) -> tuple[list, int]:
+    """Each polynomial's terms with int coefficients, scaled by the lcm D of
+    the side's denominators (1 but on the rationals), and D."""
+    d = lcm(*{x.denominator for v in side for x in v._bare.values()})
+    return [v._bare if d == 1 else {a: x.numerator * (d // x.denominator)
+                                    for a, x in v._bare.items()} for v in side], d
+
+
 def row_products(handle: Handle, lefts: Sequence, rights: Sequence, rows: list, den: int) -> list:
     """One element per row: the sum of c * lefts[i] * rights[l] / den over the
-    row's (c, i, l), for int c.  Polynomials: each product is formed once, in
-    bare values, and each exponent vector is packed into one int (base-B
-    digits, B above every exponent a product can reach), so vectors add as ints."""
+    row's (c, i, l), for int c.  Polynomials run by Kronecker substitution.
+    Each exponent vector packs into one int key k (base-B digits, B above
+    every exponent a product can reach), and each polynomial, its
+    coefficients made ints, into one int holding coefficient x at bit b * k.
+    b is one bit above the largest row bound sum |c| * |f_i|_1 * |g_l|_1, so
+    every output coefficient is a balanced b-bit digit: a row is a sum of
+    int products, read back once per possible output key (a left key plus a
+    right key).  The packed ints grow like B^(number of variables); where one
+    would take more than a 64-bit word per pair of a left and a right term,
+    each distinct pair is multiplied term by term instead."""
     if not isinstance(handle, PolyHandle):
         from . import freerb, hurwitz
         carrier = freerb if isinstance(handle, ShaHandle) else hurwitz
@@ -431,24 +450,40 @@ def row_products(handle: Handle, lefts: Sequence, rights: Sequence, rows: list, 
     base = 1 + sum(max([e for v in side for a in v._bare for e in a], default=0)
                    for side in (lefts, rights))
     places = [base ** j for j in range(len(handle.variables))]
-    lb, rb = ([[(sum(map(mul, a, places)), x) for a, x in v._bare.items()] for v in side]
-              for side in (lefts, rights))
-
-    def product(i: int, l: int) -> dict:
-        out: dict = {}
-        for a, x in lb[i]:
-            for b, y in rb[l]:
-                key = a + b
-                s = out.get(key)
-                out[key] = x * y if s is None else s + x * y
-        return out
-
-    def unpack(key: int) -> tuple:
-        return tuple([key // p % base for p in places])
-    products = {key: product(*key) for key in dict.fromkeys(
-        (i, l) for row in rows for _, i, l in row)}
-    return [bare_sum(handle, [(c, products[i, l].items()) for c, i, l in row], den, unpack)
-            for row in rows]
+    (lt, dl), (rt, dr) = _int_terms(lefts), _int_terms(rights)
+    lkeys, rkeys = ({sum(map(mul, a, places)) for t in side for a in t} for side in (lt, rt))
+    top = max(lkeys, default=0) + max(rkeys, default=0)
+    ln, rn = ([sum(map(abs, t.values())) for t in side] for side in (lt, rt))
+    b = 1 + max([sum([abs(c) * ln[i] * rn[l] for c, i, l in row]) for row in rows],
+                default=0).bit_length()
+    size = (b * (top + 1) + 7) // 8  # bytes of one packed row
+    if size > 8 * sum(map(len, lt)) * sum(map(len, rt)):
+        products = {(i, l): lefts[i] * rights[l] for i, l in dict.fromkeys(
+            (i, l) for row in rows for _, i, l in row)}
+        return [bare_sum(handle, [(c, products[i, l]) for c, i, l in row], den)
+                for row in rows]
+    shifts = [b * p for p in places]
+    packed_l, packed_r = ([sum([x << sum(map(mul, a, shifts)) for a, x in t.items()])
+                           for t in side] for side in (lt, rt))
+    half, mask = 1 << (b - 1), (1 << b) - 1
+    offset = half * (((1 << b * (top + 1)) - 1) // mask)  # half in every digit
+    reads = [(b * k, tuple([k // p % base for p in places]))
+             for k in {a + c for a in lkeys for c in rkeys}]
+    reduce, d = handle.ring.reduce, den * dl * dr
+    out = []
+    for row in rows:
+        h, terms = sum([c * packed_l[i] * packed_r[l] for c, i, l in row]), {}
+        if h and size <= 2048:
+            h += offset
+            terms = {exps: v for at, exps in reads if (x := (h >> at & mask) - half)
+                     and (v := reduce(x // d if x % d == 0 else Fraction(x, d)))}
+        elif h:  # a shift copies the whole int: read each digit from its bytes
+            buf = (h + offset).to_bytes(size, "little")
+            terms = {exps: v for at, exps in reads if (x := (int.from_bytes(
+                buf[at >> 3:(at + b + 7) >> 3], "little") >> (at & 7) & mask) - half)
+                     and (v := reduce(x // d if x % d == 0 else Fraction(x, d)))}
+        out.append(Poly._trusted(handle, terms))
+    return out
 
 
 # --------------------------------------------------------------------------

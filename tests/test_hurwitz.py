@@ -1,12 +1,17 @@
 """Series carrier: weighted product, shift, comultiplication, lift, Leibniz."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb, factorial
+from pathlib import Path
 
 import pytest
 
-from rbshuffle.algebra import (HurwitzHandle, Poly, SampleBudget, ShaHandle,
+import rbshuffle
+from rbshuffle.algebra import (HurwitzHandle, Poly, PolyHandle, SampleBudget, ShaHandle,
                                alg_eq, derivative_on, difference_quotient_on,
                                integration_on, poly_handle, random_element,
                                scaled_identity_on, zero)
@@ -232,6 +237,8 @@ def oracle_weights(ring):
     out = [ring.from_int(w) for w in (0, 1, 2, -1)]
     if ring.is_rational:
         out += [HALF, Q.from_fraction(Fraction(-2, 3))]
+    elif ring == INTEGERS:
+        out.append(ring.from_int(-3))
     return out
 
 
@@ -251,6 +258,39 @@ def oracle_carriers(ring, lam):
             (HurwitzHandle(HurwitzHandle(x, 2), 3), 2)]
 
 
+BIG = 2 ** 70 + 1  # coefficients beyond a machine word
+
+
+def edge_pairs(handle, rng):
+    """Operand pairs on poly(x,y) or on hur(poly(x,y),N) at the edges of the
+    packed polynomial kernel: coefficients beyond 2^64, a different
+    denominator on each side (q), zero and constant operands, values of
+    degree 420 on series (packed rows of kilobytes, read back through
+    bytes), and, on series, a pair whose products cancel in the value-1 row:
+    [a; b] * [-(a + w*b); b] has b*(-(a + w*b)) + a*b + w*b*b = 0 there."""
+    ring = handle.ring
+    budget = SampleBudget(precision=getattr(handle, "precision", 0))
+    f, g = random_element(handle, budget, rng), random_element(handle, budget, rng)
+    inner = handle.inner if isinstance(handle, HurwitzHandle) else handle
+    constants = [Poly.one(inner).scale(ring.from_int(c)) for c in (3, -2, 5, 7, 1, -4)]
+    const = (Series(handle, constants[:handle.precision + 1])
+             if isinstance(handle, HurwitzHandle) else constants[0])
+    pairs = [(f.scale(ring.from_int(BIG)), g.scale(ring.from_int(-BIG - 2))),
+             (zero(handle), g), (f, zero(handle)), (const, const), (const, g), (f, const)]
+    if ring.is_rational:
+        pairs.append((f.scale(THIRD), g.scale(Q.from_fraction(Fraction(-5, 7)))))
+    if isinstance(handle, HurwitzHandle):
+        spread = Poly(inner, {(7 * k, 0): ring.from_int(k - 30) for k in range(61)})
+        pairs.append(tuple(Series(handle, (spread,) + v.values[1:]) for v in (f, g)))
+        if handle.precision >= 1:
+            x, y = (Poly.variable(inner, v) for v in ("x", "y"))
+            a, b = x * x - y.scale(ring.from_int(3)) + Poly.one(inner), x * y + y
+            lead = (a, b) + f.values[2:]
+            tail = (-(a + b.scale(handle.weight)), b) + g.values[2:]
+            pairs.append((Series(handle, lead), Series(handle, tail)))
+    return pairs
+
+
 @pytest.mark.parametrize("ring,lam", oracle_cases())
 def test_product_matches_triple_sum(ring, lam):
     rng = random.Random(f"pair-form:{ring}:{lam.value}")
@@ -265,6 +305,12 @@ def test_product_matches_triple_sum(ring, lam):
             if ring.is_rational:  # values with Fraction coefficients
                 f, g = f.scale(THIRD), g.scale(THIRD)
                 assert f * g == triple_sum_product(f, g)
+        if isinstance(hh.inner, PolyHandle):
+            pairs = edge_pairs(hh, rng)
+            for f, g in pairs:
+                assert f * g == triple_sum_product(f, g)
+            if hh.precision >= 1:
+                assert (pairs[-1][0] * pairs[-1][1]).values[1].is_zero
 
 
 @pytest.mark.parametrize("ring,lam", oracle_cases())
@@ -281,6 +327,26 @@ def test_higher_leibniz_matches_iteration_over_rings(ring, lam):
             x = random_element(d.src, SampleBudget(), rng)
             y = random_element(d.src, SampleBudget(), rng)
             assert higher_leibniz(x, y, d, n) == d.power(x * y, n)
+        for x, y in edge_pairs(d.src, rng):
+            for n in range(4):
+                assert higher_leibniz(x, y, d, n) == d.power(x * y, n)
+
+
+def test_packed_kernel_guard_bounds_memory():
+    # packed, a row would span about 513^4 digits of the exponent base 513;
+    # under a 1 GiB address-space cap the product must still come out, term
+    # by term
+    code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+            "from rbshuffle.cli import main; sys.exit(main(sys.argv[1:]))")
+    expr = "[w^256*x^256*y^256*z^256; 1] * [w^256*x^256*y^256*z^256 + 1; x]"
+    env = dict(os.environ, PYTHONPATH=str(Path(rbshuffle.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", code, "eval", "--lambda", "1",
+                           "--handle", "hur(poly(w,x,y,z),1)", "--", expr],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.strip() == (
+        "[w^512*x^512*y^512*z^512 + w^256*x^256*y^256*z^256; "
+        "w^256*x^257*y^256*z^256 + w^256*x^256*y^256*z^256 + x + 1]")
 
 
 # --------------------------------------------------------------------------
