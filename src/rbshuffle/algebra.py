@@ -21,12 +21,13 @@ hot inner loops (``Terms.__add__``, ``Poly.__mul__``, ``freerb``'s shuffle)
 sum inline, and the polynomial rows need no accumulator.
 ``row_products`` is every product kernel's one interface: this module owns
 the polynomial kernel, ``freerb`` the tensor one, ``hurwitz`` the series branch.
-The polynomial kernel works by Kronecker substitution: every operand of a
-call becomes one int, its coefficients packed as b-bit digits, so that a
-row is a sum of int products, which CPython multiplies in C.  The packed
-ints grow like B^(number of variables) for exponent base B, so a guard
-sends calls whose ints would outweigh their term pairs to ``Poly.__mul__``
-and ``bare_sum``, pair by pair.
+The polynomial kernel works on int exponent keys and int coefficients, by
+Kronecker substitution: every operand of a call becomes one int, its
+coefficients packed as w-byte digits, so that a row is a sum of int
+products, which CPython multiplies in C.  The packed ints grow like
+B^(number of variables) for exponent base B, and their read-back like the
+key range, so a call whose estimated packed work exceeds that of its term
+pairs multiplies them term by term on the same keys instead.
 """
 
 from __future__ import annotations
@@ -431,18 +432,51 @@ def _int_terms(side: Sequence) -> tuple[list, int]:
                                     for a, x in v._bare.items()} for v in side], d
 
 
+def _pair_sums(lb: list, rb: list, rows: list) -> list:
+    """Per row, the dict by key a + b of the sum of c * x * y over the row's
+    (c, i, l) and the terms (a, x) of lb[i] and (b, y) of rb[l], formed term
+    by term, each distinct pair's product once."""
+    products: dict = {}
+    for i, l in dict.fromkeys((i, l) for row in rows for _, i, l in row):
+        p = products[i, l] = {}
+        for a, x in lb[i]:
+            for b, y in rb[l]:
+                p[a + b] = p.get(a + b, 0) + x * y
+    out = []
+    for row in rows:
+        s: dict = {}
+        for c, i, l in row:
+            for k, x in products[i, l].items():
+                s[k] = s.get(k, 0) + c * x
+        out.append(s)
+    return out
+
+
+def _packed_rows(lb: list, rb: list, rows: list, w: int, size: int):
+    """The sums of ``_pair_sums`` by Kronecker substitution, one row at a
+    time: each operand becomes one int with coefficient x in bytes w * a to
+    w * a + w - 1, and a row, a sum of int products, comes out as its first
+    size bytes with 2^(8w - 1) added to every w-byte digit (b"" if zero)."""
+    packed_l, packed_r = ([sum([x << 8 * w * a for a, x in terms]) for terms in side]
+                          for side in (lb, rb))
+    offset = int.from_bytes((bytes(w - 1) + b"\x80") * (size // w), "little")
+    for row in rows:
+        h = sum([c * packed_l[i] * packed_r[l] for c, i, l in row])
+        yield (h + offset).to_bytes(size, "little") if h else b""
+
+
 def row_products(handle: Handle, lefts: Sequence, rights: Sequence, rows: list, den: int) -> list:
     """One element per row: the sum of c * lefts[i] * rights[l] / den over the
-    row's (c, i, l), for int c.  Polynomials run by Kronecker substitution.
-    Each exponent vector packs into one int key k (base-B digits, B above
-    every exponent a product can reach), and each polynomial, its
-    coefficients made ints, into one int holding coefficient x at bit b * k.
-    b is one bit above the largest row bound sum |c| * |f_i|_1 * |g_l|_1, so
-    every output coefficient is a balanced b-bit digit: a row is a sum of
-    int products, read back once per possible output key (a left key plus a
-    right key).  The packed ints grow like B^(number of variables); where one
-    would take more than a 64-bit word per pair of a left and a right term,
-    each distinct pair is multiplied term by term instead."""
+    row's (c, i, l), for int c.  Polynomials work on int keys and int
+    coefficients: each exponent vector packs into one int key (base-B
+    digits, B above every exponent a product can reach), and each side's
+    coefficients are scaled to ints by their lcm of denominators.  The rows
+    then run by Kronecker substitution (``_packed_rows``) in w-byte digits,
+    one bit above the largest row bound sum |c| * |f_i|_1 * |g_l|_1, read
+    back once per possible output key (a left key plus a right key), unless
+    that would take more work than multiplying term by term (``_pair_sums``):
+    the packed ints grow like B^(number of variables) and the reads like
+    the key range, where term pairs grow like the numbers of terms."""
     if not isinstance(handle, PolyHandle):
         from . import freerb, hurwitz
         carrier = freerb if isinstance(handle, ShaHandle) else hurwitz
@@ -451,39 +485,33 @@ def row_products(handle: Handle, lefts: Sequence, rights: Sequence, rows: list, 
                    for side in (lefts, rights))
     places = [base ** j for j in range(len(handle.variables))]
     (lt, dl), (rt, dr) = _int_terms(lefts), _int_terms(rights)
-    lkeys, rkeys = ({sum(map(mul, a, places)) for t in side for a in t} for side in (lt, rt))
-    top = max(lkeys, default=0) + max(rkeys, default=0)
-    ln, rn = ([sum(map(abs, t.values())) for t in side] for side in (lt, rt))
-    b = 1 + max([sum([abs(c) * ln[i] * rn[l] for c, i, l in row]) for row in rows],
-                default=0).bit_length()
-    size = (b * (top + 1) + 7) // 8  # bytes of one packed row
-    if size > 8 * sum(map(len, lt)) * sum(map(len, rt)):
-        products = {(i, l): lefts[i] * rights[l] for i, l in dict.fromkeys(
-            (i, l) for row in rows for _, i, l in row)}
-        return [bare_sum(handle, [(c, products[i, l]) for c, i, l in row], den)
-                for row in rows]
-    shifts = [b * p for p in places]
-    packed_l, packed_r = ([sum([x << sum(map(mul, a, shifts)) for a, x in t.items()])
-                           for t in side] for side in (lt, rt))
-    half, mask = 1 << (b - 1), (1 << b) - 1
-    offset = half * (((1 << b * (top + 1)) - 1) // mask)  # half in every digit
-    reads = [(b * k, tuple([k // p % base for p in places]))
-             for k in {a + c for a in lkeys for c in rkeys}]
+    lb, rb = ([[(sum(map(mul, a, places)), x) for a, x in t.items()] for t in side]
+              for side in (lt, rt))
+    lkeys, rkeys = ({a for terms in side for a, _ in terms} for side in (lb, rb))
+    exps = {k: tuple([k // p % base for p in places])
+            for k in {a + b for a in lkeys for b in rkeys}}
+    ln, rn = ([sum([abs(x) for _, x in terms]) for terms in side] for side in (lb, rb))
+    w = 1 + max([sum([abs(c) * ln[i] * rn[l] for c, i, l in row]) for row in rows],
+                default=0).bit_length() // 8
+    # The work of each path, in units of one term pair multiplied term by
+    # term, which costs about as much as reading one digit (timed per call
+    # on the polynomial calls of check and series): packed, one read per
+    # row and possible key and 1/256 per product of two 64-bit words in
+    # each row entry; term by term, one per term pair and one per entry.
+    lw, rw = (w * max(keys, default=0) // 8 + 1 for keys in (lkeys, rkeys))
+    ll, rl = (list(map(len, side)) for side in (lb, rb))
+    entries = sum(map(len, rows))
     reduce, d = handle.ring.reduce, den * dl * dr
-    out = []
-    for row in rows:
-        h, terms = sum([c * packed_l[i] * packed_r[l] for c, i, l in row]), {}
-        if h and size <= 2048:
-            h += offset
-            terms = {exps: v for at, exps in reads if (x := (h >> at & mask) - half)
-                     and (v := reduce(x // d if x % d == 0 else Fraction(x, d)))}
-        elif h:  # a shift copies the whole int: read each digit from its bytes
-            buf = (h + offset).to_bytes(size, "little")
-            terms = {exps: v for at, exps in reads if (x := (int.from_bytes(
-                buf[at >> 3:(at + b + 7) >> 3], "little") >> (at & 7) & mask) - half)
-                     and (v := reduce(x // d if x % d == 0 else Fraction(x, d)))}
-        out.append(Poly._trusted(handle, terms))
-    return out
+    if len(rows) * len(exps) + entries * (lw * rw // 256) <= entries + sum(
+            [ll[i] * rl[l] for row in rows for _, i, l in row]):
+        half, size = 1 << 8 * w - 1, w * (max(lkeys, default=0) + max(rkeys, default=0) + 1)
+        reads = [(w * k, w * k + w, e) for k, e in exps.items()]
+        return [Poly._trusted(handle, {e: v for at, end, e in reads if (x := int.from_bytes(
+            buf[at:end], "little") - half) and (v := reduce(
+                x // d if x % d == 0 else Fraction(x, d)))} if buf else {})
+            for buf in _packed_rows(lb, rb, rows, w, size)]
+    return [Poly._trusted(handle, {exps[k]: v for k, x in s.items() if (v := reduce(
+        x // d if x % d == 0 else Fraction(x, d)))}) for s in _pair_sums(lb, rb, rows)]
 
 
 # --------------------------------------------------------------------------

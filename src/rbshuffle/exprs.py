@@ -44,7 +44,7 @@ from .hurwitz import Series
 MAX_PARSE_DEPTH = 100
 MAX_EXPONENT = 256
 # A dense series product at precision 64 takes about 0.1 s, but a law check
-# grows like N^2.8: ``check --suite hurwitz_algebra`` took 21.5 s at N = 32
+# grows like N^2.8: ``check --suite hurwitz_algebra`` took 23.5 s at N = 32
 # (one run, 2-CPU Xeon).
 MAX_PRECISION = 64
 # Checked before each tensor product: a bound on its output terms, just above

@@ -16,7 +16,7 @@ from rbshuffle.algebra import (HurwitzHandle, Poly, PolyHandle, SampleBudget, Sh
                                integration_on, poly_handle, random_element,
                                scaled_identity_on, zero)
 from rbshuffle.coeffs import INTEGERS, RATIONALS, RingError, residues
-from rbshuffle import freerb, hurwitz
+from rbshuffle import algebra, freerb, hurwitz
 from rbshuffle.hurwitz import (PrecisionError, Series, comult, comult_hom,
                                costructure_hom, counit, counit_hom,
                                derivation_series, higher_leibniz, lifted_rb,
@@ -263,11 +263,12 @@ BIG = 2 ** 70 + 1  # coefficients beyond a machine word
 
 def edge_pairs(handle, rng):
     """Operand pairs on poly(x,y) or on hur(poly(x,y),N) at the edges of the
-    packed polynomial kernel: coefficients beyond 2^64, a different
+    packed polynomial kernel: coefficients beyond 2^64, products +-(2^8 - 1)
+    and +-(2^64 - 1) that fill a whole number of digit bytes, a different
     denominator on each side (q), zero and constant operands, values of
-    degree 420 on series (packed rows of kilobytes, read back through
-    bytes), and, on series, a pair whose products cancel in the value-1 row:
-    [a; b] * [-(a + w*b); b] has b*(-(a + w*b)) + a*b + w*b*b = 0 there."""
+    degree 420 on series (packed rows of kilobytes), and, on series, a pair
+    whose products cancel in the value-1 row: [a; b] * [-(a + w*b); b] has
+    b*(-(a + w*b)) + a*b + w*b*b = 0 there."""
     ring = handle.ring
     budget = SampleBudget(precision=getattr(handle, "precision", 0))
     f, g = random_element(handle, budget, rng), random_element(handle, budget, rng)
@@ -277,13 +278,21 @@ def edge_pairs(handle, rng):
              if isinstance(handle, HurwitzHandle) else constants[0])
     pairs = [(f.scale(ring.from_int(BIG)), g.scale(ring.from_int(-BIG - 2))),
              (zero(handle), g), (f, zero(handle)), (const, const), (const, g), (f, const)]
+    x = Poly.variable(inner, "x")
+    for c in (2 ** 8 - 1, 1 - 2 ** 8, 2 ** 64 - 1, 1 - 2 ** 64):
+        # a single product whose coefficient is the whole row bound
+        pair = (x.scale(ring.from_int(c)), Poly.one(inner))
+        if isinstance(handle, HurwitzHandle):
+            pad = (zero(inner),) * handle.precision
+            pair = tuple(Series(handle, (v,) + pad) for v in pair)
+        pairs.append(pair)
     if ring.is_rational:
         pairs.append((f.scale(THIRD), g.scale(Q.from_fraction(Fraction(-5, 7)))))
     if isinstance(handle, HurwitzHandle):
         spread = Poly(inner, {(7 * k, 0): ring.from_int(k - 30) for k in range(61)})
         pairs.append(tuple(Series(handle, (spread,) + v.values[1:]) for v in (f, g)))
         if handle.precision >= 1:
-            x, y = (Poly.variable(inner, v) for v in ("x", "y"))
+            y = Poly.variable(inner, "y")
             a, b = x * x - y.scale(ring.from_int(3)) + Poly.one(inner), x * y + y
             lead = (a, b) + f.values[2:]
             tail = (-(a + b.scale(handle.weight)), b) + g.values[2:]
@@ -330,6 +339,35 @@ def test_higher_leibniz_matches_iteration_over_rings(ring, lam):
         for x, y in edge_pairs(d.src, rng):
             for n in range(4):
                 assert higher_leibniz(x, y, d, n) == d.power(x * y, n)
+
+
+def sparse_wide_series(handle, rng, terms=100, degree=15):
+    return Series(handle, [Poly(handle.inner, {
+        tuple(rng.randint(0, degree) for _ in handle.inner.variables):
+        handle.ring.from_int(rng.randint(-9, 9) or 1) for _ in range(terms)})
+        for _ in range(handle.precision + 1)])
+
+
+def test_polynomial_kernel_packs_only_where_it_is_cheaper(monkeypatch):
+    # Sparse values whose keys spread wide (100 terms of degree <= 15 in
+    # three variables) read back more digits than there are term pairs, and
+    # their packed ints span 31^3 digits: the product there goes term by
+    # term, dense low-degree values pack
+    taken = []
+    for name in ("_packed_rows", "_pair_sums"):
+        real = getattr(algebra, name)
+        monkeypatch.setattr(algebra, name, lambda *a, real=real, name=name:
+                            taken.append(name) or real(*a))
+    rng = random.Random("sparse-wide")
+    sparse = HurwitzHandle(poly_handle(("x", "y", "z"), Q, Q.one()), 2)
+    f, g = sparse_wide_series(sparse, rng), sparse_wide_series(sparse, rng)
+    assert f * g == triple_sum_product(f, g)
+    assert taken == ["_pair_sums"]
+    taken.clear()
+    dense = HurwitzHandle(poly_handle(("x", "y"), Q, Q.one()), 8)
+    f, g = sparse_wide_series(dense, rng, 15, 4), sparse_wide_series(dense, rng, 15, 4)
+    assert f * g == triple_sum_product(f, g)
+    assert taken == ["_packed_rows"]
 
 
 def test_packed_kernel_guard_bounds_memory():

@@ -1,7 +1,6 @@
 """Benchmark a change against its parent in alternating pairs of perfbench runs.
 
-    python3 tools/pairs.py PARENT CHANGE --out BENCH_19.json --pr 19 \\
-        --title "..." --claim series:wall_ref_s [--workloads series,check]
+    python3 tools/pairs.py PARENT CHANGE --out BENCH_N.json --claim series:wall_ref_s
 
 PARENT and CHANGE are two checkouts of the repository (for instance two
 ``git worktree``s), each with its own ``perfbench/run.py`` and ``src/``.
@@ -15,7 +14,8 @@ that a ``BENCH_*.json`` in CHANGE records.  The output has the layout of the
 committed ``BENCH_*.json`` files since ``BENCH_16``: ``pairs``, ``order``,
 ``seeds``, ``claimed``, ``quartiles`` and, per workload and end-to-end
 metric, both sides' median and quartiles, ``change_better_pairs`` and the
-``runs`` as [parent, change] pairs.  Standard library only.
+``runs`` as [parent, change] pairs; the PR number, title and a change
+commit not yet made are left to fill in by hand.  Standard library only.
 """
 
 from __future__ import annotations
@@ -135,9 +135,6 @@ def parse_args(argv):
     p.add_argument("parent", type=Path)
     p.add_argument("change", type=Path)
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--pr", type=int)
-    p.add_argument("--title", default="")
-    p.add_argument("--workloads", help="comma-separated; default: every workload")
     p.add_argument("--claim", action="append", default=[], metavar="WORKLOAD:METRIC")
     return p.parse_args(argv)
 
@@ -147,8 +144,7 @@ def main(argv=None) -> int:
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
     command = [*bench["command"], "--seconds", f"{bench['run_seconds']:g}"]
     metrics = {m["name"]: m["better"] for m in bench["end_to_end"]}
-    workloads = (args.workloads.split(",") if args.workloads
-                 else [w["name"] for w in bench["workloads"]])
+    workloads = [w["name"] for w in bench["workloads"]]
     seeds = fresh_seeds(used_seeds(args.change), PAIRS)
     trees = (args.parent.resolve(), args.change.resolve())
     runs: dict = {w: [] for w in workloads}
@@ -163,8 +159,6 @@ def main(argv=None) -> int:
                 for m in metrics), flush=True)
     claimed = [dict(zip(("workload", "metric"), c.split(":", 1))) for c in args.claim]
     report = {
-        "pr": args.pr,
-        "title": args.title,
         "backfilled": False,
         "command": " ".join(command + ["--workload W --seed S --trace 0"]),
         "pairs": PAIRS,
