@@ -434,8 +434,9 @@ def _int_terms(side: Sequence) -> tuple[list, int]:
 
 def _pair_sums(lb: list, rb: list, rows: list) -> list:
     """Per row, the dict by key a + b of the sum of c * x * y over the row's
-    (c, i, l) and the terms (a, x) of lb[i] and (b, y) of rb[l], formed term
-    by term, each distinct pair's product once."""
+    (c, i, l) and the terms (a, x) of lb[i] and (b, y) of rb[l]: the rows of
+    ``row_products`` on int keys, formed term by term, each distinct pair's
+    product once."""
     products: dict = {}
     for i, l in dict.fromkeys((i, l) for row in rows for _, i, l in row):
         p = products[i, l] = {}
@@ -452,31 +453,21 @@ def _pair_sums(lb: list, rb: list, rows: list) -> list:
     return out
 
 
-def _packed_rows(lb: list, rb: list, rows: list, w: int, size: int):
-    """The sums of ``_pair_sums`` by Kronecker substitution, one row at a
-    time: each operand becomes one int with coefficient x in bytes w * a to
-    w * a + w - 1, and a row, a sum of int products, comes out as its first
-    size bytes with 2^(8w - 1) added to every w-byte digit (b"" if zero)."""
-    packed_l, packed_r = ([sum([x << 8 * w * a for a, x in terms]) for terms in side]
-                          for side in (lb, rb))
-    offset = int.from_bytes((bytes(w - 1) + b"\x80") * (size // w), "little")
-    for row in rows:
-        h = sum([c * packed_l[i] * packed_r[l] for c, i, l in row])
-        yield (h + offset).to_bytes(size, "little") if h else b""
-
-
 def row_products(handle: Handle, lefts: Sequence, rights: Sequence, rows: list, den: int) -> list:
     """One element per row: the sum of c * lefts[i] * rights[l] / den over the
     row's (c, i, l), for int c.  Polynomials work on int keys and int
-    coefficients: each exponent vector packs into one int key (base-B
+    coefficients: each exponent vector packs into one int key k (base-B
     digits, B above every exponent a product can reach), and each side's
     coefficients are scaled to ints by their lcm of denominators.  The rows
-    then run by Kronecker substitution (``_packed_rows``) in w-byte digits,
-    one bit above the largest row bound sum |c| * |f_i|_1 * |g_l|_1, read
-    back once per possible output key (a left key plus a right key), unless
-    that would take more work than multiplying term by term (``_pair_sums``):
-    the packed ints grow like B^(number of variables) and the reads like
-    the key range, where term pairs grow like the numbers of terms."""
+    then run by Kronecker substitution: each operand becomes one int that
+    holds coefficient x in bytes w * k to w * k + w - 1, the w-byte digit's
+    top bit above the largest row bound sum |c| * |f_i|_1 * |g_l|_1, so a
+    row is a sum of int products whose bytes hold every output coefficient
+    as a balanced digit, read once per possible output key (a left key plus
+    a right key).  The packed ints grow like B^(number of variables) and the
+    reads like the key range, where term pairs grow like the numbers of
+    terms, so a call that would take more work packed multiplies term by
+    term instead (``_pair_sums``)."""
     if not isinstance(handle, PolyHandle):
         from . import freerb, hurwitz
         carrier = freerb if isinstance(handle, ShaHandle) else hurwitz
@@ -485,33 +476,45 @@ def row_products(handle: Handle, lefts: Sequence, rights: Sequence, rows: list, 
                    for side in (lefts, rights))
     places = [base ** j for j in range(len(handle.variables))]
     (lt, dl), (rt, dr) = _int_terms(lefts), _int_terms(rights)
-    lb, rb = ([[(sum(map(mul, a, places)), x) for a, x in t.items()] for t in side]
-              for side in (lt, rt))
-    lkeys, rkeys = ({a for terms in side for a, _ in terms} for side in (lb, rb))
-    exps = {k: tuple([k // p % base for p in places])
-            for k in {a + b for a in lkeys for b in rkeys}}
-    ln, rn = ([sum([abs(x) for _, x in terms]) for terms in side] for side in (lb, rb))
+    lkeys, rkeys = ({sum(map(mul, a, places)) for t in side for a in t} for side in (lt, rt))
+    keys = {a + b for a in lkeys for b in rkeys}
+    ln, rn = ([sum(map(abs, t.values())) for t in side] for side in (lt, rt))
     w = 1 + max([sum([abs(c) * ln[i] * rn[l] for c, i, l in row]) for row in rows],
                 default=0).bit_length() // 8
-    # The work of each path, in units of one term pair multiplied term by
+    reduce, d = handle.ring.reduce, den * dl * dr
+    # The work of each way, in units of one term pair multiplied term by
     # term, which costs about as much as reading one digit (timed per call
     # on the polynomial calls of check and series): packed, one read per
     # row and possible key and 1/256 per product of two 64-bit words in
-    # each row entry; term by term, one per term pair and one per entry.
-    lw, rw = (w * max(keys, default=0) // 8 + 1 for keys in (lkeys, rkeys))
-    ll, rl = (list(map(len, side)) for side in (lb, rb))
+    # each row entry; term by term, one per term pair and one per entry, so
+    # the pairs are counted only where packing costs more than the entries.
+    lw, rw = (w * max(side, default=0) // 8 + 1 for side in (lkeys, rkeys))
     entries = sum(map(len, rows))
-    reduce, d = handle.ring.reduce, den * dl * dr
-    if len(rows) * len(exps) + entries * (lw * rw // 256) <= entries + sum(
-            [ll[i] * rl[l] for row in rows for _, i, l in row]):
-        half, size = 1 << 8 * w - 1, w * (max(lkeys, default=0) + max(rkeys, default=0) + 1)
-        reads = [(w * k, w * k + w, e) for k, e in exps.items()]
-        return [Poly._trusted(handle, {e: v for at, end, e in reads if (x := int.from_bytes(
-            buf[at:end], "little") - half) and (v := reduce(
-                x // d if x % d == 0 else Fraction(x, d)))} if buf else {})
-            for buf in _packed_rows(lb, rb, rows, w, size)]
-    return [Poly._trusted(handle, {exps[k]: v for k, x in s.items() if (v := reduce(
-        x // d if x % d == 0 else Fraction(x, d)))}) for s in _pair_sums(lb, rb, rows)]
+    work = len(rows) * len(keys) + entries * (lw * rw // 256)
+    if work > entries and work > entries + sum(
+            [len(lt[i]) * len(rt[l]) for row in rows for _, i, l in row]):
+        lb, rb = ([[(sum(map(mul, a, places)), x) for a, x in t.items()] for t in side]
+                  for side in (lt, rt))
+        exps = {k: tuple([k // p % base for p in places]) for k in keys}
+        return [Poly._trusted(handle, {exps[k]: v for k, x in s.items() if (v := reduce(
+            x // d if x % d == 0 else Fraction(x, d)))}) for s in _pair_sums(lb, rb, rows)]
+    shifts = [8 * w * p for p in places]
+    packed_l, packed_r = ([sum([x << sum(map(mul, a, shifts)) for a, x in t.items()])
+                           for t in side] for side in (lt, rt))
+    size = w * (max(lkeys, default=0) + max(rkeys, default=0) + 1)  # bytes of one row
+    offset = int.from_bytes((bytes(w - 1) + b"\x80") * (size // w), "little")  # half per digit
+    half = 1 << 8 * w - 1
+    reads = [(w * k, w * k + w, tuple([k // p % base for p in places])) for k in keys]
+    out = []
+    for row in rows:
+        h, terms = sum([c * packed_l[i] * packed_r[l] for c, i, l in row]), {}
+        if h:
+            buf = (h + offset).to_bytes(size, "little")
+            terms = {e: v for at, end, e in reads
+                     if (x := int.from_bytes(buf[at:end], "little") - half)
+                     and (v := reduce(x // d if x % d == 0 else Fraction(x, d)))}
+        out.append(Poly._trusted(handle, terms))
+    return out
 
 
 # --------------------------------------------------------------------------
