@@ -16,11 +16,13 @@ bare values (``Ring.reduce``) in a private dict, with ``Scalar`` only at the
 public constructor and the read-only ``.terms`` view.  Sums, scaling, linear
 maps and products all work on the bare values.  ``bare_sum`` is the one
 accumulator of linear combinations sum c * v: linear maps, random draws,
-evaluations and the kernels' rows build their output through it; only the
-hot inner loops (``Terms.__add__``, ``Poly.__mul__``, ``freerb``'s shuffle)
-sum inline, and the polynomial rows need no accumulator.
-``row_products`` is every product kernel's one interface: this module owns
-the polynomial kernel, ``freerb`` the tensor one, ``hurwitz`` the series branch.
+evaluations and the tensor rows off polynomial carriers build their output
+through it; only the hot inner loops (``Terms.__add__``, ``Poly.__mul__``,
+``freerb``'s shuffle) sum inline.  ``row_products`` is every product
+kernel's one interface: this module owns the polynomial kernel, ``freerb``
+the tensor one, ``hurwitz`` the series branch.  Rows formed term by term
+(tensor rows, and polynomial rows where packing costs more) combine in
+``_pair_sums``, each distinct operand pair's product once.
 The polynomial kernel works on int exponent keys and int coefficients, by
 Kronecker substitution: every operand of a call becomes one int, its
 coefficients packed as w-byte digits, so that a row is a sum of int
@@ -432,19 +434,28 @@ def _int_terms(side: Sequence) -> tuple[list, int]:
                                     for a, x in v._bare.items()} for v in side], d
 
 
-def _pair_sums(lb: list, rb: list, rows: list) -> list:
-    """Per row, the dict by key a + b of the sum of c * x * y over the row's
-    (c, i, l) and the terms (a, x) of lb[i] and (b, y) of rb[l]: the rows of
-    ``row_products`` on int keys, formed term by term, each distinct pair's
-    product once."""
-    products: dict = {}
-    for i, l in dict.fromkeys((i, l) for row in rows for _, i, l in row):
-        p = products[i, l] = {}
-        for a, x in lb[i]:
-            for b, y in rb[l]:
-                p[a + b] = p.get(a + b, 0) + x * y
+def _key_products(left: list, right: list) -> dict:
+    """One pair's product term by term on int keys: by key a + b, the sum of
+    x * y over the terms (a, x) of left and (b, y) of right."""
+    p: dict = {}
+    for a, x in left:
+        for b, y in right:
+            p[a + b] = p.get(a + b, 0) + x * y
+    return p
+
+
+def _pair_sums(rows: list, product: Callable) -> list:
+    """Per row, the dict by key of the sum of c * product(i, l) over the
+    row's (c, i, l), each distinct pair's product formed once; a row of one
+    pair at c = 1 shares that pair's dict.  The rows formed term by term come
+    here: ``freerb``'s on words of letters (``_Kernel.product``), and the
+    polynomial kernel's on int keys (``_key_products``)."""
+    products = {p: product(*p) for p in dict.fromkeys((i, l) for row in rows for _, i, l in row)}
     out = []
     for row in rows:
+        if len(row) == 1 and row[0][0] == 1:
+            out.append(products[row[0][1:]])
+            continue
         s: dict = {}
         for c, i, l in row:
             for k, x in products[i, l].items():
@@ -467,7 +478,7 @@ def row_products(handle: Handle, lefts: Sequence, rights: Sequence, rows: list, 
     a right key).  The packed ints grow like B^(number of variables) and the
     reads like the key range, where term pairs grow like the numbers of
     terms, so a call that would take more work packed multiplies term by
-    term instead (``_pair_sums``)."""
+    term instead (``_key_products``)."""
     if not isinstance(handle, PolyHandle):
         from . import freerb, hurwitz
         carrier = freerb if isinstance(handle, ShaHandle) else hurwitz
@@ -497,7 +508,8 @@ def row_products(handle: Handle, lefts: Sequence, rights: Sequence, rows: list, 
                   for side in (lt, rt))
         exps = {k: tuple([k // p % base for p in places]) for k in keys}
         return [Poly._trusted(handle, {exps[k]: v for k, x in s.items() if (v := reduce(
-            x // d if x % d == 0 else Fraction(x, d)))}) for s in _pair_sums(lb, rb, rows)]
+            x // d if x % d == 0 else Fraction(x, d)))})
+                for s in _pair_sums(rows, lambda i, l: _key_products(lb[i], rb[l]))]
     shifts = [8 * w * p for p in places]
     packed_l, packed_r = ([sum([x << sum(map(mul, a, shifts)) for a, x in t.items()])
                            for t in side] for side in (lt, rt))

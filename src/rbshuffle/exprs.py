@@ -48,7 +48,7 @@ MAX_EXPONENT = 256
 # (one run, 2-CPU Xeon).
 MAX_PRECISION = 64
 # Checked before each tensor product: a bound on its output terms, just above
-# the 265,729 of an 8x8 ``bench`` product (D(8,8); about 2 s and 170 MB).
+# the 265,729 of an 8x8 ``bench`` product (D(8,8); about 2 s and 130 MB).
 MAX_TERMS = 300_000
 
 

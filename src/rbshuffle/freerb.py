@@ -6,16 +6,18 @@ of Guo-Keigher: for pure tensors a0 # a' and b0 # b',
 
     (a0 # a') * (b0 # b') = a0*b0 # (a' ⧢ b'),
 
-where a word of the tail shuffle starts with the first letter of a', or the
-first letter of b', or their product in A with the handle weight as its
-coefficient, and goes on with the shuffle of what remains.  The weighted
-merge is what distinguishes this from the plain shuffle product.  The
-kernel, ``_Kernel``, interns the canonical factors of a set of operands to
-small int letters once, looks each merge up in one table of the carrier's
-own products, and sums the operands' bare coefficient values; its output
-goes back to factor tuples, with canonical bare values, as term maps do.
+where a word of the tail shuffle is a lattice path from (0, 0) to
+(|a'|, |b'|) whose steps take the next letter of a', of b', or (a diagonal
+step, with the handle weight as its coefficient) their product in A, as in
+Hoffman's quasi-shuffles.  The weighted merge is what distinguishes this
+from the plain shuffle product.  The kernel, ``_Kernel``, interns the
+canonical factors of a set of operands to small int letters once, looks
+each merge up in one table of the carrier's own products, and builds each
+word front to back; its output goes back to factor tuples, with canonical
+bare values, as term maps do.
 ``row_products`` drives it for every tensor carrier, on one pair in
-``Tensor.__mul__`` and on all values of two series in a Hurwitz product.
+``Tensor.__mul__`` and on all values of two series in a Hurwitz product,
+forming each distinct operand pair's product once (``algebra._pair_sums``).
 
 Canonical form: factors are expanded to basis monomials of A wherever A has
 a basis (polynomial and tensor carriers); factors over sequence carriers are
@@ -39,40 +41,34 @@ def _merge_weight(handle: ShaHandle) -> Scalar:
     return handle.weight
 
 
-def _shuffle_tails(u: tuple, v: tuple, merged: dict, lam, m: int | None,
-                   memo: dict) -> dict:
-    """Mixable shuffle of two words of interned letters, as word -> int
-    coefficient.
+def _shuffle_tails(head: int, u: tuple, v: tuple, merged: dict, lam, m: int | None,
+                   c: int, out: dict) -> None:
+    """Add c times the mixable shuffle of two words of int letters, each word
+    led by the letter head, into out (word -> int coefficient).
 
-    Letters are small ints.  The first letter is u's, or v's, or (with
-    coefficient lam, an int) their merge, the letter ``merged[x, y]``; the
-    rest is the shuffle of what remains.  On Z/m (m given) each product with
-    lam is reduced mod m, so that a power of lam that vanishes drops its
-    words.  ``memo`` is keyed on the suffix pair and may be shared by every
-    call with the same table and lam.
+    A word is a lattice path from (0, 0) to (len(u), len(v)), built front to
+    back: a step takes u's next letter, or v's, or (diagonally) their merge
+    ``merged[x, y]``, which multiplies the coefficient by lam, an int.  On
+    Z/m (m given) each product with lam is reduced mod m, so that a path
+    whose power of lam vanishes drops with all its words.
     """
-    hit = memo.get((u, v))
-    if hit is not None:
-        return hit
-    if not u or not v:
-        out = {u or v: 1}
-    else:
-        x, y = u[0], v[0]
-        out = {(x,) + w: c for w, c in _shuffle_tails(u[1:], v, merged, lam, m, memo).items()}
-        for w, c in _shuffle_tails(u, v[1:], merged, lam, m, memo).items():
-            key = (y,) + w
-            s = out.get(key)
-            out[key] = c if s is None else s + c
-        if lam:
-            z = merged[x, y]
-            for w, c in _shuffle_tails(u[1:], v[1:], merged, lam, m, memo).items():
-                c = c * lam % m if m else c * lam
-                if c:  # a power of lam may vanish (2 mod 4): keep surviving words
-                    key = (z,) + w
-                    s = out.get(key)
-                    out[key] = c if s is None else s + c
-    memo[(u, v)] = out
-    return out
+    stack = [(0, 0, (head,), c)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        i, j, w, k = pop()
+        if i == len(u):
+            w += v[j:]
+        elif j == len(v):
+            w += u[i:]
+        else:
+            x, y = u[i], v[j]
+            push((i + 1, j, w + (x,), k))
+            push((i, j + 1, w + (y,), k))
+            if lam and (k := k * lam % m if m else k * lam):
+                push((i + 1, j + 1, w + (merged[x, y],), k))
+            continue
+        s = out.get(w)
+        out[w] = k if s is None else s + k
 
 
 class _Kernel:
@@ -80,11 +76,12 @@ class _Kernel:
     operands, on int letters.
 
     All products of the operands share one table of merges (every left by
-    every right tail letter), one ``_shuffle_tails`` memo and one table of
-    head products.  A rational weight p/q runs as the int p: ``top`` is the
-    longest left plus the longest right tail, and a pair of terms with tails
-    of total length l is scaled by q^(top - l), so a word of n tail letters
-    (l - n merges) has the denominator q^(top - n), which depends on n alone.
+    every right tail letter) and one table of head products; a product adds
+    its words (``_shuffle_tails``) into one flat dict.  A rational weight
+    p/q runs as the int p: ``top`` is the longest left plus the longest
+    right tail, and a pair of terms with tails of total length l is scaled
+    by q^(top - l), so a word of n tail letters (l - n merges) has the
+    denominator q^(top - n), which depends on n alone.
     """
 
     def __init__(self, handle: ShaHandle, lefts: list, rights: list):
@@ -111,51 +108,40 @@ class _Kernel:
                     self.merged[x, y] = letters.setdefault(factors[x] * factors[y], len(letters))
         self.top = sum(max([len(u) for items in side for _, u, _ in items], default=0)
                        for side in (self.lefts, self.rights))
-        self.memo, self.heads = {}, {}  # (u, v) -> shuffle; (a0, b0) -> head letter
+        self.heads: dict = {}  # (a0, b0) -> head letter
 
-    def row_sum(self, row: list) -> dict:
-        """The sum of c times the product of spelled operands i and l over the
-        row's (c, i, l), as head letter -> {tail word: bare coefficient}."""
+    def product(self, i: int, l: int) -> dict:
+        """The product of spelled operands i and l, as word (head letter, then
+        tail letters) -> bare int coefficient."""
         letters, factors, heads = self.letters, self.factors, self.heads
-        merged, lam, m, q, top, memo = self.merged, self.lam, self.m, self.q, self.top, self.memo
-        by_head: dict = {}
-        for scale, i, l in row:
-            for a0, u, ca in self.lefts[i]:
-                for b0, v, cb in self.rights[l]:
-                    head = heads.get((a0, b0))
-                    if head is None:
-                        head = heads[a0, b0] = letters.setdefault(factors[a0] * factors[b0],
-                                                                  len(letters))
-                    c = scale * ca * cb * q ** (top - len(u) - len(v))
-                    shuffle = _shuffle_tails(u, v, merged, lam, m, memo)
-                    words = by_head.get(head)
-                    if words is None:
-                        by_head[head] = {w: c * k for w, k in shuffle.items()}
-                        continue
-                    for w, k in shuffle.items():
-                        s = words.get(w)
-                        words[w] = c * k if s is None else s + c * k
-        return by_head
+        merged, lam, m, q, top = self.merged, self.lam, self.m, self.q, self.top
+        out: dict = {}
+        for a0, u, ca in self.lefts[i]:
+            for b0, v, cb in self.rights[l]:
+                head = heads.get((a0, b0))
+                if head is None:
+                    head = heads[a0, b0] = letters.setdefault(factors[a0] * factors[b0],
+                                                              len(letters))
+                _shuffle_tails(head, u, v, merged, lam, m, ca * cb * q ** (top - len(u) - len(v)),
+                               out)
+        return out
 
-    def terms(self, by_head: dict, den: int) -> dict:
-        """The factor-tuple terms of by_head, each coefficient of a word of n
-        tail letters divided by den * q^(top - n), with zeros dropped."""
-        reduce, q, top = self.ring.reduce, self.q, self.top
+    def terms(self, words: dict, den: int) -> dict:
+        """The factor-tuple terms of words, the coefficient of a word w of
+        len(w) - 1 tail letters divided by den * q^(top + 1 - len(w)), zeros dropped."""
+        reduce, q, top = self.ring.reduce, self.q, self.top + 1
         letter = list(self.letters).__getitem__
         if den == q == 1:
-            canon = {c: reduce(c) for words in by_head.values() for c in set(words.values())}
-            return {(letter(h), *map(letter, w)): s for h, words in by_head.items()
-                    for w, c in words.items() if (s := canon[c])}
+            canon = {c: reduce(c) for c in set(words.values())}
+            return {tuple(map(letter, w)): s for w, c in words.items() if (s := canon[c])}
         canon = {(c, n): reduce(Fraction(c, den * q ** (top - n)))
-                 for words in by_head.values()
                  for c, n in {(c, len(w)) for w, c in words.items()}}
-        return {(letter(h), *map(letter, w)): s for h, words in by_head.items()
-                for w, c in words.items() if (s := canon[c, len(w)])}
+        return {tuple(map(letter, w)): s for w, c in words.items() if (s := canon[c, len(w)])}
 
 
 def row_products(handle: ShaHandle, lefts: list, rights: list, rows: list, den: int) -> list:
     """One tensor per row: the sum of c * lefts[i] * rights[l] / den over the
-    row's (c, i, l), all on one ``_Kernel``.
+    row's (c, i, l), all on one ``_Kernel`` through ``algebra._pair_sums``.
 
     Over a polynomial carrier the factors are monic monomials, whose
     products are monic monomials, so output words are canonical as they
@@ -164,13 +150,12 @@ def row_products(handle: ShaHandle, lefts: list, rights: list, rows: list, den: 
     which drops every word with a zero factor.
     """
     kernel = _Kernel(handle, lefts, rights)
-    sums = [kernel.row_sum(row) for row in rows]
-    kernel.memo.clear()  # the suffix memo can be as large as the output
+    sums = algebra._pair_sums(rows, kernel.product)
     if isinstance(handle.inner, PolyHandle):
-        return [Tensor._trusted(handle, kernel.terms(by_head, den)) for by_head in sums]
+        return [Tensor._trusted(handle, kernel.terms(words, den)) for words in sums]
     return [algebra.bare_sum(handle, [(c, pure_tensor_terms(handle, w))
-                                      for w, c in kernel.terms(by_head, den).items()])
-            for by_head in sums]
+                                      for w, c in kernel.terms(words, den).items()])
+            for words in sums]
 
 
 def pure_tensor_terms(handle: ShaHandle, factors: tuple) -> list:

@@ -262,22 +262,40 @@ def _weighted_weaves(xs, ys):
 @pytest.mark.parametrize("lam", (Q.one(), HALF, Z.from_int(2), Z.from_int(3),
                                  Z6.from_int(2), Z6.from_int(3)), ids=str)
 def test_product_matches_weighted_weave_enumeration(lam):
-    # every stratum of the recursive product, rebuilt combinatorially
+    # every stratum of the recursive product, rebuilt combinatorially, on
+    # pure tensors and then on sums of two or three pure tensors whose tails
+    # share a suffix: the expected product is the sum of each pair's weaves
     h = poly_handle(("x", "y"), lam.ring, lam)
     s = ShaHandle(h)
     rng = random.Random(29)
     budget = SampleBudget()
+
+    def factors(n):
+        return tuple(algebra.random_basis_factor(h, budget, rng) for _ in range(n))
+
+    def check(xs, ys):
+        got = (sum((Tensor.from_factors(s, a, c) for c, a in xs), Tensor.zero(s))
+               * sum((Tensor.from_factors(s, b, c) for c, b in ys), Tensor.zero(s)))
+        expect = Tensor.zero(s)
+        for ca, a in xs:
+            for cb, b in ys:
+                head = a[0] * b[0]
+                for k, weave in _weighted_weaves(a[1:], b[1:]):
+                    expect = expect + Tensor.from_factors(s, (head,) + weave,
+                                                          ca * cb * lam.pow_nat(k))
+        assert got == expect
+
+    one = lam.ring.one()
     for _ in range(100):
         la = rng.randint(1, 4)
         lb = rng.randint(1, 4)
-        a = tuple(algebra.random_basis_factor(h, budget, rng) for _ in range(la))
-        b = tuple(algebra.random_basis_factor(h, budget, rng) for _ in range(lb))
-        got = Tensor.from_factors(s, a) * Tensor.from_factors(s, b)
-        expect = Tensor.zero(s)
-        head = a[0] * b[0]
-        for k, weave in _weighted_weaves(a[1:], b[1:]):
-            expect = expect + Tensor.from_factors(s, (head,) + weave, lam.pow_nat(k))
-        assert got == expect
+        a, b = factors(la), factors(lb)
+        check([(one, a)], [(one, b)])
+    for _ in range(20):
+        xs, ys = ([(lam.ring.from_int(rng.randint(1, 5)), factors(rng.randint(1, 2)) + suffix)
+                   for _ in range(rng.randint(2, 3))]
+                  for suffix in (factors(rng.randint(1, 2)), factors(rng.randint(1, 2))))
+        check(xs, ys)
 
 
 def test_weight_zero_stratum_matches_interleavings_with_repeats():

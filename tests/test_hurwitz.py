@@ -352,19 +352,20 @@ def test_polynomial_kernel_packs_only_where_it_is_cheaper(monkeypatch):
     # Sparse values whose keys spread wide (100 terms of degree <= 15 in
     # three variables) read back more digits than there are term pairs, and
     # their packed ints span 31^3 digits: the product there goes term by
-    # term, dense low-degree values pack
+    # term, dense low-degree values pack.  The count is of pair products on
+    # int keys, since tensor rows go through ``_pair_sums`` as well
     calls = []
-    monkeypatch.setattr(algebra, "_pair_sums", lambda *a, real=algebra._pair_sums:
+    monkeypatch.setattr(algebra, "_key_products", lambda *a, real=algebra._key_products:
                         calls.append(a) or real(*a))
     rng = random.Random("sparse-wide")
     sparse = HurwitzHandle(poly_handle(("x", "y", "z"), Q, Q.one()), 2)
     f, g = sparse_wide_series(sparse, rng), sparse_wide_series(sparse, rng)
     assert f * g == triple_sum_product(f, g)
-    assert len(calls) == 1
+    assert len(calls) == 9  # each pair of the operands' three values once
     dense = HurwitzHandle(poly_handle(("x", "y"), Q, Q.one()), 8)
     f, g = sparse_wide_series(dense, rng, 15, 4), sparse_wide_series(dense, rng, 15, 4)
     assert f * g == triple_sum_product(f, g)
-    assert len(calls) == 1
+    assert len(calls) == 9
 
 
 def test_packed_kernel_guard_bounds_memory():
