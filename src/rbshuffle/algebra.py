@@ -444,13 +444,14 @@ def _key_products(left: list, right: list) -> dict:
     return p
 
 
-def _pair_sums(rows: list, product: Callable) -> list:
-    """Per row, the dict by key of the sum of c * product(i, l) over the
-    row's (c, i, l), each distinct pair's product formed once; a row of one
-    pair at c = 1 shares that pair's dict.  The rows formed term by term come
-    here: ``freerb``'s on words of letters (``_Kernel.product``), and the
-    polynomial kernel's on int keys (``_key_products``)."""
-    products = {p: product(*p) for p in dict.fromkeys((i, l) for row in rows for _, i, l in row)}
+def _pair_sums(rows: list, lefts: list, rights: list, product: Callable) -> list:
+    """Per row, the dict by key of the sum of c * product(lefts[i], rights[l])
+    over the row's (c, i, l), each distinct pair's product formed once; a row
+    of one pair at c = 1 shares that pair's dict.  The rows formed term by
+    term come here: ``freerb``'s on words of letters (``_Kernel.product``),
+    and the polynomial kernel's on int keys (``_key_products``)."""
+    products = {(i, l): product(lefts[i], rights[l])
+                for i, l in dict.fromkeys((i, l) for row in rows for _, i, l in row)}
     out = []
     for row in rows:
         if len(row) == 1 and row[0][0] == 1:
@@ -509,7 +510,7 @@ def row_products(handle: Handle, lefts: Sequence, rights: Sequence, rows: list, 
         exps = {k: tuple([k // p % base for p in places]) for k in keys}
         return [Poly._trusted(handle, {exps[k]: v for k, x in s.items() if (v := reduce(
             x // d if x % d == 0 else Fraction(x, d)))})
-                for s in _pair_sums(rows, lambda i, l: _key_products(lb[i], rb[l]))]
+                for s in _pair_sums(rows, lb, rb, _key_products)]
     shifts = [8 * w * p for p in places]
     packed_l, packed_r = ([sum([x << sum(map(mul, a, shifts)) for a, x in t.items()])
                            for t in side] for side in (lt, rt))

@@ -110,14 +110,14 @@ class _Kernel:
                        for side in (self.lefts, self.rights))
         self.heads: dict = {}  # (a0, b0) -> head letter
 
-    def product(self, i: int, l: int) -> dict:
-        """The product of spelled operands i and l, as word (head letter, then
-        tail letters) -> bare int coefficient."""
+    def product(self, left: list, right: list) -> dict:
+        """The product of two spelled operands (of ``lefts`` and ``rights``),
+        as word (head letter, then tail letters) -> bare int coefficient."""
         letters, factors, heads = self.letters, self.factors, self.heads
         merged, lam, m, q, top = self.merged, self.lam, self.m, self.q, self.top
         out: dict = {}
-        for a0, u, ca in self.lefts[i]:
-            for b0, v, cb in self.rights[l]:
+        for a0, u, ca in left:
+            for b0, v, cb in right:
                 head = heads.get((a0, b0))
                 if head is None:
                     head = heads[a0, b0] = letters.setdefault(factors[a0] * factors[b0],
@@ -150,7 +150,7 @@ def row_products(handle: ShaHandle, lefts: list, rights: list, rows: list, den: 
     which drops every word with a zero factor.
     """
     kernel = _Kernel(handle, lefts, rights)
-    sums = algebra._pair_sums(rows, kernel.product)
+    sums = algebra._pair_sums(rows, kernel.lefts, kernel.rights, kernel.product)
     if isinstance(handle.inner, PolyHandle):
         return [Tensor._trusted(handle, kernel.terms(words, den)) for words in sums]
     return [algebra.bare_sum(handle, [(c, pure_tensor_terms(handle, w))

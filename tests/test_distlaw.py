@@ -48,11 +48,40 @@ def test_degree_two_index_zero_by_hand():
     assert alg_eq(out.values[0], expect)
 
 
-@pytest.mark.parametrize("lam", LAMBDAS, ids=str)
-def test_matches_independent_structural_recursion(lam):
+def inner_carrier(kind, ring, lam):
+    x = poly_handle(("x",), ring, lam)
+    return {"poly(x)": x, "poly(x,y)": poly_handle(("x", "y"), ring, lam),
+            "sha(poly(x))": ShaHandle(x), "hur(poly(x),2)": HurwitzHandle(x, 2)}[kind]
+
+
+# the weights at q over poly(x) keep their ids; every other case is named
+STRUCTURAL_WEIGHTS = [(Q, (0, 1, Fraction(1, 2), Fraction(-2, 3))), (INTEGERS, (-1, 2)),
+                      (residues(6), (3, 5)), (residues(4), (2,))]
+STRUCTURAL_CASES = [pytest.param(ring, w, kind, id=str(w) if ring == Q and kind == "poly(x)"
+                                 and w in (0, 1, Fraction(1, 2)) else f"{ring}-{w}-{kind}")
+                    for kind in ("poly(x)", "poly(x,y)", "sha(poly(x))", "hur(poly(x),2)")
+                    for ring, weights in STRUCTURAL_WEIGHTS for w in weights]
+
+
+def ragged_tensor(sh, rng):
+    """A sum of up to three pure tensors of length 1 to 3 with coefficients
+    in -3..3, whose factors' precisions range from two below the handle's to
+    one above it."""
+    hh, u = sh.inner, Tensor.zero(sh)
+    for _ in range(rng.randint(1, 3)):
+        factors = tuple(random_element(hh, SampleBudget(max_tensor_len=2, precision=max(
+            hh.precision + rng.randint(-2, 1), 0)), rng) for _ in range(rng.randint(1, 3)))
+        u = u + Tensor.from_factors(sh, factors, sh.ring.from_int(rng.randint(-3, 3)))
+    return u
+
+
+@pytest.mark.parametrize("ring, w, kind", STRUCTURAL_CASES)
+def test_matches_independent_structural_recursion(ring, w, kind):
     # oracle: compute the swap directly as head * lift(tail), bypassing the
-    # induced-evaluation plumbing the implementation routes through
-    h, hh, sh, sa = carriers(lam)
+    # bare recursion the implementation runs, with products of series
+    lam = ring.from_fraction(Fraction(w))
+    hh = HurwitzHandle(inner_carrier(kind, ring, lam), 4)
+    sh, sa = ShaHandle(hh), ShaHandle(hh.inner)
     target = HurwitzHandle(sa, 4)
     lift = hurwitz.lifted_rb(target, freerb.free_rb_operator(sa))
 
@@ -68,11 +97,33 @@ def test_matches_independent_structural_recursion(lam):
             out = out + acc.scale(c)
         return out
 
-    rng = random.Random(31)
+    rng = random.Random(31 if kind == "poly(x)" and ring == Q else f"{ring}|{w}|{kind}")
     budget = SampleBudget(max_tensor_len=3, max_terms=2)
-    for _ in range(50):
-        u = random_element(sh, budget, rng)
-        assert alg_eq(beta(u), direct(u))
+    draws = 50 if kind == "poly(x)" else 10
+    cases = [random_element(sh, budget, rng) for _ in range(draws)]
+    cases += [ragged_tensor(sh, rng) for _ in range(draws // 2)] + [Tensor.zero(sh)]
+    for u in cases:
+        cap = min([4] + [f.precision for factors in u.terms for f in factors])
+        out = beta(u)
+        assert out.precision == cap
+        assert out == direct(u).truncate(cap)
+
+
+def test_beta_makes_no_product_of_series_or_tensors(monkeypatch):
+    # every product in the recursion multiplies heads alone: over
+    # polynomials no shuffle kernel is built and no series product is taken
+    hh = HurwitzHandle(poly_handle(("x", "y"), Q, HALF), 4)
+    rng = random.Random(7)
+    us = [random_element(ShaHandle(hh), SampleBudget(max_tensor_len=4), rng) for _ in range(5)]
+    calls = []
+    kernel, series_mul = freerb._Kernel, Series.__mul__
+    monkeypatch.setattr(freerb, "_Kernel", lambda *a: calls.append("kernel") or kernel(*a))
+    monkeypatch.setattr(Series, "__mul__", lambda *a: calls.append("series") or series_mul(*a))
+    assert any(len(t) == 4 for u in us for t in u.terms)
+    outs = [beta(u) for u in us]
+    assert calls == [] and not any(out.is_zero for out in outs)
+    outs[0] * outs[1]  # the wrappers see the products of the series they return
+    assert set(calls) == {"kernel", "series"}
 
 
 @pytest.mark.parametrize("lam", LAMBDAS, ids=str)
