@@ -403,15 +403,15 @@ def alg_eq(x, y) -> bool:
     return x == y
 
 
-def bare_sum(handle: Handle, pairs: list, den: int = 1):
-    """The sum of c * v / den over pairs of a bare value c and v, an element
+def bare_sum(handle: Handle, pairs: list):
+    """The sum of c * v over pairs of a bare value c and v, an element
     of handle or, on a term map, an iterable of (key, bare value) pairs whose
     keys may repeat.  It is built once: per key in a term map, index by index
     in a series, at the smallest precision among the handle's and the vs'."""
     if isinstance(handle, HurwitzHandle):
         from .hurwitz import Series
         n = min([handle.precision] + [v.precision for _, v in pairs])
-        return Series(handle, [bare_sum(handle.inner, [(c, v.values[j]) for c, v in pairs], den)
+        return Series(handle, [bare_sum(handle.inner, [(c, v.values[j]) for c, v in pairs])
                                for j in range(n + 1)])
     sums: dict = {}
     for c, v in pairs:
@@ -419,7 +419,7 @@ def bare_sum(handle: Handle, pairs: list, den: int = 1):
             s = sums.get(key)
             sums[key] = c * x if s is None else s + c * x
     reduce = handle.ring.reduce
-    terms = {key: s for key, x in sums.items() if (s := reduce(Fraction(x, den) if den > 1 else x))}
+    terms = {key: s for key, x in sums.items() if (s := reduce(x))}
     if isinstance(handle, PolyHandle):
         return Poly._trusted(handle, terms)
     from .freerb import Tensor

@@ -1,9 +1,10 @@
 """Command-line front end: evaluate expressions, run law suites, benchmark.
 
 Exit codes: 0 success, 1 law failure, 2 usage or parse error.  The RB_SEED
-environment variable overrides the default law-suite seed.  All JSON output
-carries a top-level {"schema": "rb-shuffle/1"} tag; the check command's JSON
-is byte-stable for a fixed (seed, configuration).
+environment variable overrides the default law-suite seed; only check reads
+it, and a value that is not an integer exits 2.  All JSON output carries a
+top-level {"schema": "rb-shuffle/1"} tag; the check command's JSON is
+byte-stable for a fixed (seed, configuration).
 """
 
 from __future__ import annotations
@@ -106,6 +107,13 @@ def cmd_repl(args) -> int:
 
 
 def cmd_check(args) -> int:
+    seed = args.seed
+    if seed is None:
+        text = os.environ.get("RB_SEED", "0")
+        try:
+            seed = int(text)
+        except ValueError:
+            return _usage_error(f"RB_SEED must be an integer, got {text!r}")
     ring = _ring_of(args)
     lambdas = None
     if args.weight is not None:
@@ -114,11 +122,11 @@ def cmd_check(args) -> int:
     cfg = laws.SampleConfig.for_ring(ring, lambdas, args.precision)
     names = args.suite or None
     try:
-        reports = laws.run_all(args.seed, cfg, names)
+        reports = laws.run_all(seed, cfg, names)
     except KeyError as e:
         return _usage_error(e.args[0])
     if args.json:
-        _json_print({"seed": args.seed, "ring": str(ring),
+        _json_print({"seed": seed, "ring": str(ring),
                      "lambdas": list(cfg.lambdas),
                      "reports": [r.to_json() for r in reports]})
     else:
@@ -236,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--suite", action="append", metavar="NAME",
                          help="run only the named suite (repeatable)")
     p_check.add_argument("--seed", type=int,
-                         default=int(os.environ.get("RB_SEED", "0")),
                          help="master seed (default RB_SEED or 0)")
     p_check.set_defaults(fn=cmd_check)
 

@@ -8,13 +8,15 @@ index n is the embedded value [f(n)]; longer tensors evaluate head-first:
     [f_0 | t]  ->  beta([f_0]) * lift(beta(t))
 
 with the product taken in the series-of-tensors algebra and ``lift`` the
-Rota-Baxter lift of the prepend operator: the evaluation that the universal
-property induces from the pointwise embedding.  The left factor's values
-are length-1 tensors [a], and [a] * (w_0 # w') = a*w_0 # w' has no tail to
-shuffle, so ``beta`` runs the recursion on bare dicts of words, each value
-a pair-table sum of head products, and builds its output once.  Output
-precision is the minimum factor precision, capped at the handle's working
-precision.
+Rota-Baxter lift of the prepend operator: beta is the homomorphism that the
+universal property of the free Rota-Baxter algebra induces from the
+pointwise embedding, and ``freerb.induced_rb_hom`` evaluates it so.  Over
+polynomial inners ``beta`` has one fast case, the bare pass: the left
+factor's values are length-1 tensors [a], and [a] * (w_0 # w') = a*w_0 # w'
+has no tail to shuffle, so the recursion runs on bare dicts of words on
+ints, each value a pair-table sum of head products, and builds its output
+once.  Output precision is the minimum factor precision, capped at the
+handle's working precision.
 
 Each carrier's canonical operators resolve here, where the tensor and series
 layers meet: ``canonical_rb`` and ``canonical_derivation`` pick them from the
@@ -61,111 +63,82 @@ def canonical_derivation(handle: Handle) -> Hom:
     return algebra.difference_quotient_on(handle, handle.variables[0])
 
 
-def _head_row(row, lefts: list, rights: list, heads: dict | None, product) -> dict:
+def _head_row(row, lefts: list, rights: list) -> dict:
     """Value n of one level: the sum of c * lefts[i] . rights[l] over the
-    pair-table row's (c, i, l), as word (head key, tail keys) -> bare value.
-    A left value lists the (key, value) of length-1 tensors, so the product
-    . multiplies heads alone: keys add where heads is None, and otherwise
-    ``product(a, h)`` gives the (key, value) pairs of one head product,
-    cached in heads."""
+    pair-table row's (c, i, l), as word (head key, tail keys) -> int.  A left
+    value lists the (key, value) of length-1 tensors, so the product . only
+    multiplies heads, by adding their keys."""
     s: dict = {}
     for c, i, l in row:
         right = rights[l].items()
         for a, x in lefts[i]:
             cx = c * x
-            if heads is None:
-                for (h, w), y in right:
-                    k = (a + h, w)
-                    s[k] = s.get(k, 0) + cx * y
-                continue
             for (h, w), y in right:
-                p = heads.get((a, h))
-                if p is None:
-                    p = heads[a, h] = product(a, h)
-                for m, z in p:
-                    k = (m, w)
-                    s[k] = s.get(k, 0) + cx * y * z
+                k = (a + h, w)
+                s[k] = s.get(k, 0) + cx * y
     return s
 
 
 def beta(u: Tensor) -> Series:
     """Swap the carrier order: tensors of series to a series of tensors.
 
-    A pure tensor [f_0 | t] goes to E(f_0) * P~(beta(t)), E the pointwise
-    embedding and P~ the lift of prepend: P~(v)(0) = 1 # v(0), P~(v)(l) =
-    v(l - 1).  Each value E(f_0)(i) is a sum of length-1 tensors [a], and
-    [a] * (w_0 # w') = a*w_0 # w' has no tail to shuffle, so value n of a
-    level is the pair-table sum of c * f_0(i) . P~(beta(t))(l), a product of
-    heads alone (``_head_row``).  Levels stay bare dicts of words (head key,
-    tail keys), the keys ints: over polynomials, exponent vectors packed in
-    base B above every exponent a word can reach, so that heads multiply by
-    adding keys; elsewhere, basis factors numbered in order of appearance,
-    whose heads multiply in the inner carrier.  The table's ints carry its
-    denominator D once per level, so each term is scaled by D^(levels - its
-    own) and the sum divided by D^levels once.  Output precision is the
-    least factor precision, capped at the handle's working precision; level
-    j needs values 0..cap - j.
+    beta is the homomorphism induced from the pointwise embedding E into
+    hur(sha(A)) with P~, the lift of prepend: [f_0 | t] goes to E(f_0) *
+    P~(beta(t)), P~(v)(0) = 1 # v(0) and P~(v)(l) = v(l - 1), and
+    ``freerb.induced_rb_hom`` computes it so.  Over polynomials, its fast
+    case, value n of a level is the pair-table sum of c * f_0(i) .
+    P~(beta(t))(l), a product of heads alone (``_head_row``), on bare dicts
+    of words (head key, tail keys): keys are exponent vectors packed in base
+    B above every exponent a word can reach, so heads multiply by adding
+    keys, and values are ints, each factor's scaled by the lcm of its
+    denominators (``algebra._int_terms``), so each term is divided once by
+    its own denominator.  Output precision is the least factor precision,
+    capped at the handle's working precision; level j needs values 0..cap - j.
     """
     hur_h = u.handle.inner
     if not isinstance(hur_h, HurwitzHandle):
         raise HandleMismatchError(f"expected tensors over a series carrier, got {u.handle}")
     inner = hur_h.inner
     sha_a = ShaHandle(inner)
+    target = HurwitzHandle(sha_a, hur_h.precision)
     cap = min([hur_h.precision] + [f.precision for t in u._bare for f in t])
+    if not isinstance(inner, PolyHandle):
+        def embed(f: Series) -> Series:
+            return Series(target, tuple(freerb.eta(v, sha_a) for v in f.values))
+
+        out = freerb.induced_rb_hom(Hom(hur_h, target, embed, name="embed^seq"),
+                                    canonical_rb(target), u)
+        return out.truncate(cap) if out.precision > cap else out
     rows, d = hurwitz._pair_table(hur_h, cap)
-    levels = max(map(len, u._bare), default=1) - 1
-    if isinstance(inner, PolyHandle):
-        base = 1 + max([sum(max([e for v in f.values for a in v._bare for e in a], default=0)
-                            for f in t) for t in u._bare], default=0)
-        places = [base ** j for j in range(len(inner.variables))]
-        heads = product = None
-        monomials: dict = {}
+    base = 1 + max([sum(max([e for v in f.values for a in v._bare for e in a], default=0)
+                        for f in t) for t in u._bare], default=0)
+    places = [base ** j for j in range(len(inner.variables))]
 
-        def spelled(v) -> list:
-            return [(sum(map(mul, a, places)), x) for a, x in v._bare.items()]
-
-        def factor(key: int) -> Poly:
-            f = monomials.get(key)
-            if f is None:
-                f = monomials[key] = Poly._trusted(inner, {tuple([key // p % base
-                                                                  for p in places]): 1})
-            return f
-    else:
-        heads, letters = {}, {}
-        factors: list = []
-        factor = factors.__getitem__
-
-        def spelled(v) -> list:
-            out = []
-            for c, m in v.basis_expansion():
-                k = letters.get(m)
-                if k is None:
-                    k = letters[m] = len(factors)
-                    factors.append(m)
-                out.append((k, c))
-            return out
-
-        def product(a: int, h: int) -> list:
-            return spelled(factors[a] * factors[h])
-    one = spelled(algebra.unit(inner))[0][0]
+    def spelled(f: Series, top: int) -> tuple[list, int]:
+        values, den = algebra._int_terms(f.values[:top + 1])
+        return [[(sum(map(mul, a, places)), x) for a, x in v.items()] for v in values], den
     sums: list = [{} for _ in range(cap + 1)]
     for t, c in u._bare.items():
         k = len(t) - 1
-        x = c * d ** (levels - k)
-        words = [{(a, ()): x * y for a, y in spelled(v)}
-                 for v in t[k].values[:max(cap - k, 0) + 1]]
+        values, den = spelled(t[k], max(cap - k, 0))
+        words = [{(a, ()): c.numerator * x for a, x in v} for v in values]
+        den *= c.denominator
         for j in range(k - 1, -1, -1):
             top = max(cap - j, 0)
-            lefts = [spelled(v) for v in t[j].values[:top + 1]]
-            rights = [{(one, (h,) + w): y for (h, w), y in words[0].items()}] + words
-            words = [_head_row(rows[n], lefts, rights, heads, product) for n in range(top + 1)]
+            lefts, dj = spelled(t[j], top)
+            # P~(v)(0) = 1 # v(0), the unit monomial's key being 0
+            rights = [{(0, (h,) + w): y for (h, w), y in words[0].items()}] + words
+            words = [_head_row(rows[n], lefts, rights) for n in range(top + 1)]
+            den *= d * dj
         for s, w in zip(sums, words):
             for key, y in w.items():
-                s[key] = s.get(key, 0) + y
-    reduce, den = inner.ring.reduce, d ** levels
-    return Series(HurwitzHandle(sha_a, hur_h.precision), tuple(
-        Tensor._trusted(sha_a, {(factor(h), *map(factor, w)): v for (h, w), x in s.items()
-                                if (v := reduce(x // den if x % den == 0 else Fraction(x, den)))})
+                s[key] = s.get(key, 0) + (y // den if y % den == 0 else Fraction(y, den))
+    factor = {k: Poly._trusted(inner, {tuple([k // p % base for p in places]): 1})
+              for k in {k for s in sums for h, w in s for k in (h, *w)}}
+    reduce = inner.ring.reduce
+    return Series(target, tuple(
+        Tensor._trusted(sha_a, {(factor[h], *map(factor.get, w)): v for (h, w), x in s.items()
+                                if (v := reduce(x))})
         for s in sums))
 
 

@@ -328,15 +328,15 @@ def _free_derivation_terms(factors: tuple, d: Hom, lam: Scalar) -> list:
     the head, or merge the first two factors, or do both at weight lam.
     """
     one = lam.ring.one()
-    x0 = factors[0]
-    rest = factors[1:]
+    x0, rest = factors[0], factors[1:]
+    dx0 = d(x0)
     if not rest:
-        return [(one, (d(x0),))]
+        return [(one, (dx0,))]
     rest2 = rest[1:]
-    out = [(one, (d(x0),) + rest),
+    out = [(one, (dx0,) + rest),
            (one, (x0 * rest[0],) + rest2)]
     if not lam.is_zero:
-        out.append((lam, (d(x0) * rest[0],) + rest2))
+        out.append((lam, (dx0 * rest[0],) + rest2))
     return out
 
 

@@ -224,6 +224,33 @@ def test_bad_input_exits_2_with_one_line(argv, capsys):
     assert len(lines) == 1 and lines[0].startswith("error:")
 
 
+@pytest.mark.parametrize("argv,printed", [
+    (["eval", "--handle", "poly(x)", "--", "x"], "x"),
+    (["bench", "-m", "1", "-n", "1"], "lengths 2 x 2"),
+    (["repl", "--handle", "poly(x)"], "carrier poly(x)"),
+], ids=["eval", "bench", "repl"])
+def test_malformed_rb_seed_is_read_only_by_check(argv, printed, monkeypatch, capsys):
+    monkeypatch.setenv("RB_SEED", "abc")
+    monkeypatch.setattr("builtins.input", lambda prompt="": ":quit")
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith(printed) and captured.err == ""
+
+
+def test_malformed_rb_seed_fails_check_with_one_line(monkeypatch, capsys):
+    monkeypatch.setenv("RB_SEED", "abc")
+    assert main(["check", "--suite", "worked_example"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().splitlines() == ["error: RB_SEED must be an integer, got 'abc'"]
+    # --seed overrides the variable, which is then never read
+    assert main(["check", "--suite", "worked_example", "--seed", "7"]) == 0
+    capsys.readouterr()
+    monkeypatch.setenv("RB_SEED", "5")
+    assert main(["check", "--suite", "worked_example", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 5
+
+
 @pytest.mark.parametrize("handle,expr", [("poly(x)", "-x"), ("sha(poly(x,y))", "-(x # y)"),
                                          ("poly(x)", "-2/5*x")])
 def test_leading_minus_is_an_expression(handle, expr, capsys):

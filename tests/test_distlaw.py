@@ -75,6 +75,21 @@ def ragged_tensor(sh, rng):
     return u
 
 
+def rational_tensor(sh, rng):
+    """A sum of up to three pure tensors of length 1 to 3 whose factors are
+    scaled by 1/3 or -2/5 and whose coefficients are non-whole rationals, so
+    that no factor value or coefficient is integral."""
+    hh, u = sh.inner, Tensor.zero(sh)
+    budget = SampleBudget(max_tensor_len=2, precision=hh.precision)
+    for _ in range(rng.randint(1, 3)):
+        factors = tuple(random_element(hh, budget, rng).scale(
+            Q.from_fraction(rng.choice((Fraction(1, 3), Fraction(-2, 5)))))
+            for _ in range(rng.randint(1, 3)))
+        c = Q.from_fraction(rng.choice((Fraction(1, 2), Fraction(-3, 7), Fraction(5, 3))))
+        u = u + Tensor.from_factors(sh, factors, c)
+    return u
+
+
 @pytest.mark.parametrize("ring, w, kind", STRUCTURAL_CASES)
 def test_matches_independent_structural_recursion(ring, w, kind):
     # oracle: compute the swap directly as head * lift(tail), bypassing the
@@ -102,6 +117,10 @@ def test_matches_independent_structural_recursion(ring, w, kind):
     draws = 50 if kind == "poly(x)" else 10
     cases = [random_element(sh, budget, rng) for _ in range(draws)]
     cases += [ragged_tensor(sh, rng) for _ in range(draws // 2)] + [Tensor.zero(sh)]
+    if ring == Q and kind in ("poly(x)", "poly(x,y)") and w in (0, Fraction(1, 2),
+                                                                 Fraction(-2, 3)):
+        rational = random.Random(f"rational|{w}|{kind}")
+        cases += [rational_tensor(sh, rational) for _ in range(10)]
     for u in cases:
         cap = min([4] + [f.precision for factors in u.terms for f in factors])
         out = beta(u)
@@ -124,6 +143,24 @@ def test_beta_makes_no_product_of_series_or_tensors(monkeypatch):
     assert calls == [] and not any(out.is_zero for out in outs)
     outs[0] * outs[1]  # the wrappers see the products of the series they return
     assert set(calls) == {"kernel", "series"}
+
+
+def test_beta_is_the_induced_homomorphism_off_polynomials(monkeypatch):
+    # tensor and series inners go through freerb.induced_rb_hom, the
+    # definition; polynomial inners take the bare pass and never reach it
+    calls = []
+    induced = freerb.induced_rb_hom
+    monkeypatch.setattr(freerb, "induced_rb_hom",
+                        lambda *a: calls.append(a[-1].handle) or induced(*a))
+    x = poly_handle(("x",), Q, HALF)
+    rng = random.Random(11)
+    for inner in (ShaHandle(HurwitzHandle(ShaHandle(x), 2)),
+                  ShaHandle(HurwitzHandle(HurwitzHandle(x, 2), 2)),
+                  ShaHandle(HurwitzHandle(poly_handle(("x", "y"), Q, HALF), 2))):
+        calls.clear()
+        u = random_element(inner, SampleBudget(max_tensor_len=2), rng)
+        beta(u)
+        assert calls == ([] if isinstance(inner.inner.inner, algebra.PolyHandle) else [inner])
 
 
 @pytest.mark.parametrize("lam", LAMBDAS, ids=str)
