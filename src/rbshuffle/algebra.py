@@ -20,16 +20,20 @@ evaluations and the tensor rows off polynomial carriers build their output
 through it; only the hot inner loops (``Terms.__add__``, ``Poly.__mul__``,
 ``freerb``'s shuffle) sum inline.  ``row_products`` is every product
 kernel's one interface: this module owns the polynomial kernel, ``freerb``
-the tensor one, ``hurwitz`` the series branch.  Rows formed term by term
-(tensor rows, and polynomial rows where packing costs more) combine in
-``_pair_sums``, each distinct operand pair's product once.
+the tensor one, ``hurwitz`` the series branch.  On term maps it first drops
+each row entry with a zero operand, so a product costs only its nonzero
+term pairs, and a call left with no entry builds no kernel.  Rows formed
+term by term (tensor rows, and polynomial rows where packing costs more)
+combine in ``_pair_sums``, each distinct operand pair's product once.
 The polynomial kernel works on int exponent keys and int coefficients, by
 Kronecker substitution: every operand of a call becomes one int, its
 coefficients packed as w-byte digits, so that a row is a sum of int
 products, which CPython multiplies in C.  The packed ints grow like
 B^(number of variables) for exponent base B, and their read-back like the
-key range, so a call whose estimated packed work exceeds that of its term
-pairs multiplies them term by term on the same keys instead.
+key range, and packing has a fixed set-up cost per call, so a call whose
+estimated packed work exceeds that of its term pairs multiplies them term
+by term on the same keys instead; a small call decides so before any
+packing set-up.
 """
 
 from __future__ import annotations
@@ -280,7 +284,11 @@ class Terms:
                       reverse=reverse)
 
     def basis_expansion(self) -> list:
-        """Decompose into (bare coefficient, basis element) pairs."""
+        """Decompose into (bare coefficient, basis element) pairs.  A monic
+        one-term element is its own basis element, shared rather than copied,
+        so tensor keys built from it keep its cached hash."""
+        if len(self._bare) == 1 and 1 in self._bare.values():
+            return [(1, self)]
         return [(c, self._trusted(self.handle, {k: 1})) for k, c in self._bare.items()]
 
     def __str__(self) -> str:
@@ -465,52 +473,79 @@ def _pair_sums(rows: list, lefts: list, rights: list, product: Callable) -> list
     return out
 
 
+# The packed side's fixed cost per call, in term pairs: the key sets, norms
+# and digit width it needs before it can estimate its own work, and the
+# packing.  Fitted on calls timed both ways, best of 5 each: of 1,445
+# polynomial calls sampled from one check round, term by term won 1,396; of
+# the 47 of one perfbench series round, it won the 27 with entries + pairs
+# <= 450 and lost the 20 with >= 910, whose packed estimates without this
+# cost were 252 and 364, so the cost lies between 198 and 546.
+_PACKING_COST = 400
+
+
 def row_products(handle: Handle, lefts: Sequence, rights: Sequence, rows: list, den: int) -> list:
     """One element per row: the sum of c * lefts[i] * rights[l] / den over the
-    row's (c, i, l), for int c.  Polynomials work on int keys and int
-    coefficients: each exponent vector packs into one int key k (base-B
-    digits, B above every exponent a product can reach), and each side's
-    coefficients are scaled to ints by their lcm of denominators.  The rows
-    then run by Kronecker substitution: each operand becomes one int that
-    holds coefficient x in bytes w * k to w * k + w - 1, the w-byte digit's
-    top bit above the largest row bound sum |c| * |f_i|_1 * |g_l|_1, so a
-    row is a sum of int products whose bytes hold every output coefficient
-    as a balanced digit, read once per possible output key (a left key plus
-    a right key).  The packed ints grow like B^(number of variables) and the
-    reads like the key range, where term pairs grow like the numbers of
-    terms, so a call that would take more work packed multiplies term by
-    term instead (``_key_products``)."""
-    if not isinstance(handle, PolyHandle):
-        from . import freerb, hurwitz
-        carrier = freerb if isinstance(handle, ShaHandle) else hurwitz
-        return carrier.row_products(handle, lefts, rights, rows, den)
+    row's (c, i, l), for int c.  On term maps an entry whose lefts[i] or
+    rights[l] is zero adds nothing and is dropped, and a call with no entry
+    left returns zeros and builds no kernel; series operands go on value by
+    value, and the next level drops their zeros.
+
+    Polynomials work on int keys and int coefficients: each exponent vector
+    packs into one int key k (base-B digits, B above every exponent a
+    product can reach), and each side's coefficients are scaled to ints by
+    their lcm of denominators.  The rows then run by Kronecker substitution:
+    each operand becomes one int that holds coefficient x in bytes w * k to
+    w * k + w - 1, the w-byte digit's top bit above the largest row bound
+    sum |c| * |f_i|_1 * |g_l|_1, so a row is a sum of int products whose
+    bytes hold every output coefficient as a balanced digit, read once per
+    possible output key (a left key plus a right key).  The packed ints grow
+    like B^(number of variables) and the reads like the key range, where
+    term pairs grow like the numbers of terms, so a call that would take
+    more work packed multiplies term by term instead (``_key_products``).
+    Packing also has a fixed set-up cost, ``_PACKING_COST`` term pairs, so a
+    call with no more entries and term pairs than that goes term by term
+    before any of it."""
+    if isinstance(handle, HurwitzHandle):
+        from . import hurwitz
+        return hurwitz.row_products(handle, lefts, rights, rows, den)
+    zl = {i for i, v in enumerate(lefts) if not v._bare}
+    zr = {l for l, v in enumerate(rights) if not v._bare}
+    if zl or zr:
+        rows = [[e for e in row if e[1] not in zl and e[2] not in zr] for row in rows]
+    if not any(rows):
+        return [zero(handle) for _ in rows]
+    if isinstance(handle, ShaHandle):
+        from . import freerb
+        return freerb.row_products(handle, lefts, rights, rows, den)
     base = 1 + sum(max([e for v in side for a in v._bare for e in a], default=0)
                    for side in (lefts, rights))
     places = [base ** j for j in range(len(handle.variables))]
     (lt, dl), (rt, dr) = _int_terms(lefts), _int_terms(rights)
-    lkeys, rkeys = ({sum(map(mul, a, places)) for t in side for a in t} for side in (lt, rt))
-    keys = {a + b for a in lkeys for b in rkeys}
-    ln, rn = ([sum(map(abs, t.values())) for t in side] for side in (lt, rt))
-    w = 1 + max([sum([abs(c) * ln[i] * rn[l] for c, i, l in row]) for row in rows],
-                default=0).bit_length() // 8
     reduce, d = handle.ring.reduce, den * dl * dr
     # The work of each way, in units of one term pair multiplied term by
     # term, which costs about as much as reading one digit (timed per call
-    # on the polynomial calls of check and series): packed, one read per
+    # on the polynomial calls of check and series): term by term, one per
+    # term pair and one per entry; packed, the fixed set-up, one read per
     # row and possible key and 1/256 per product of two 64-bit words in
-    # each row entry; term by term, one per term pair and one per entry, so
-    # the pairs are counted only where packing costs more than the entries.
-    lw, rw = (w * max(side, default=0) // 8 + 1 for side in (lkeys, rkeys))
+    # each row entry.  The packed side is estimated only where it can win.
     entries = sum(map(len, rows))
-    work = len(rows) * len(keys) + entries * (lw * rw // 256)
-    if work > entries and work > entries + sum(
-            [len(lt[i]) * len(rt[l]) for row in rows for _, i, l in row]):
+    work = entries + sum([len(lt[i]) * len(rt[l]) for row in rows for _, i, l in row])
+    if work > _PACKING_COST:
+        lkeys, rkeys = ({sum(map(mul, a, places)) for t in side for a in t} for side in (lt, rt))
+        keys = {a + b for a in lkeys for b in rkeys}
+        ln, rn = ([sum(map(abs, t.values())) for t in side] for side in (lt, rt))
+        w = 1 + max([sum([abs(c) * ln[i] * rn[l] for c, i, l in row]) for row in rows],
+                    default=0).bit_length() // 8
+        lw, rw = (w * max(side, default=0) // 8 + 1 for side in (lkeys, rkeys))
+        packed = _PACKING_COST + len(rows) * len(keys) + entries * (lw * rw // 256)
+    if work <= _PACKING_COST or packed > work:
         lb, rb = ([[(sum(map(mul, a, places)), x) for a, x in t.items()] for t in side]
                   for side in (lt, rt))
-        exps = {k: tuple([k // p % base for p in places]) for k in keys}
+        sums = _pair_sums(rows, lb, rb, _key_products)
+        exps = {k: tuple([k // p % base for p in places]) for k in set().union(*sums)}
         return [Poly._trusted(handle, {exps[k]: v for k, x in s.items() if (v := reduce(
             x // d if x % d == 0 else Fraction(x, d)))})
-                for s in _pair_sums(rows, lb, rb, _key_products)]
+                for s in sums]
     shifts = [8 * w * p for p in places]
     packed_l, packed_r = ([sum([x << sum(map(mul, a, shifts)) for a, x in t.items()])
                            for t in side] for side in (lt, rt))

@@ -202,10 +202,22 @@ def cmd_bench(args) -> int:
 class _Parser(argparse.ArgumentParser):
     """Reports its errors as one ``error:`` line (exit 2) and matches only
     whole option names, so that an expression such as "--j" is never taken
-    for an abbreviation of ``--json``."""
+    for an abbreviation of ``--json``.  A negative weight after ``--lambda``
+    is its value: argparse takes only negative ints and decimals for values,
+    so "--lambda -2/3" is read as "--lambda=-2/3"."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, allow_abbrev=False, **kwargs)
+
+    def parse_known_args(self, args=None, namespace=None):
+        joined: list[str] = []
+        for a in sys.argv[1:] if args is None else args:
+            if joined[-1:] == ["--lambda"] and a[:1] == "-" and a[1:2].isdigit() \
+                    and "--" not in joined:
+                joined[-1] += "=" + a
+            else:
+                joined.append(a)
+        return super().parse_known_args(joined, namespace)
 
     def error(self, message: str):
         raise SystemExit(_usage_error(message))
@@ -215,7 +227,7 @@ def _add_common(p: argparse.ArgumentParser, with_handle: bool,
                 with_precision: bool = True) -> None:
     p.add_argument("--ring", default="q", help="coefficient ring: q, z, or zmod:M")
     p.add_argument("--lambda", dest="weight", default=None, metavar="VALUE",
-                   help="weight, e.g. 0, 1, 1/2 (default 0; check cycles defaults)")
+                   help="weight, e.g. 0, 1, 1/2, -2/3 (default 0; check cycles defaults)")
     if with_precision:
         p.add_argument("--precision", type=int, default=4,
                        help="working precision for series carriers (default 4)")

@@ -18,6 +18,8 @@ bare values, as term maps do.
 ``row_products`` drives it for every tensor carrier, on one pair in
 ``Tensor.__mul__`` and on all values of two series in a Hurwitz product,
 forming each distinct operand pair's product once (``algebra._pair_sums``).
+Both reach it through ``algebra.row_products``, which first drops the
+entries with a zero operand.
 
 Canonical form: factors are expanded to basis monomials of A wherever A has
 a basis (polynomial and tensor carriers); factors over sequence carriers are
@@ -193,9 +195,9 @@ class Tensor(Terms):
 
     def __mul__(self, other: Tensor) -> Tensor:
         """The mixable-shuffle product, extended bilinearly from pure tensors:
-        one row of one pair of ``row_products``."""
+        one row of one pair of ``algebra.row_products``."""
         check_same_handle(self, other)
-        return row_products(self.handle, [self], [other], [[(1, 0, 0)]], 1)[0]
+        return algebra.row_products(self.handle, [self], [other], [[(1, 0, 0)]], 1)[0]
 
     def lengths(self) -> dict[int, int]:
         """Term counts grouped by tensor length."""

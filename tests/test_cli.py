@@ -433,6 +433,25 @@ def test_cli_check_single_weight(capsys):
     assert main(["check", "--lambda", "nonsense", "--suite", "hurwitz_algebra"]) == 2
 
 
+def test_cli_takes_a_negative_fraction_as_the_weight(capsys):
+    # argparse alone reads "-2/3" after --lambda as an option
+    argv = ["--handle", "sha(poly(x))", "--json", "--", "(x # 1) * (x # 1)"]
+    assert main(["eval", "--lambda=-2/3"] + argv) == 0
+    joined = capsys.readouterr().out
+    assert main(["eval", "--lambda", "-2/3"] + argv) == 0
+    assert capsys.readouterr().out == joined
+    assert json.loads(joined)["weight"] == "-2/3"
+    assert main(["check", "--lambda", "-2/3", "--json", "--seed", "3",
+                 "--suite", "lambda_leibniz"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["lambdas"] == ["-2/3"] and payload["reports"][0]["passed"]
+    assert main(["bench", "-m", "2", "-n", "2", "--lambda", "-2/3"]) == 0
+    assert "weight -2/3" in capsys.readouterr().out
+    # the weight is still parsed in the ring
+    assert main(["eval", "--ring", "z", "--lambda", "-2/3", "--handle", "poly(x)", "x"]) == 2
+    assert "bad weight '-2/3'" in capsys.readouterr().err
+
+
 def test_cli_bench_text(capsys):
     assert main(["bench", "-m", "1", "-n", "2", "--lambda", "0"]) == 0
     out = capsys.readouterr().out

@@ -437,13 +437,19 @@ def test_words_from_pairs_of_unequal_length_collect_at_half_weight():
     assert eval_text("((1 # 1 # x) + (1 # x)) * (1 # x)", s) == expect
 
 
-def test_zero_operand_gives_the_zero_tensor():
+def test_zero_operand_gives_the_zero_tensor(monkeypatch):
+    # a zero operand drops its row entry before any kernel is built
+    kernels = []
+    kernel = freerb._Kernel
+    monkeypatch.setattr(freerb, "_Kernel", lambda *a: kernels.append(a) or kernel(*a))
     s = sha_x(Q.one())
     x = Poly.variable(s.inner, "x")
     u = Tensor.from_factors(s, (x, x, x))
     zero = Tensor.zero(s)
     for prod in (zero * u, u * zero, zero * zero):
         assert prod.is_zero and prod.handle == s and prod == zero
+    assert kernels == []
+    assert not (u * u).is_zero and len(kernels) == 1
     with pytest.raises(HandleMismatchError):
         zero * Tensor.zero(sha_x(variables=("y",)))
 

@@ -366,6 +366,61 @@ def test_polynomial_kernel_packs_only_where_it_is_cheaper(monkeypatch):
     f, g = sparse_wide_series(dense, rng, 15, 4), sparse_wide_series(dense, rng, 15, 4)
     assert f * g == triple_sum_product(f, g)
     assert len(calls) == 9
+    # dense keys in one variable would read back fewer digits than there are
+    # term pairs, but so few entries and pairs lie below packing's fixed
+    # cost: the call goes term by term
+    small = HurwitzHandle(poly_handle(("x",), Q, Q.one()), 1)
+    f, g = (Series(small, [Poly(small.inner, {(e,): Q.from_int(rng.randint(1, 9))
+                                              for e in range(3)}) for _ in range(2)])
+            for _ in range(2))
+    assert f * g == triple_sum_product(f, g)
+    assert len(calls) == 9 + 4  # the pairs (0, 0), (0, 1), (1, 0) and (1, 1)
+
+
+def dense_series(handle, rng, scale):
+    """Values of every monomial of degree <= 3 in x and y, coefficients
+    beyond a machine word times scale."""
+    ring = handle.ring
+    return Series(handle, [Poly(handle.inner, {
+        (a, b): ring.from_int(rng.randint(-BIG, BIG)) * scale
+        for a in range(4) for b in range(4 - a)}) for _ in range(handle.precision + 1)])
+
+
+@pytest.mark.parametrize("ring,lam", [(Q, HALF), (INTEGERS, INTEGERS.from_int(-3)),
+                                      (residues(6), residues(6).from_int(5))],
+                         ids=["q-1/2", "z--3", "zmod:6-5"])
+def test_polynomial_kernel_packs_above_its_fixed_cost(monkeypatch, ring, lam):
+    # dense values at precision 6: 84 row entries of 100 term pairs each are
+    # far above the packed side's fixed cost, so the product packs, with
+    # digits wider than 8 bytes; over q the operands carry Fractions
+    calls = []
+    monkeypatch.setattr(algebra, "_key_products", lambda *a, real=algebra._key_products:
+                        calls.append(a) or real(*a))
+    rng = random.Random(f"packed:{ring}")
+    hh = HurwitzHandle(poly_handle(("x", "y"), ring, lam), 6)
+    scale = Q.from_fraction(Fraction(-5, 7)) if ring.is_rational else ring.one()
+    f, g = dense_series(hh, rng, scale), dense_series(hh, rng, THIRD if ring.is_rational else scale)
+    fg = f * g
+    assert calls == []
+    assert fg == triple_sum_product(f, g)
+
+
+def test_zero_operands_reach_no_pair_product(monkeypatch):
+    # the unit series has zero values: only the pairs of nonzero values are
+    # multiplied, and f * 1 is f
+    calls = []
+    monkeypatch.setattr(algebra, "_key_products", lambda *a, real=algebra._key_products:
+                        calls.append(a) or real(*a))
+    hh = HurwitzHandle(poly_handle(("x", "y"), Q, HALF), 4)
+    x, y = (Poly.variable(hh.inner, v) for v in "xy")
+    f = Series(hh, (x, zero(hh.inner), x * y - y, zero(hh.inner), y.scale(THIRD)))
+    one = Series.one(hh)
+    assert f * one == f and one * f == f
+    assert len(calls) == 2 * 3  # (0, 0), (2, 0), (4, 0) and back
+    assert all(left and right for left, right in calls)
+    calls.clear()
+    assert (Series.zero(hh) * f).is_zero and (f * Series.zero(hh)).is_zero
+    assert calls == []
 
 
 def test_packed_kernel_guard_bounds_memory():
@@ -413,12 +468,12 @@ NESTED_WEIGHTS = [(Q, Q.zero()), (Q, Q.one()), (Q, HALF), (Q, Q.from_fraction(Fr
                   (residues(6), residues(6).from_int(3))]
 
 
-def ragged(f, rng):
-    """f with some values zero and, over a series inner, the others cut to
-    random precisions of their own."""
+def ragged(f, rng, zeros=0.2):
+    """f with some values zero, each with probability zeros, and, over a
+    series inner, the others cut to random precisions of their own."""
     values = []
     for v in f.values:
-        if rng.random() < 0.2:
+        if rng.random() < zeros:
             v = zero(f.handle.inner)
         elif isinstance(v, Series):
             v = v.truncate(rng.randint(0, v.precision))
@@ -446,6 +501,31 @@ def test_nested_inner_products_match_per_pair_element_sum(ring, lam):
                 if ring.is_rational:  # values with Fraction coefficients
                     f, g = f.scale(THIRD), g.scale(THIRD)
                     assert f * g == per_pair_product(f, g)
+
+
+@pytest.mark.parametrize("ring,lam", [(Q, Q.from_int(2)), (INTEGERS, INTEGERS.from_int(2)),
+                                      (residues(4), residues(4).from_int(2))],
+                         ids=["q-2", "z-2", "zmod:4-2"])
+def test_products_with_zero_operands_match_the_oracles(ring, lam):
+    rng = random.Random(f"zero-operands:{ring}")
+    xy = poly_handle(("x", "y"), ring, lam)
+    x = poly_handle(("x",), ring, lam)
+    carriers = [(HurwitzHandle(xy, 4), triple_sum_product),
+                (HurwitzHandle(ShaHandle(xy), 3), per_pair_product),
+                (HurwitzHandle(HurwitzHandle(x, 1), 3), per_pair_product)]
+    for hh, oracle in carriers:
+        budget = SampleBudget(precision=hh.precision, max_terms=1)
+        for _ in range(6):
+            f = ragged(random_element(hh, budget, rng), rng, 0.5)
+            g = ragged(random_element(hh, budget, rng), rng, 0.5)
+            for a, b in ((f, g), (g, f), (f, Series.zero(hh)), (Series.zero(hh), g),
+                         (Series.zero(hh), Series.zero(hh)), (f, Series.one(hh))):
+                ab = a * b
+                assert ab == oracle(a, b)
+                assert not (a.is_zero or b.is_zero) or ab.is_zero
+    u, z = random_element(ShaHandle(xy), SampleBudget(), rng), freerb.Tensor.zero(ShaHandle(xy))
+    for a, b in ((u, z), (z, u), (z, z)):
+        assert a * b == z
 
 
 def test_tensor_inner_product_reaches_the_merge_weight(monkeypatch):

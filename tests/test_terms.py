@@ -97,6 +97,31 @@ def test_poly_and_tensor_share_the_term_map():
     assert "__add__" not in vars(Tensor)
 
 
+def test_monic_basis_elements_are_shared_not_copied():
+    # a monic one-term element is its own basis element, so tensor keys built
+    # from it hold the same object, with its cached hash
+    for text, handle_text in (("x^2*y", "poly(x,y)"), ("x # y", "sha(poly(x,y))"),
+                              ("1", "poly(x,y)")):
+        v = value(handle_text, text)
+        assert v.basis_expansion() == [(1, v)] and v.basis_expansion()[0][1] is v
+    for ring, lam in ((Q, "0"), (Z6, "1")):
+        v = value("sha(poly(x,y))", "2*(x # y) + y", ring, lam)
+        for c, b in v.basis_expansion():
+            assert b is not v and len(b.terms) == 1 and 1 in b._bare.values()
+        assert sorted(c for c, _ in v.basis_expansion()) == [1, 2]
+    h = parse_handle("sha(sha(poly(x,y)))", Q, Q.zero(), 2)
+    x = Poly.variable(h.inner.inner, "x")
+    xy = x * Poly.variable(h.inner.inner, "y")
+    inner = Tensor.from_factors(h.inner, (x, xy))
+    (key,) = inner.terms
+    assert key[0] is x and key[1] is xy
+    (outer,) = Tensor.from_factors(h, (inner, inner)).terms
+    assert outer[0] is inner and outer[1] is inner
+    # a scaled factor is expanded to a fresh monic element
+    (key,) = Tensor.from_factors(h.inner, (x.scale(Q.from_int(3)), xy)).terms
+    assert key[0] == x and key[0] is not x and key[1] is xy
+
+
 def test_tensor_sum_cancels_to_zero_mod_six():
     u = value("sha(poly(x))", "2*(x # 1) + 3*x", Z6, "1")
     v = value("sha(poly(x))", "4*(x # 1) + 3*x", Z6, "1")
