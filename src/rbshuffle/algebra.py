@@ -39,7 +39,7 @@ packing set-up.
 from __future__ import annotations
 
 import random
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, ItemsView, Mapping, Sequence
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from math import comb, lcm
@@ -181,21 +181,36 @@ def check_same_handle(x, y) -> None:
 
 class _ScalarView(Mapping):
     """A term map's coefficients as a read-only mapping to ``Scalar``s, each
-    wrapped only when it is read."""
+    wrapped only when it is read.  Keys show as they are stored, or through
+    shown (stored key -> shown key), each when it is read; stored is then
+    its inverse, which raises ``KeyError`` on a key it cannot store."""
 
-    __slots__ = ("_ring", "_bare")
+    __slots__ = ("_ring", "_bare", "_shown", "_stored")
 
-    def __init__(self, ring: Ring, bare: dict):
-        self._ring, self._bare = ring, bare
+    def __init__(self, ring: Ring, bare: dict, shown: Callable | None = None,
+                 stored: Callable | None = None):
+        self._ring, self._bare, self._shown, self._stored = ring, bare, shown, stored
 
     def __getitem__(self, key) -> Scalar:
-        return Scalar(self._ring, self._bare[key])
+        return Scalar(self._ring, self._bare[key if self._stored is None else self._stored(key)])
 
     def __iter__(self):
-        return iter(self._bare)
+        return iter(self._bare) if self._shown is None else map(self._shown, self._bare)
 
     def __len__(self) -> int:
         return len(self._bare)
+
+    def items(self) -> ItemsView:
+        return _ScalarItems(self)
+
+
+class _ScalarItems(ItemsView):
+    """A view's (key, ``Scalar``) pairs, read in one pass over its terms."""
+
+    def __iter__(self):
+        view = self._mapping
+        shown, ring = view._shown, view._ring
+        return ((k if shown is None else shown(k), Scalar(ring, v)) for k, v in view._bare.items())
 
 
 class Terms:
@@ -203,7 +218,9 @@ class Terms:
     key -> nonzero coefficient, stored as a canonical bare value with zeros
     dropped, so equal elements have equal term maps.  The constructor takes
     key -> ``Scalar`` of the handle's ring.  Subclasses give the product, the
-    key order (``_key_order``) and the text of one term (``_term_str``).
+    key order (``_key_order``), the text of one term (``_term_str``), and
+    may store keys in another form than ``.terms`` shows them
+    (``_stored_keys``).
     """
 
     __slots__ = ("handle", "_bare", "_hash")
@@ -212,7 +229,14 @@ class Terms:
     def __init__(self, handle: Handle, terms: Mapping):
         ring = handle.ring
         self.handle, self._hash = handle, None
-        self._bare = {k: v for k, c in terms.items() if (v := ring.reduce(ring.unwrap(c)))}
+        self._bare = self._stored_keys(handle, {k: v for k, c in terms.items()
+                                                if (v := ring.reduce(ring.unwrap(c)))})
+
+    @staticmethod
+    def _stored_keys(handle: Handle, bare: dict) -> dict:
+        """The canonical bare terms of bare, whose keys are as ``.terms``
+        shows them; keys are stored as shown unless a subclass says otherwise."""
+        return bare
 
     @classmethod
     def _trusted(cls, handle: Handle, bare: dict):

@@ -279,7 +279,7 @@ def main(argv: list[str] | None = None) -> int:
         # as an unknown option; the first one fills the empty expression
         args.expr = extras.pop(0)
     if extras:
-        raise SystemExit(_usage_error(f"unrecognized arguments: {' '.join(extras)}"))
+        return _usage_error(f"unrecognized arguments: {' '.join(extras)}")
     low, high = (1 if args.command == "check" else 0), exprs.MAX_PRECISION  # laws shift series
     if "precision" in args and not low <= args.precision <= high:
         return _usage_error(f"precision must be {low} to {high}, got {args.precision}")

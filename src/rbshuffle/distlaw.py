@@ -29,8 +29,7 @@ from fractions import Fraction
 from operator import mul
 
 from . import algebra, freerb, hurwitz
-from .algebra import (Handle, HandleMismatchError, Hom, HurwitzHandle, Poly, PolyHandle,
-                      ShaHandle)
+from .algebra import Handle, HandleMismatchError, Hom, HurwitzHandle, PolyHandle, ShaHandle
 from .freerb import Tensor
 from .hurwitz import Series
 
@@ -65,9 +64,9 @@ def canonical_derivation(handle: Handle) -> Hom:
 
 def _head_row(row, lefts: list, rights: list) -> dict:
     """Value n of one level: the sum of c * lefts[i] . rights[l] over the
-    pair-table row's (c, i, l), as word (head key, tail keys) -> int.  A left
-    value lists the (key, value) of length-1 tensors, so the product . only
-    multiplies heads, by adding their keys."""
+    pair-table row's (c, i, l), as word (head code, tail codes) -> int.  A
+    left value lists the (code, value) of length-1 tensors, so the product .
+    only multiplies heads, by adding their monomial codes."""
     s: dict = {}
     for c, i, l in row:
         right = rights[l].items()
@@ -88,11 +87,12 @@ def beta(u: Tensor) -> Series:
     ``freerb.induced_rb_hom`` computes it so.  Over polynomials, its fast
     case, value n of a level is the pair-table sum of c * f_0(i) .
     P~(beta(t))(l), a product of heads alone (``_head_row``), on bare dicts
-    of words (head key, tail keys): keys are exponent vectors packed in base
-    B above every exponent a word can reach, so heads multiply by adding
-    keys, and values are ints, each factor's scaled by the lcm of its
-    denominators (``algebra._int_terms``), so each term is divided once by
-    its own denominator.  Output precision is the least factor precision,
+    of words (head code, tail codes).  The letters are the monomial codes of
+    ``freerb`` (``freerb.code_places``, checked against every exponent a
+    word can reach), so heads multiply by adding codes and a word is the key
+    of its output term.  Values are ints, each factor's scaled by the lcm of
+    its denominators (``algebra._int_terms``), so each term is divided once
+    by its own denominator.  Output precision is the least factor precision,
     capped at the handle's working precision; level j needs values 0..cap - j.
     """
     hur_h = u.handle.inner
@@ -110,9 +110,9 @@ def beta(u: Tensor) -> Series:
                                     canonical_rb(target), u)
         return out.truncate(cap) if out.precision > cap else out
     rows, d = hurwitz._pair_table(hur_h, cap)
-    base = 1 + max([sum(max([e for v in f.values for a in v._bare for e in a], default=0)
-                        for f in t) for t in u._bare], default=0)
-    places = [base ** j for j in range(len(inner.variables))]
+    reach = max([sum(max([e for v in f.values for a in v._bare for e in a], default=0)
+                     for f in t) for t in u._bare], default=0)
+    places = freerb.code_places(inner, reach)
 
     def spelled(f: Series, top: int) -> tuple[list, int]:
         values, den = algebra._int_terms(f.values[:top + 1])
@@ -126,19 +126,16 @@ def beta(u: Tensor) -> Series:
         for j in range(k - 1, -1, -1):
             top = max(cap - j, 0)
             lefts, dj = spelled(t[j], top)
-            # P~(v)(0) = 1 # v(0), the unit monomial's key being 0
+            # P~(v)(0) = 1 # v(0), the unit monomial's code being 0
             rights = [{(0, (h,) + w): y for (h, w), y in words[0].items()}] + words
             words = [_head_row(rows[n], lefts, rights) for n in range(top + 1)]
             den *= d * dj
         for s, w in zip(sums, words):
             for key, y in w.items():
                 s[key] = s.get(key, 0) + (y // den if y % den == 0 else Fraction(y, den))
-    factor = {k: Poly._trusted(inner, {tuple([k // p % base for p in places]): 1})
-              for k in {k for s in sums for h, w in s for k in (h, *w)}}
     reduce = inner.ring.reduce
     return Series(target, tuple(
-        Tensor._trusted(sha_a, {(factor[h], *map(factor.get, w)): v for (h, w), x in s.items()
-                                if (v := reduce(x))})
+        Tensor._trusted(sha_a, {(h, *w): v for (h, w), x in s.items() if (v := reduce(x))})
         for s in sums))
 
 

@@ -10,37 +10,135 @@ where a word of the tail shuffle is a lattice path from (0, 0) to
 (|a'|, |b'|) whose steps take the next letter of a', of b', or (a diagonal
 step, with the handle weight as its coefficient) their product in A, as in
 Hoffman's quasi-shuffles.  The weighted merge is what distinguishes this
-from the plain shuffle product.  The kernel, ``_Kernel``, interns the
-canonical factors of a set of operands to small int letters once, looks
-each merge up in one table of the carrier's own products, and builds each
-word front to back; its output goes back to factor tuples, with canonical
-bare values, as term maps do.
-``row_products`` drives it for every tensor carrier, on one pair in
-``Tensor.__mul__`` and on all values of two series in a Hurwitz product,
-forming each distinct operand pair's product once (``algebra._pair_sums``).
-Both reach it through ``algebra.row_products``, which first drops the
-entries with a zero operand.
+from the plain shuffle product.  The kernel, ``_Kernel``, runs on int
+letters, looks each merge up in one table of letter products, and builds
+each word front to back.  ``row_products`` drives it for every tensor
+carrier, on one pair in ``Tensor.__mul__`` and on all values of two series
+in a Hurwitz product, forming each distinct operand pair's product once
+(``algebra._pair_sums``).  Both reach it through ``algebra.row_products``,
+which first drops the entries with a zero operand.
+
+Monomial codes: over a polynomial algebra A a tensor keys each term by the
+tuple of its factors' int codes.  The code of a monomial holds the exponent
+of variable j (counted from 0) in the 32-bit slot j, bits 32j to 32j + 31,
+so the code of a product of monomials is the sum of their codes.  Every
+exponent stays below 2^31, so a sum of two codes never carries from one
+slot into the next, and its top slot bits show an exponent past the range,
+which raises ``ValueError`` (``_code_sum``).  The codes are the kernel's
+letters, so its output words are the product's keys as they stand.  Only
+this module knows the format: the ``.terms`` view and the maps that call a
+``Hom`` on factors decode keys to one-term monic ``Poly`` factors
+(``_key_factors``); the public constructor and ``pure_tensor_terms``
+encode them; ``distlaw``'s bare pass of beta takes the slot places from
+``code_places``.
 
 Canonical form: factors are expanded to basis monomials of A wherever A has
-a basis (polynomial and tensor carriers); factors over sequence carriers are
-kept as canonical series values.  Coefficients are collected on equal factor
-tuples and zeros dropped, so equality is syntactic.
+a basis (monomial codes over polynomials, basis tensors over tensor
+carriers); factors over sequence carriers are kept as canonical series
+values.  Coefficients are collected on equal keys and zeros dropped, so
+equality is syntactic.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator, Mapping
 from fractions import Fraction
-from typing import Iterator
+from operator import mul
 
 from . import algebra
 from .algebra import (Handle, HandleMismatchError, Hom, Poly, PolyHandle,
-                      ShaHandle, Terms, check_same_handle)
+                      ShaHandle, Terms, _ScalarView, check_same_handle)
 from .coeffs import Ring, RingError, Scalar
 
 
 def _merge_weight(handle: ShaHandle) -> Scalar:
     """Coefficient of each merge of two tail letters in the product."""
     return handle.weight
+
+
+# --------------------------------------------------------------------------
+# Monomial codes
+
+_SLOT = 32  # bits per exponent
+_LIMIT = 1 << _SLOT - 1  # every exponent stays below this
+_RANGE = f"exponent past the monomial code's range (below 2^{_SLOT - 1})"
+
+
+def code_places(inner: PolyHandle, reach: int = 0) -> tuple[int, ...]:
+    """The place of each variable's slot in the monomial codes over inner:
+    sum(map(mul, exponents, places)) is the code of exponents up to reach,
+    and a reach past the range raises ``ValueError``."""
+    if reach >= _LIMIT:
+        raise ValueError(_RANGE)
+    return tuple(1 << _SLOT * j for j in range(len(inner.variables)))
+
+
+def _code_sum(x: int, y: int, overflow: int) -> int:
+    """The code of the product of two monomials, from their codes; overflow
+    holds the top bit of every slot, which the sum sets exactly when one of
+    its exponents leaves the range."""
+    z = x + y
+    if z & overflow:
+        raise ValueError(_RANGE)
+    return z
+
+
+def _encoder(inner: PolyHandle) -> Callable:
+    """exponent vector -> its code over inner."""
+    places = code_places(inner)
+
+    def code(exps: tuple) -> int:
+        if max(exps, default=0) >= _LIMIT:
+            raise ValueError(_RANGE)
+        return sum(map(mul, exps, places))
+    return code
+
+
+def _coded(handle) -> bool:
+    """Whether the tensors of handle key their terms by monomial codes."""
+    return isinstance(handle, ShaHandle) and isinstance(handle.inner, PolyHandle)
+
+
+def _key_factors(handle: ShaHandle) -> Callable:
+    """A term key of handle's tensors -> its tuple of factor elements.  Over
+    polynomials each code becomes a monic one-term ``Poly``, built once per
+    call of this function and then shared."""
+    if not _coded(handle):
+        return tuple
+    inner, factors = handle.inner, {}
+    shifts = range(0, _SLOT * len(inner.variables), _SLOT)
+    mask = (1 << _SLOT) - 1
+
+    def factor(code: int) -> Poly:
+        f = factors.get(code)
+        if f is None:
+            exps = tuple([code >> s & mask for s in shifts])
+            f = factors[code] = Poly._trusted(inner, {exps: 1})
+        return f
+    return lambda t: tuple(map(factor, t))
+
+
+def _key_codes(handle: ShaHandle) -> Callable:
+    """The inverse of ``_key_factors``: a tuple of monic one-term factors ->
+    its term key; ``KeyError`` on a key that no term of handle can have."""
+    def codes(key) -> tuple:
+        try:
+            ((t, c),) = pure_tensor_terms(handle, key)
+        except (AttributeError, TypeError, ValueError):
+            raise KeyError(key) from None
+        if c != 1:
+            raise KeyError(key)
+        return t
+    return codes
+
+
+def _unit_key(inner: Handle):
+    """The key factor of the inner unit: the code 0 over polynomials."""
+    return 0 if isinstance(inner, PolyHandle) else algebra.unit(inner)
+
+
+# --------------------------------------------------------------------------
+# The mixable-shuffle kernel
 
 
 def _shuffle_tails(head: int, u: tuple, v: tuple, merged: dict, lam, m: int | None,
@@ -77,6 +175,12 @@ class _Kernel:
     """The mixable-shuffle kernel over a fixed set of left and right tensor
     operands, on int letters.
 
+    Over a polynomial carrier the letters are the monomial codes of the
+    operands' keys, and the product of two letters is their sum, so output
+    words are tensor keys.  Over other carriers the kernel interns the
+    factors to small ints (``factors`` lists them by letter) and multiplies
+    two letters through their factors' own product.
+
     All products of the operands share one table of merges (every left by
     every right tail letter) and one table of head products; a product adds
     its words (``_shuffle_tails``) into one flat dict.  A rational weight
@@ -92,22 +196,32 @@ class _Kernel:
         self.lam, self.q = ring.unwrap(_merge_weight(handle)), 1
         if type(self.lam) is Fraction:
             self.lam, self.q = self.lam.numerator, self.lam.denominator
-        letters = self.letters = {}
+        if _coded(handle):
+            self.factors = None
+            overflow = _LIMIT * sum(code_places(handle.inner))
+            self.times = lambda x, y: _code_sum(x, y, overflow)
+            self.lefts, self.rights = ([[(t[0], t[1:], c) for t, c in u._bare.items()]
+                                        for u in side] for side in (lefts, rights))
+        else:
+            letters: dict = {}
+            factors = self.factors = []
 
-        def spelled(items) -> list:
-            return [(letters.setdefault(t[0], len(letters)),
-                     tuple([letters.setdefault(f, len(letters)) for f in t[1:]]), c)
-                    for t, c in items]
+            def letter(f) -> int:
+                x = letters.setdefault(f, len(letters))
+                if x == len(factors):
+                    factors.append(f)
+                return x
 
-        self.lefts = [spelled(u._bare.items()) for u in lefts]
-        self.rights = [spelled(u._bare.items()) for u in rights]
-        self.factors = factors = list(letters)
+            self.times = lambda x, y: letter(factors[x] * factors[y])
+            self.lefts, self.rights = ([[(letter(t[0]), tuple(map(letter, t[1:])), c)
+                                         for t, c in u._bare.items()] for u in side]
+                                       for side in (lefts, rights))
         self.merged: dict = {}
         if self.lam:
             ys = {y for items in self.rights for _, v, _ in items for y in v}
             for x in {x for items in self.lefts for _, u, _ in items for x in u}:
                 for y in ys:
-                    self.merged[x, y] = letters.setdefault(factors[x] * factors[y], len(letters))
+                    self.merged[x, y] = self.times(x, y)
         self.top = sum(max([len(u) for items in side for _, u, _ in items], default=0)
                        for side in (self.lefts, self.rights))
         self.heads: dict = {}  # (a0, b0) -> head letter
@@ -115,74 +229,101 @@ class _Kernel:
     def product(self, left: list, right: list) -> dict:
         """The product of two spelled operands (of ``lefts`` and ``rights``),
         as word (head letter, then tail letters) -> bare int coefficient."""
-        letters, factors, heads = self.letters, self.factors, self.heads
+        heads, times = self.heads, self.times
         merged, lam, m, q, top = self.merged, self.lam, self.m, self.q, self.top
         out: dict = {}
         for a0, u, ca in left:
             for b0, v, cb in right:
                 head = heads.get((a0, b0))
                 if head is None:
-                    head = heads[a0, b0] = letters.setdefault(factors[a0] * factors[b0],
-                                                              len(letters))
+                    head = heads[a0, b0] = times(a0, b0)
                 _shuffle_tails(head, u, v, merged, lam, m, ca * cb * q ** (top - len(u) - len(v)),
                                out)
         return out
 
     def terms(self, words: dict, den: int) -> dict:
-        """The factor-tuple terms of words, the coefficient of a word w of
-        len(w) - 1 tail letters divided by den * q^(top + 1 - len(w)), zeros dropped."""
+        """The words with canonical coefficients, the coefficient of a word w
+        of len(w) - 1 tail letters divided by den * q^(top + 1 - len(w)),
+        zeros dropped; words itself when its coefficients are canonical."""
         reduce, q, top = self.ring.reduce, self.q, self.top + 1
-        letter = list(self.letters).__getitem__
         if den == q == 1:
             canon = {c: reduce(c) for c in set(words.values())}
-            return {tuple(map(letter, w)): s for w, c in words.items() if (s := canon[c])}
+            if all(s and s == c for c, s in canon.items()):
+                return words
+            return {w: s for w, c in words.items() if (s := canon[c])}
         canon = {(c, n): reduce(Fraction(c, den * q ** (top - n)))
                  for c, n in {(c, len(w)) for w, c in words.items()}}
-        return {tuple(map(letter, w)): s for w, c in words.items() if (s := canon[c, len(w)])}
+        return {w: s for w, c in words.items() if (s := canon[c, len(w)])}
 
 
 def row_products(handle: ShaHandle, lefts: list, rights: list, rows: list, den: int) -> list:
     """One tensor per row: the sum of c * lefts[i] * rights[l] / den over the
     row's (c, i, l), all on one ``_Kernel`` through ``algebra._pair_sums``.
 
-    Over a polynomial carrier the factors are monic monomials, whose
-    products are monic monomials, so output words are canonical as they
-    stand, and distinct words are distinct terms.  Other carriers have no
-    monomial basis: output words are expanded back to canonical factors,
-    which drops every word with a zero factor.
+    Over a polynomial carrier output words are monomial codes, which are
+    canonical as they stand, and distinct words are distinct terms.  Other
+    carriers have no monomial basis: output words are expanded back to
+    canonical factors, which drops every word with a zero factor.
     """
     kernel = _Kernel(handle, lefts, rights)
     sums = algebra._pair_sums(rows, kernel.lefts, kernel.rights, kernel.product)
-    if isinstance(handle.inner, PolyHandle):
+    if kernel.factors is None:
         return [Tensor._trusted(handle, kernel.terms(words, den)) for words in sums]
-    return [algebra.bare_sum(handle, [(c, pure_tensor_terms(handle, w))
+    factor = kernel.factors.__getitem__
+    return [algebra.bare_sum(handle, [(c, pure_tensor_terms(handle, tuple(map(factor, w))))
                                       for w, c in kernel.terms(words, den).items()])
             for words in sums]
 
 
 def pure_tensor_terms(handle: ShaHandle, factors: tuple) -> list:
-    """The (canonical factor tuple, bare coefficient) pairs of the pure tensor
-    with the given (at least one) arbitrary factors, expanded multilinearly;
-    no two pairs share a tuple.  A coefficient is a product of canonical
-    values, not yet reduced (it may be zero on Z/m)."""
+    """The (canonical key, bare coefficient) pairs of the pure tensor with
+    the given (at least one) arbitrary factors, expanded multilinearly; no
+    two pairs share a key.  A coefficient is a product of canonical values,
+    not yet reduced (it may be zero on Z/m)."""
     for f in factors:
         if f.handle != handle.inner:
             raise HandleMismatchError(f"factor over {f.handle}, expected {handle.inner}")
-    head, *rest = factors
-    expanded = [((m,), c) for c, m in head.basis_expansion()]
-    for f in rest:
-        expanded = [(t + (m,), c * ci) for t, c in expanded for ci, m in f.basis_expansion()]
+    if _coded(handle):
+        code = _encoder(handle.inner)
+        parts = [[(c, code(a)) for a, c in f._bare.items()] for f in factors]
+    else:
+        parts = [f.basis_expansion() for f in factors]
+    head, *rest = parts
+    expanded = [((m,), c) for c, m in head]
+    for part in rest:
+        expanded = [(t + (m,), c * ci) for t, c in expanded for ci, m in part]
     return expanded
 
 
 class Tensor(Terms):
-    """Linear combination of pure tensors over the inner algebra."""
+    """Linear combination of pure tensors over the inner algebra.  Over a
+    polynomial algebra a term's key is the tuple of its factors' monomial
+    codes, which ``.terms`` shows as tuples of one-term monic ``Poly``
+    factors; over other algebras it is the tuple of its canonical factors."""
 
     __slots__ = ()
 
+    @staticmethod
+    def _stored_keys(handle: ShaHandle, bare: dict) -> dict:
+        """Over a polynomial algebra, the terms of the sum of c times the pure
+        tensor of key's factors over bare, keyed by monomial codes."""
+        if not _coded(handle):
+            return bare
+        return algebra.bare_sum(handle, [(c, pure_tensor_terms(handle, k))
+                                         for k, c in bare.items()])._bare
+
+    @property
+    def terms(self) -> Mapping:
+        """The coefficients as a read-only mapping factor tuple -> ``Scalar``;
+        over a polynomial algebra each key is decoded when it is read."""
+        if not _coded(self.handle):
+            return super().terms
+        return _ScalarView(self.handle.ring, self._bare, _key_factors(self.handle),
+                           _key_codes(self.handle))
+
     @classmethod
     def one(cls, handle: ShaHandle) -> Tensor:
-        return cls._trusted(handle, {(algebra.unit(handle.inner),): 1})
+        return cls._trusted(handle, {(_unit_key(handle.inner),): 1})
 
     @classmethod
     def from_factors(cls, handle: ShaHandle, factors: tuple,
@@ -245,7 +386,7 @@ def eta_hom(inner: Handle) -> Hom:
 
 def rb_prepend(u: Tensor) -> Tensor:
     """The free Rota-Baxter operator: prepend the inner unit to every tensor."""
-    one_a = algebra.unit(u.handle.inner)
+    one_a = _unit_key(u.handle.inner)
     return Tensor._trusted(u.handle, {(one_a,) + t: c for t, c in u._bare.items()})
 
 
@@ -257,8 +398,8 @@ def sha_map(f: Hom, u: Tensor) -> Tensor:
     """Apply a homomorphism factorwise; the functor action on tensors."""
     if u.handle.inner != f.src:
         raise HandleMismatchError(f"map from {f.src} cannot act on {u.handle}")
-    target = ShaHandle(f.dst)
-    return u.linear_map(lambda t: pure_tensor_terms(target, tuple(f(x) for x in t)), target)
+    target, factors = ShaHandle(f.dst), _key_factors(u.handle)
+    return u.linear_map(lambda t: pure_tensor_terms(target, tuple(map(f, factors(t)))), target)
 
 
 def sha_hom(f: Hom) -> Hom:
@@ -277,11 +418,12 @@ def induced_rb_hom(phi: Hom, rb: Hom, u: Tensor):
         raise HandleMismatchError(f"phi maps {phi.src}, tensor is over {u.handle.inner}")
     if rb.src != phi.dst:
         raise HandleMismatchError("operator must live on phi's target")
-    dst = phi.dst
+    dst, factors = phi.dst, _key_factors(u.handle)
     if dst.ring != u.handle.ring:
         raise RingError(f"ring mismatch: {dst.ring} vs {u.handle.ring}")
     pairs = []
     for t, c in u._bare.items():
+        t = factors(t)
         v = phi(t[-1])
         for x in reversed(t[:-1]):
             v = phi(x) * rb(v)
@@ -346,10 +488,10 @@ def free_derivation_apply(u: Tensor, d: Hom) -> Tensor:
     """The derivation on sha(A) induced by a derivation d on A."""
     if d.src != u.handle.inner:
         raise HandleMismatchError(f"derivation on {d.src} cannot act on {u.handle}")
-    lam, unwrap = u.handle.weight, u.handle.ring.unwrap
+    lam, unwrap, factors = u.handle.weight, u.handle.ring.unwrap, _key_factors(u.handle)
     return u.linear_map(lambda t: [(k, unwrap(w) * v)
-                                   for w, factors in _free_derivation_terms(t, d, lam)
-                                   for k, v in pure_tensor_terms(u.handle, factors)])
+                                   for w, fs in _free_derivation_terms(factors(t), d, lam)
+                                   for k, v in pure_tensor_terms(u.handle, fs)])
 
 
 def free_derivation(handle: ShaHandle, d: Hom) -> Hom:

@@ -336,8 +336,8 @@ def _check_shuffle_counts(rng: random.Random, cfg: SampleConfig, i: int):
     top_len = m + n + 1
     top = Tensor(s, {t: c for t, c in prod.terms.items() if len(t) == top_len})
     head = av[0] * bv[0]
-    expected = algebra.bare_sum(s, [(1, [((head,) + weave, 1)
-                                         for weave in freerb.interleavings(av[1:], bv[1:])])])
+    expected = algebra.bare_sum(s, [(1, freerb.pure_tensor_terms(s, (head,) + weave))
+                                    for weave in freerb.interleavings(av[1:], bv[1:])])
     yield (f"shuffle-top-terms[m={m},n={n}]", top, expected, {"weight": lam})
     yield (f"shuffle-top-count[m={m},n={n}]", len(top.terms), comb(m + n, n),
            {"weight": lam})

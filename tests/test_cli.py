@@ -167,19 +167,24 @@ def test_check_exits_1_on_a_broken_law(monkeypatch, capsys):
 
 
 def test_bench_rejects_precision():
-    with pytest.raises(SystemExit) as exit_:
-        main(["bench", "--precision", "3"])
-    assert exit_.value.code == 2
+    assert main(["bench", "--precision", "3"]) == 2
 
 
 @pytest.mark.parametrize("argv", [["eval", "--handle", "poly(x)", "--bogus", "x"],
                                   ["check", "--bogus"]], ids=["eval", "check"])
 def test_unknown_option_exits_2_with_one_line(argv, capsys):
-    with pytest.raises(SystemExit) as exit_:
-        main(argv)
-    assert exit_.value.code == 2
+    assert main(argv) == 2
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1 and lines[0] == "error: unrecognized arguments: --bogus"
+
+
+def test_extra_argument_returns_2_with_one_line(capsys):
+    # an argument after the expression is a usage error that main returns,
+    # as it returns every other, rather than raising SystemExit
+    assert main(["eval", "--handle", "poly(x)", "--", "x", "-2/3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().splitlines() == ["error: unrecognized arguments: -2/3"]
 
 
 @pytest.mark.parametrize("argv,message", [

@@ -2,11 +2,12 @@
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 import pytest
 
-from rbshuffle.algebra import (Hom, HandleMismatchError, Poly, SampleBudget,
+from rbshuffle.algebra import (Hom, HandleMismatchError, HurwitzHandle, Poly, SampleBudget,
                                ShaHandle, alg_eq, integration_on, poly_handle,
                                random_element, scaled_identity_on, subst_hom)
 from rbshuffle import freerb
@@ -16,6 +17,7 @@ from rbshuffle.freerb import (Tensor, counit_eval, eta, eta_hom,
                               induced_rb_hom, interleavings, mu, rb_prepend,
                               sha_hom, sha_map, structure_hom)
 from rbshuffle import algebra
+from rbshuffle.distlaw import beta
 from rbshuffle.exprs import eval_text, parse_handle
 from rbshuffle.hurwitz import Series
 
@@ -471,3 +473,205 @@ def test_tensor_is_hashable_and_orders_terms():
     v = Tensor.from_factors(s, (y,), Q.from_int(2)) + Tensor.from_factors(s, (x, y))
     assert u == v and hash(u) == hash(v)
     assert str(u) == "2*y + (x # y)"
+
+
+# --------------------------------------------------------------------------
+# Hoffman's exponential: (a0 # u)(b0 # v) = a0*b0 # exp(log u ⧢0 log v), on
+# plain dicts of words of exponent tuples, sharing no code with the kernel
+
+@lru_cache(maxsize=None)
+def _compositions(n):
+    """Every tuple of positive ints summing to n."""
+    if n == 0:
+        return ((),)
+    return tuple((first,) + rest for first in range(1, n + 1)
+                 for rest in _compositions(n - first))
+
+
+def _blocks(word, parts):
+    """The word with each block of the composition merged into one letter
+    (exponent tuples add)."""
+    out, at = [], 0
+    for i in parts:
+        out.append(tuple(map(sum, zip(*word[at:at + i]))))
+        at += i
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _exp_weight(parts, lam):
+    """lam^(n - k) / I! for a composition I of n into k parts."""
+    d = 1
+    for i in parts:
+        for j in range(2, i + 1):
+            d *= j
+    return Fraction(lam) ** (sum(parts) - len(parts)) / d
+
+
+@lru_cache(maxsize=None)
+def _log_weight(parts, lam):
+    """(-lam)^(n - k) / (i1 ... ik) for a composition I of n into k parts."""
+    d = 1
+    for i in parts:
+        d *= i
+    return Fraction(-lam) ** (sum(parts) - len(parts)) / d
+
+
+def _hoffman_map(combo, lam, weight):
+    """The sum over words w and compositions I of len(w) of c * weight(I) *
+    I[w]: exp with _exp_weight, log with _log_weight."""
+    out: dict = {}
+    for w, c in combo.items():
+        for parts in _compositions(len(w)):
+            k = _blocks(w, parts)
+            out[k] = out.get(k, 0) + c * weight(parts, lam)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _plain_shuffle(u, v):
+    """The shuffle product (no merges) of two words, as word -> count."""
+    if not u or not v:
+        return {u + v: 1}
+    out: dict = {}
+    for head, rest in ((u[0], _plain_shuffle(u[1:], v)), (v[0], _plain_shuffle(u, v[1:]))):
+        for w, c in rest.items():
+            out[(head,) + w] = out.get((head,) + w, 0) + c
+    return out
+
+
+def _hoffman_product(xs, ys, lam):
+    """(sum of c * a) * (sum of d * b) over pure tensors given as (c, words
+    of exponent tuples), as word -> Fraction."""
+    out: dict = {}
+    for c, a in xs:
+        for d, b in ys:
+            head = tuple(map(sum, zip(a[0], b[0])))
+            lu, lv = (_hoffman_map({t[1:]: 1}, lam, _log_weight) for t in (a, b))
+            shuffled: dict = {}
+            for u, cu in lu.items():
+                for v, cv in lv.items():
+                    for w, n in _plain_shuffle(u, v).items():
+                        shuffled[w] = shuffled.get(w, 0) + cu * cv * n
+            for w, e in _hoffman_map(shuffled, lam, _exp_weight).items():
+                out[(head,) + w] = out.get((head,) + w, 0) + c * d * e
+    return out
+
+
+def _hoffman_agrees(ring, lam_lift, rng, draws):
+    """Whether products of random sums of pure tensors over sha(poly(x,y))
+    at the weight lam_lift (an int or Fraction, the lift of the ring's
+    weight) match Hoffman's formula, reduced into the ring."""
+    lam = ring.from_fraction(Fraction(lam_lift))
+    s = ShaHandle(poly_handle(("x", "y"), ring, lam))
+    m = ring.modulus
+
+    def draw():
+        terms = []
+        for _ in range(rng.randint(1, 2)):
+            word = tuple((rng.randint(0, 2), rng.randint(0, 2))
+                         for _ in range(rng.randint(1, 5)))
+            terms.append((rng.choice([-3, -2, -1, 1, 2, 5]), word))
+        return terms
+
+    def tensor(terms):
+        return sum((Tensor.from_factors(s, tuple(Poly.monomial(s.inner, e) for e in w),
+                                        ring.from_int(c)) for c, w in terms), Tensor.zero(s))
+
+    for _ in range(draws):
+        xs, ys = draw(), draw()
+        expect = {}
+        for w, c in _hoffman_product(xs, ys, Fraction(lam_lift)).items():
+            if m:
+                assert c.denominator == 1  # integral: c is an integer polynomial in lam
+                c = c.numerator % m
+            if c:
+                expect[w] = c
+        got = {tuple(next(iter(f.terms)) for f in t): c.value
+               for t, c in (tensor(xs) * tensor(ys)).terms.items()}
+        if got != expect:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("ring,lam", [(Q, 0), (Q, 1), (Q, Fraction(1, 2)), (Q, Fraction(-2, 3)),
+                                      (Q, 3), (Z, 2), (Z, -1), (Z6, 3), (residues(4), 2)],
+                         ids=lambda p: str(p))
+def test_product_matches_hoffman_exponential(ring, lam):
+    assert _hoffman_agrees(ring, lam, random.Random(f"hoffman:{ring}:{lam}"), 8)
+
+
+def test_hoffman_oracle_catches_a_doubled_merge_weight(monkeypatch):
+    monkeypatch.setattr(freerb, "_merge_weight", lambda handle: handle.weight + handle.weight)
+    assert not _hoffman_agrees(Q, 1, random.Random("hoffman:mutant"), 12)
+    assert not _hoffman_agrees(Q, Fraction(-2, 3), random.Random("hoffman:mutant"), 12)
+
+
+# --------------------------------------------------------------------------
+# Tensor keys over polynomial algebras: monomial codes behind the factor view
+
+def test_terms_view_round_trips_through_the_constructor():
+    for ring, lam in ((Q, HALF), (Z, Z.from_int(2)), (Z6, Z6.from_int(3))):
+        s = ShaHandle(poly_handle(("x", "y", "z"), ring, lam))
+        rng = random.Random(f"view:{ring}")
+        for _ in range(20):
+            u = random_element(s, SampleBudget(max_degree=4, max_tensor_len=4), rng)
+            u = u * u
+            for key, c in u.terms.items():
+                assert type(key) is tuple and key
+                for f in key:
+                    assert type(f) is Poly and f.handle == s.inner
+                    assert len(f.terms) == 1 and 1 in f._bare.values()
+            assert Tensor(u.handle, u.terms) == u
+            assert hash(Tensor(u.handle, u.terms)) == hash(u)
+
+
+def test_equal_tensors_from_every_constructor_are_equal_and_hash_equal():
+    s = sha_x(HALF, ("x", "y"))
+    h = s.inner
+    x, y = Poly.variable(h, "x"), Poly.variable(h, "y")
+    one = Poly.one(h)
+    target = (x * y, x, y * y)
+    swap = subst_hom(h, {"x": y, "y": x})
+    hh = HurwitzHandle(h, 2)
+    built = [
+        Tensor.from_factors(s, target),
+        Tensor(s, {target: Q.one()}),
+        Tensor(s, {(x * y.scale(Q.from_int(2)), x, y * y): HALF}),  # expanded
+        Tensor.from_factors(s, (x,)) * Tensor.from_factors(s, (y, x, y * y)),
+        sha_map(swap, Tensor.from_factors(s, (x * y, y, x * x))),
+        beta(Tensor.from_factors(ShaHandle(hh), tuple(Series.constant(f, hh)
+                                                      for f in target))).values[0],
+    ]
+    for u in built:
+        assert u == built[0] and hash(u) == hash(built[0])
+        assert str(u) == "x*y # x # y^2"
+    prepended = Tensor.from_factors(s, (one,) + target)
+    assert rb_prepend(built[0]) == prepended and hash(rb_prepend(built[0])) == hash(prepended)
+    assert Tensor.one(s) == eta(one, s) and hash(Tensor.one(s)) == hash(eta(one, s))
+
+
+def test_exponents_past_the_code_range_raise_value_error():
+    top = 2 ** 31 - 1  # the largest exponent a code holds
+    for lam in (Q.zero(), Q.one()):
+        s = sha_x(lam, ("x", "y"))
+        h = s.inner
+        big, x = Poly.monomial(h, (top, 0)), Poly.variable(h, "x")
+        with pytest.raises(ValueError):
+            Tensor.from_factors(s, (Poly.monomial(h, (0, top + 1)),))
+        with pytest.raises(ValueError):
+            Tensor(s, {(x, Poly.monomial(h, (top + 1, 0))): Q.one()})
+        u = Tensor.from_factors(s, (big, Poly.monomial(h, (0, top))))
+        assert u.terms == {(big, Poly.monomial(h, (0, top))): Q.one()}
+        with pytest.raises(ValueError):  # a head product
+            u * Tensor.from_factors(s, (x,))
+        tail = Tensor.from_factors(s, (x, big))
+        if lam.is_zero:  # no merge: the product keeps both letters
+            assert (tail * tail).lengths() == {3: 1}
+        else:  # the merge big * big
+            with pytest.raises(ValueError):
+                tail * tail
+    hh = HurwitzHandle(h, 1)
+    half = Series.constant(Poly.monomial(h, (2 ** 30, 0)), hh)
+    with pytest.raises(ValueError):  # beta's words can reach x^(2^31)
+        beta(Tensor.from_factors(ShaHandle(hh), (half, half)))
