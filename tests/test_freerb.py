@@ -260,10 +260,36 @@ def _weighted_weaves(xs, ys):
         yield k + 1, (xs[0] * ys[0],) + rest
 
 
-# 2 and 3 are zero divisors mod 6: coefficients cancel and terms vanish
-@pytest.mark.parametrize("lam", (Q.one(), HALF, Z.from_int(2), Z.from_int(3),
-                                 Z6.from_int(2), Z6.from_int(3)), ids=str)
-def test_product_matches_weighted_weave_enumeration(lam):
+def _weave_sum(s, xs, ys, lam):
+    """The sum over (ca, a) in xs and (cb, b) in ys of ca * cb times the
+    weaves of the pure tensors a and b, each weighted by lam per merge."""
+    expect: dict = {}
+    for ca, a in xs:
+        for cb, b in ys:
+            head = a[0] * b[0]
+            for k, weave in _weighted_weaves(a[1:], b[1:]):
+                key = (head,) + weave
+                expect[key] = expect.get(key, lam.ring.zero()) + ca * cb * lam.pow_nat(k)
+    return Tensor(s, expect)
+
+
+def _kernel_ways(monkeypatch) -> list:
+    """Record which way the kernel adds each pair of nonempty tails: "paths"
+    or "cells"."""
+    ways: list = []
+    for name, way in (("_shuffle_paths", "paths"), ("_shuffle_tails", "cells")):
+        run = getattr(freerb, name)
+        monkeypatch.setattr(freerb, name, lambda *a, run=run, way=way: ways.append(way) or run(*a))
+    return ways
+
+
+# 2 and 3 are zero divisors mod 6: coefficients cancel and terms vanish;
+# 2^2 = 0 mod 4, so no word has two merges; -2/3 puts every word of a
+# product of operands with unequal tail lengths over one denominator 3^top
+@pytest.mark.parametrize("lam", (Q.one(), HALF, Q.from_fraction(Fraction(-2, 3)), Z.from_int(2),
+                                 Z.from_int(3), Z6.from_int(2), Z6.from_int(3),
+                                 residues(4).from_int(2)), ids=str)
+def test_product_matches_weighted_weave_enumeration(lam, monkeypatch):
     # every stratum of the recursive product, rebuilt combinatorially, on
     # pure tensors and then on sums of two or three pure tensors whose tails
     # share a suffix: the expected product is the sum of each pair's weaves
@@ -278,14 +304,7 @@ def test_product_matches_weighted_weave_enumeration(lam):
     def check(xs, ys):
         got = (sum((Tensor.from_factors(s, a, c) for c, a in xs), Tensor.zero(s))
                * sum((Tensor.from_factors(s, b, c) for c, b in ys), Tensor.zero(s)))
-        expect = Tensor.zero(s)
-        for ca, a in xs:
-            for cb, b in ys:
-                head = a[0] * b[0]
-                for k, weave in _weighted_weaves(a[1:], b[1:]):
-                    expect = expect + Tensor.from_factors(s, (head,) + weave,
-                                                          ca * cb * lam.pow_nat(k))
-        assert got == expect
+        assert got == _weave_sum(s, xs, ys, lam)
 
     one = lam.ring.one()
     for _ in range(100):
@@ -298,6 +317,24 @@ def test_product_matches_weighted_weave_enumeration(lam):
                    for _ in range(rng.randint(2, 3))]
                   for suffix in (factors(rng.randint(1, 2)), factors(rng.randint(1, 2))))
         check(xs, ys)
+    # every pair of tail lengths up to 5, with the letters x^i and y^j, whose
+    # merges x^i*y^j are distinct from them and from each other (by cells
+    # above the size switch), and with every letter x, which collides with
+    # every other word's letters (path by path at every size)
+    x, y = (Poly.variable(h, v) for v in h.variables)
+    ways = _kernel_ways(monkeypatch)
+    for la in range(6):
+        for lb in range(6):
+            check([(lam.ring.from_int(5),
+                    (y,) + tuple(Poly.monomial(h, (i, 0)) for i in range(1, la + 1)))],
+                  [(lam.ring.from_int(-7),
+                    (x * y,) + tuple(Poly.monomial(h, (0, j)) for j in range(1, lb + 1)))])
+    assert set(ways) == {"paths", "cells"}
+    ways.clear()
+    for la in range(6):
+        for lb in range(6):
+            check([(one, (x,) * (la + 1))], [(one, (x,) * (lb + 1))])
+    assert set(ways) == {"paths"}
 
 
 def test_weight_zero_stratum_matches_interleavings_with_repeats():
@@ -317,7 +354,7 @@ def test_weight_zero_stratum_matches_interleavings_with_repeats():
 
 
 @pytest.mark.parametrize("lam", (Q.one(), Z6.from_int(2), Z6.from_int(3)), ids=str)
-def test_repeated_letters_collect_coefficients(lam):
+def test_repeated_letters_collect_coefficients(lam, monkeypatch):
     # (x # x # x)^2: the tails x#x and x#x weave into x#x#x#x six ways, into
     # each word with one x^2 twice, and into x^2 # x^2 once
     h = poly_handle(("x",), lam.ring, lam)
@@ -335,6 +372,12 @@ def test_repeated_letters_collect_coefficients(lam):
     if ring == Z6 and lam.value == 3:
         # 6, 2*3 and 3*3 mod 6: only the doubly merged word survives
         assert (u * u).terms == {(x2, x2, x2): Z6.from_int(3)}
+    # tails of five letters x, above the size switch: their letters collide,
+    # so they go path by path, which collects equal words
+    ways = _kernel_ways(monkeypatch)
+    u = Tensor.from_factors(s, (x,) * 6)
+    assert u * u == _weave_sum(s, [(ring.one(), (x,) * 6)], [(ring.one(), (x,) * 6)], lam)
+    assert ways == ["paths"]
 
 
 def _recursive_product(a, b, lam, one):
@@ -422,12 +465,19 @@ def test_maps_into_another_ring_are_refused():
         induced_rb_hom(f, scaled_identity_on(h6), u)
 
 
-def test_merge_onto_an_interned_letter_collects_words():
+def test_merge_onto_an_interned_letter_collects_words(monkeypatch):
     # the merge 1*x is the letter x again, and the word 1 # 1 # x # x arises twice
     s = parse_handle("sha(poly(x))", Q, Q.one(), 4)
     expect = eval_text("(1 # 1 # x^2) + (1 # x # x) + 2*(1 # 1 # x # x) + (1 # x # 1 # x)", s)
     assert eval_text("(1 # 1 # x) * (1 # x)", s) == expect
     assert len(expect.terms) == 4
+    # the same collisions on a lattice above the size switch, path by path
+    ways = _kernel_ways(monkeypatch)
+    one, x = Poly.one(s.inner), Poly.variable(s.inner, "x")
+    a, b = (one, one, one, x, one, one), (one, x, one, x)
+    got = Tensor.from_factors(s, a) * Tensor.from_factors(s, b)
+    assert got == _weave_sum(s, [(Q.one(), a)], [(Q.one(), b)], Q.one())
+    assert ways == ["paths"]
 
 
 def test_words_from_pairs_of_unequal_length_collect_at_half_weight():
@@ -437,6 +487,45 @@ def test_words_from_pairs_of_unequal_length_collect_at_half_weight():
     expect = eval_text("2*(1 # 1 # x # x) + 1/2*(1 # 1 # x^2) + (1 # x # 1 # x)"
                        " + 5/2*(1 # x # x) + 1/2*(1 # x^2)", s)
     assert eval_text("((1 # 1 # x) + (1 # x)) * (1 # x)", s) == expect
+
+
+def test_whole_coefficients_are_stored_as_ints():
+    # 1/2 * 2 is whole: at an integer weight the kernel's output is kept as
+    # it stands only when every value is an int
+    s = parse_handle("sha(poly(x))", Q, Q.one(), 4)
+    u = eval_text("(1/2*(x # x)) * (2*(1 # x))", s)
+    assert u == eval_text("2*(x # x # x) + (x # x^2)", s)
+    assert all(type(c) is int for c in u._bare.values())
+    # one pair of int coefficients and one of whole Fractions, with equal
+    # values (4 and 8, then 4/1 and 8/1 at weight 2), in both term orders
+    s = parse_handle("sha(poly(x,y))", Q, Q.from_int(2), 4)
+    yy, xx, right = (eval_text(e, s) for e in ("y # y", "1/2*(x # x)", "4*(1 # x)"))
+    expect = eval_text("4*(y # y # x) + 4*(y # x # y) + 8*(y # x*y)"
+                       " + 4*(x # x # x) + 4*(x # x^2)", s)
+    assert list((yy + xx)._bare) != list((xx + yy)._bare)
+    for left in (yy + xx, xx + yy):
+        u = left * right
+        assert u == expect
+        assert all(type(c) is int for c in u._bare.values())
+
+
+def test_operands_of_unequal_tails_share_one_denominator(monkeypatch):
+    # at -2/3 a word with d merges carries (-2)^d * 3^(top - d) over 3^top,
+    # top the most merges of any pair (here 4), through all three ways
+    lam = Q.from_fraction(Fraction(-2, 3))
+    s = parse_handle("sha(poly(x,y))", Q, lam, 4)
+    ways = _kernel_ways(monkeypatch)
+    x, y = Poly.variable(s.inner, "x"), Poly.variable(s.inner, "y")
+    one = Poly.one(s.inner)
+    xs = [(Q.from_fraction(Fraction(1, 2)),
+           (x * y,) + tuple(Poly.monomial(s.inner, (i, 0)) for i in range(1, 6))),
+          (Q.from_int(-3), (one, x)), (Q.from_fraction(Fraction(2, 5)), (y, y * y, x, y))]
+    ys = [(Q.one(), (x * y,) + tuple(Poly.monomial(s.inner, (0, j)) for j in range(1, 5))),
+          (Q.from_fraction(Fraction(-4, 7)), (y, x, x, y, x)), (Q.from_int(2), (one,))]
+    got = (sum((Tensor.from_factors(s, a, c) for c, a in xs), Tensor.zero(s))
+           * sum((Tensor.from_factors(s, b, c) for c, b in ys), Tensor.zero(s)))
+    assert got == _weave_sum(s, xs, ys, lam)
+    assert set(ways) == {"paths", "cells"}
 
 
 def test_zero_operand_gives_the_zero_tensor(monkeypatch):
@@ -477,7 +566,10 @@ def test_tensor_is_hashable_and_orders_terms():
 
 # --------------------------------------------------------------------------
 # Hoffman's exponential: (a0 # u)(b0 # v) = a0*b0 # exp(log u ⧢0 log v), on
-# plain dicts of words of exponent tuples, sharing no code with the kernel
+# plain dicts of words, sharing no code with the kernel.  A letter is an
+# exponent tuple over poly(x,y), whose product adds exponents, or (over
+# sha(poly(x))) a word of exponent tuples, whose product is this same
+# formula one level down
 
 @lru_cache(maxsize=None)
 def _compositions(n):
@@ -488,14 +580,35 @@ def _compositions(n):
                  for rest in _compositions(n - first))
 
 
-def _blocks(word, parts):
-    """The word with each block of the composition merged into one letter
-    (exponent tuples add)."""
-    out, at = [], 0
+def _monomial_times(x, y):
+    """The product of two monomial letters (exponent tuples), as letter -> coefficient."""
+    return {tuple(map(sum, zip(x, y))): 1}
+
+
+def _spread(parts_words):
+    """The words formed by one letter from each of the dicts letter ->
+    coefficient, in order, as word -> coefficient (multilinear expansion)."""
+    out = {(): 1}
+    for part in parts_words:
+        out = {w + (x,): c * e for w, c in out.items() for x, e in part.items()}
+    return out
+
+
+def _blocks(word, parts, times):
+    """The word with each block of the composition merged into the product of
+    its letters, expanded multilinearly: word -> coefficient."""
+    merged, at = [], 0
     for i in parts:
-        out.append(tuple(map(sum, zip(*word[at:at + i]))))
+        block = {word[at]: 1}
+        for y in word[at + 1:at + i]:
+            product: dict = {}
+            for x, c in block.items():
+                for z, e in times(x, y).items():
+                    product[z] = product.get(z, 0) + c * e
+            block = product
+        merged.append(block)
         at += i
-    return tuple(out)
+    return _spread(merged)
 
 
 @lru_cache(maxsize=None)
@@ -517,14 +630,14 @@ def _log_weight(parts, lam):
     return Fraction(-lam) ** (sum(parts) - len(parts)) / d
 
 
-def _hoffman_map(combo, lam, weight):
+def _hoffman_map(combo, lam, weight, times):
     """The sum over words w and compositions I of len(w) of c * weight(I) *
     I[w]: exp with _exp_weight, log with _log_weight."""
     out: dict = {}
     for w, c in combo.items():
         for parts in _compositions(len(w)):
-            k = _blocks(w, parts)
-            out[k] = out.get(k, 0) + c * weight(parts, lam)
+            for k, e in _blocks(w, parts, times).items():
+                out[k] = out.get(k, 0) + c * e * weight(parts, lam)
     return out
 
 
@@ -540,55 +653,79 @@ def _plain_shuffle(u, v):
     return out
 
 
-def _hoffman_product(xs, ys, lam):
+def _hoffman_product(xs, ys, lam, times=_monomial_times):
     """(sum of c * a) * (sum of d * b) over pure tensors given as (c, words
-    of exponent tuples), as word -> Fraction."""
+    of letters), with times the product of two letters, as word -> Fraction."""
     out: dict = {}
     for c, a in xs:
         for d, b in ys:
-            head = tuple(map(sum, zip(a[0], b[0])))
-            lu, lv = (_hoffman_map({t[1:]: 1}, lam, _log_weight) for t in (a, b))
+            lu, lv = (_hoffman_map({t[1:]: 1}, lam, _log_weight, times) for t in (a, b))
             shuffled: dict = {}
             for u, cu in lu.items():
                 for v, cv in lv.items():
                     for w, n in _plain_shuffle(u, v).items():
                         shuffled[w] = shuffled.get(w, 0) + cu * cv * n
-            for w, e in _hoffman_map(shuffled, lam, _exp_weight).items():
-                out[(head,) + w] = out.get((head,) + w, 0) + c * d * e
+            for head, ch in times(a[0], b[0]).items():
+                for w, e in _hoffman_map(shuffled, lam, _exp_weight, times).items():
+                    out[(head,) + w] = out.get((head,) + w, 0) + c * d * ch * e
     return out
 
 
-def _hoffman_agrees(ring, lam_lift, rng, draws):
-    """Whether products of random sums of pure tensors over sha(poly(x,y))
-    at the weight lam_lift (an int or Fraction, the lift of the ring's
-    weight) match Hoffman's formula, reduced into the ring."""
+def _hoffman_agrees(ring, lam_lift, rng, draws, nested=False):
+    """Whether products of random sums of pure tensors over sha(poly(x,y)),
+    or with nested over sha(sha(poly(x))), at the weight lam_lift (an int or
+    Fraction, the lift of the ring's weight) match Hoffman's formula,
+    reduced into the ring."""
     lam = ring.from_fraction(Fraction(lam_lift))
-    s = ShaHandle(poly_handle(("x", "y"), ring, lam))
+    inner = poly_handle(("x",) if nested else ("x", "y"), ring, lam)
+    s = ShaHandle(ShaHandle(inner) if nested else inner)
     m = ring.modulus
+
+    def monomial():
+        return tuple(rng.randint(0, 2) for _ in inner.variables)
+
+    def letter():  # over sha(poly(x)): a word of one or two monomials
+        return tuple(monomial() for _ in range(rng.randint(1, 2))) if nested else monomial()
 
     def draw():
         terms = []
         for _ in range(rng.randint(1, 2)):
-            word = tuple((rng.randint(0, 2), rng.randint(0, 2))
-                         for _ in range(rng.randint(1, 5)))
+            word = tuple(letter() for _ in range(rng.randint(1, 3 if nested else 5)))
             terms.append((rng.choice([-3, -2, -1, 1, 2, 5]), word))
         return terms
 
+    def factor(x):
+        if not nested:
+            return Poly.monomial(inner, x)
+        return Tensor.from_factors(s.inner, tuple(Poly.monomial(inner, e) for e in x))
+
     def tensor(terms):
-        return sum((Tensor.from_factors(s, tuple(Poly.monomial(s.inner, e) for e in w),
-                                        ring.from_int(c)) for c, w in terms), Tensor.zero(s))
+        return sum((Tensor.from_factors(s, tuple(map(factor, w)), ring.from_int(c))
+                    for c, w in terms), Tensor.zero(s))
+
+    def spelled(f):
+        """A factor of the product as its letter."""
+        if not nested:
+            return next(iter(f.terms))
+        ((t, c),) = f.terms.items()
+        assert c == ring.one()
+        return tuple(next(iter(p.terms)) for p in t)
+
+    @lru_cache(maxsize=None)
+    def word_times(x, y):  # two basis tensors of sha(poly(x)) multiply by the formula
+        return _hoffman_product([(1, x)], [(1, y)], Fraction(lam_lift))
 
     for _ in range(draws):
         xs, ys = draw(), draw()
         expect = {}
-        for w, c in _hoffman_product(xs, ys, Fraction(lam_lift)).items():
+        for w, c in _hoffman_product(xs, ys, Fraction(lam_lift),
+                                     word_times if nested else _monomial_times).items():
             if m:
                 assert c.denominator == 1  # integral: c is an integer polynomial in lam
                 c = c.numerator % m
             if c:
                 expect[w] = c
-        got = {tuple(next(iter(f.terms)) for f in t): c.value
-               for t, c in (tensor(xs) * tensor(ys)).terms.items()}
+        got = {tuple(map(spelled, t)): c.value for t, c in (tensor(xs) * tensor(ys)).terms.items()}
         if got != expect:
             return False
     return True
@@ -601,10 +738,22 @@ def test_product_matches_hoffman_exponential(ring, lam):
     assert _hoffman_agrees(ring, lam, random.Random(f"hoffman:{ring}:{lam}"), 8)
 
 
+# over sha(sha(poly(x))) the kernel interns inner tensors as letters, and a
+# merge or head product is an inner tensor product
+@pytest.mark.parametrize("ring,lam", [(Q, 0), (Q, 1), (Q, Fraction(1, 2)), (Q, Fraction(-2, 3)),
+                                      (Z, -1), (Z6, 3), (residues(4), 2)],
+                         ids=lambda p: str(p))
+def test_product_over_tensor_letters_matches_hoffman_exponential(ring, lam):
+    assert _hoffman_agrees(ring, lam, random.Random(f"hoffman-nested:{ring}:{lam}"), 20,
+                           nested=True)
+
+
 def test_hoffman_oracle_catches_a_doubled_merge_weight(monkeypatch):
     monkeypatch.setattr(freerb, "_merge_weight", lambda handle: handle.weight + handle.weight)
     assert not _hoffman_agrees(Q, 1, random.Random("hoffman:mutant"), 12)
     assert not _hoffman_agrees(Q, Fraction(-2, 3), random.Random("hoffman:mutant"), 12)
+    assert not _hoffman_agrees(Q, Fraction(-2, 3), random.Random("hoffman:mutant"), 12,
+                               nested=True)
 
 
 # --------------------------------------------------------------------------
