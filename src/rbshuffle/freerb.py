@@ -12,16 +12,16 @@ step, with the handle weight as its coefficient) their product in A, as in
 Hoffman's quasi-shuffles.  The weighted merge is what distinguishes this
 from the plain shuffle product.  The kernel, ``_Kernel``, runs on int
 letters and looks each merge up in one table of letter products.  It walks
-a pair's lattice a cell at a time (``_shuffle_tails``): cell (i, j) holds
-the prefixes of all paths through it, one list per merge count, each built
-once from three neighbour cells, and a step out of the interior puts them
-into the product in bulk.  That needs words that are new and pairwise
-distinct, so a product's first pair of tails goes by cells when its
-letters are distinct and its lattice is not small; every other pair goes
-path by path (``_shuffle_paths``), which collects equal words.  With the
-weight p/q, a word with d merges gets p^d * q^(top - d), top the most
-merges of any pair, so every word of a product shares the denominator
-q^top and its coefficients are reduced once per distinct value.
+the lattice of every pair of nonempty tails a cell at a time
+(``_shuffle_tails``): cell (i, j) holds the prefixes of all paths through
+it, one list per merge count, and extends each list into the up to three
+cells its steps reach, or finishes its words where a step leaves the
+interior.  Finished words go into the product in bulk when no other word
+can equal them (the pair's letters and merges are distinct, and no earlier
+pair had its head letter), else one by one, so equal words add up.  With
+the weight p/q, a word with d merges gets p^d * q^(top - d), top the most
+merges of any pair, so every word of a product shares the denominator q^top
+and its coefficients are reduced once per distinct value.
 ``row_products`` drives the kernel for every tensor carrier, on one pair
 in ``Tensor.__mul__`` and on all values of two series in a Hurwitz
 product, forming each distinct operand pair's product once
@@ -53,9 +53,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Mapping
 from fractions import Fraction
-from functools import lru_cache
 from itertools import repeat
-from math import comb
 from operator import add, mul
 
 from . import algebra
@@ -153,58 +151,15 @@ def _unit_key(inner: Handle):
 # --------------------------------------------------------------------------
 # The mixable-shuffle kernel
 
-# A pair of tails whose shuffle has at least this many words may run by
-# cells (``_shuffle_tails``), a smaller one runs path by path
-# (``_shuffle_paths``), since a cell costs more than a path step but serves
-# many prefixes.  Fitted on calls timed both ways, best of three runs each,
-# on distinct int letters, tails 1x1 to 6x9 at zero and nonzero weight, in
-# two sessions: below 70 words paths won 67 of 68 timings (cells took 0.99
-# to 3.7 times as long), from 120 words cells won 71 of 74 (0.32 to 1.04),
-# and in between cells won 3 of 8 (0.96 to 1.22).  Over one round of
-# ``check`` (law seeds 0 to 5 over q, 5 over z and Z/4) the kernel runs
-# 8,658 to 11,240 pairs of nonempty tails path by path and 3 by cells.
-_CELLS_FROM = 120
-
-
-@lru_cache(maxsize=None)
-def _word_count(a: int, b: int, n: int) -> int:
-    """The number of words in the mixable shuffle of two words of a and b
-    distinct letters that have fewer than n merges."""
-    return sum(comb(a + b - d, d) * comb(a + b - 2 * d, a - d)
-               for d in range(min(a, b, n - 1) + 1))
-
-
-def _shuffle_paths(head: int, u: tuple, v: tuple, merged: dict, ks: list, out: dict) -> None:
-    """Add the words of ``_shuffle_tails`` path by path, on any letters and
-    into any out, collecting equal words: each path is built front to back
-    on a stack of (i, j, prefix, merges so far)."""
-    last = len(ks) - 1
-    stack = [(0, 0, (head,), 0)]
-    pop, push = stack.pop, stack.append
-    while stack:
-        i, j, w, d = pop()
-        if i == len(u):
-            w += v[j:]
-        elif j == len(v):
-            w += u[i:]
-        else:
-            x, y = u[i], v[j]
-            push((i + 1, j, w + (x,), d))
-            push((i, j + 1, w + (y,), d))
-            if d < last:
-                push((i + 1, j + 1, w + (merged[x, y],), d + 1))
-            continue
-        k = ks[d]
-        s = out.get(w)
-        out[w] = k if s is None else s + k
-
-
-def _shuffle_tails(head: int, u: tuple, v: tuple, merged: dict, ks: list, out: dict) -> None:
+def _shuffle_tails(head: int, u: tuple, v: tuple, merged: dict, ks: list, out: dict,
+                   bulk: bool) -> None:
     """Add the mixable shuffle of two nonempty words of int letters, each led
-    by the letter head, into out (word -> coefficient), which holds none of
-    its words: a word with d merges adds ks[d], and none has len(ks) merges
-    or more.  The letters of u and v and their merges are pairwise distinct
-    (``_distinct``), so every path spells its own word.
+    by the letter head, into out (word -> coefficient): a word with d merges
+    adds ks[d], and none has len(ks) merges or more.  With bulk, out holds
+    none of the words and the letters of u and v and their merges are
+    pairwise distinct (``_distinct``), so every path spells its own word and
+    a finished list goes into out whole; without it, each finished word is
+    collected into out, so equal words add up.
 
     A word is a lattice path from (0, 0) to (len(u), len(v)) whose steps take
     u's next letter, or v's, or (diagonally, one merge) their product
@@ -213,8 +168,7 @@ def _shuffle_tails(head: int, u: tuple, v: tuple, merged: dict, ks: list, out: d
     prefixes of different merge counts differ in length, so no two lists
     share one.  Cells are taken in row order, each complete by then: each of
     its three steps extends every list at once into the next cell, or, out
-    of the interior, finishes it with the rest of the other word, a tail
-    built once per row or column, and puts the list into out whole.  So the
+    of the interior, finishes it with the rest of the other word.  So the
     last row and column are never built, and a cell is dropped as soon as it
     is taken.
     """
@@ -235,16 +189,26 @@ def _shuffle_tails(head: int, u: tuple, v: tuple, merged: dict, ks: list, out: d
                     continue
                 rest = (z,) + (v[r:] if p == a else u[p:])
                 for d, g in cell.items():
-                    if d + e <= top:
+                    if d + e > top:
+                        continue
+                    if bulk:
                         out.update(zip(map(add, g, repeat(rest)), repeat(ks[d + e])))
+                        continue
+                    k = ks[d + e]
+                    for w in g:
+                        w += rest
+                        s = out.get(w)
+                        out[w] = k if s is None else s + k
 
 
 def _distinct(u: tuple, v: tuple, merged: dict, merges: bool) -> bool:
     """Whether the letters of u and v, and with merges their products, are
     pairwise distinct, so that every path of their shuffle spells its own
     word (the head leads them all)."""
-    letters = u + v + (tuple([merged[x, y] for x in u for y in v]) if merges else ())
-    return len(set(letters)) == len(letters)
+    letters = {*u, *v}
+    if merges and len(letters) == len(u) + len(v):
+        letters.update([merged[x, y] for x in u for y in v])
+    return len(letters) == len(u) + len(v) + merges * len(u) * len(v)
 
 
 class _Kernel:
@@ -317,16 +281,20 @@ class _Kernel:
     def product(self, left: list, right: list) -> dict:
         """The product of two spelled operands (of ``lefts`` and ``rights``),
         as word (head letter, then tail letters) -> bare coefficient over
-        the common denominator.  An empty tail adds one word here.  Other
-        pairs go by cells from ``_CELLS_FROM`` words when their words are
-        new to out and pairwise distinct, and path by path otherwise."""
+        the common denominator.  An empty tail adds one word here, and every
+        other pair goes by ``_shuffle_tails``: in bulk when its letters are
+        distinct and its head is new to the product, since words of
+        different heads differ, and word by word otherwise."""
         heads, times, merged, powers, m = self.heads, self.times, self.merged, self.powers, self.m
         out: dict = {}
+        written: set = set()  # the head letters of the words in out
         for a0, u, ca in left:
             for b0, v, cb in right:
                 head = heads.get((a0, b0))
                 if head is None:
                     head = heads[a0, b0] = times(a0, b0)
+                new = head not in written
+                written.add(head)
                 c = ca * cb
                 if not (u and v):  # one word, with no merge
                     k = c * powers[0] % m if m else c * powers[0]
@@ -338,13 +306,9 @@ class _Kernel:
                 n = min(len(u), len(v)) + 1
                 ks = ([k for t in powers[:n] if (k := c * t % m)] if m
                       else [c * t for t in powers[:n]])
-                if not ks:
-                    continue
-                if (out or _word_count(len(u), len(v), len(ks)) < _CELLS_FROM
-                        or not _distinct(u, v, merged, len(ks) > 1)):
-                    _shuffle_paths(head, u, v, merged, ks, out)
-                else:
-                    _shuffle_tails(head, u, v, merged, ks, out)
+                if ks:
+                    _shuffle_tails(head, u, v, merged, ks, out,
+                                   new and _distinct(u, v, merged, len(ks) > 1))
         return out
 
     def terms(self, words: dict, den: int) -> dict:

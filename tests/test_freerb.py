@@ -273,14 +273,13 @@ def _weave_sum(s, xs, ys, lam):
     return Tensor(s, expect)
 
 
-def _kernel_ways(monkeypatch) -> list:
-    """Record which way the kernel adds each pair of nonempty tails: "paths"
-    or "cells"."""
-    ways: list = []
-    for name, way in (("_shuffle_paths", "paths"), ("_shuffle_tails", "cells")):
-        run = getattr(freerb, name)
-        monkeypatch.setattr(freerb, name, lambda *a, run=run, way=way: ways.append(way) or run(*a))
-    return ways
+def _kernel_modes(monkeypatch) -> list:
+    """Record how the kernel's walk adds each pair of nonempty tails: True
+    in bulk, False word by word."""
+    modes: list = []
+    run = freerb._shuffle_tails
+    monkeypatch.setattr(freerb, "_shuffle_tails", lambda *a: modes.append(a[-1]) or run(*a))
+    return modes
 
 
 # 2 and 3 are zero divisors mod 6: coefficients cancel and terms vanish;
@@ -318,23 +317,51 @@ def test_product_matches_weighted_weave_enumeration(lam, monkeypatch):
                   for suffix in (factors(rng.randint(1, 2)), factors(rng.randint(1, 2))))
         check(xs, ys)
     # every pair of tail lengths up to 5, with the letters x^i and y^j, whose
-    # merges x^i*y^j are distinct from them and from each other (by cells
-    # above the size switch), and with every letter x, which collides with
-    # every other word's letters (path by path at every size)
+    # merges x^i*y^j are distinct from them and from each other (in bulk),
+    # and with every letter x, which collides with every other word's
+    # letters (word by word at every size)
     x, y = (Poly.variable(h, v) for v in h.variables)
-    ways = _kernel_ways(monkeypatch)
+    px = [Poly.monomial(h, (i, 0)) for i in range(6)]  # x^i
+    py = [Poly.monomial(h, (0, j)) for j in range(6)]  # y^j
+    modes = _kernel_modes(monkeypatch)
     for la in range(6):
         for lb in range(6):
-            check([(lam.ring.from_int(5),
-                    (y,) + tuple(Poly.monomial(h, (i, 0)) for i in range(1, la + 1)))],
-                  [(lam.ring.from_int(-7),
-                    (x * y,) + tuple(Poly.monomial(h, (0, j)) for j in range(1, lb + 1)))])
-    assert set(ways) == {"paths", "cells"}
-    ways.clear()
+            check([(lam.ring.from_int(5), (y, *px[1:la + 1]))],
+                  [(lam.ring.from_int(-7), (x * y, *py[1:lb + 1]))])
+    assert modes == [True] * 25
+    modes.clear()
     for la in range(6):
         for lb in range(6):
             check([(one, (x,) * (la + 1))], [(one, (x,) * (lb + 1))])
-    assert set(ways) == {"paths"}
+    assert modes == [False] * 25
+    # two pairs of distinct letters and different heads spell disjoint
+    # words, so both go in bulk; a pair whose head repeats one written
+    # before collects, also when an empty tail wrote it: y^2 # x*y comes
+    # from (1)(y^2 # x*y) and from (y # y)(y # x)
+    modes.clear()
+    check([(one, (y, *px[1:4])), (one, (y * y, *px[4:6]))], [(one, (x * y, *py[1:4]))])
+    assert modes == [True, True]
+    modes.clear()
+    check([(one, (y, *px[1:3])), (one, (y, px[3]))], [(one, (x * y, *py[1:3]))])
+    assert modes == [True, False]
+    modes.clear()
+    check([(one, (px[0],)), (one, (y, y))], [(one, (y, x)), (one, (y * y, x * y))])
+    assert modes == [False, True]
+
+
+@pytest.mark.parametrize("lam", (Q.one(), HALF, residues(4).from_int(2)), ids=str)
+def test_pairs_of_different_heads_insert_in_bulk(lam, monkeypatch):
+    # (A + B) * C over 21 distinct variables, seven per tensor: the words of
+    # A * C and of B * C lead with different heads, so both pairs go in bulk
+    h = poly_handle(tuple(f"s{k}" for k in range(21)), lam.ring, lam)
+    s = ShaHandle(h)
+    letters = tuple(Poly.variable(h, v) for v in h.variables)
+    a, b, c = (Tensor.from_factors(s, letters[i:i + 7]) for i in (0, 7, 14))
+    modes = _kernel_modes(monkeypatch)
+    got = (a + b) * c
+    assert modes == [True, True]
+    assert got == a * c + b * c
+    assert len(got.terms) == 2 * len((a * c).terms)
 
 
 def test_weight_zero_stratum_matches_interleavings_with_repeats():
@@ -372,12 +399,12 @@ def test_repeated_letters_collect_coefficients(lam, monkeypatch):
     if ring == Z6 and lam.value == 3:
         # 6, 2*3 and 3*3 mod 6: only the doubly merged word survives
         assert (u * u).terms == {(x2, x2, x2): Z6.from_int(3)}
-    # tails of five letters x, above the size switch: their letters collide,
-    # so they go path by path, which collects equal words
-    ways = _kernel_ways(monkeypatch)
+    # tails of five letters x: their letters collide, so their words are
+    # collected one by one
+    modes = _kernel_modes(monkeypatch)
     u = Tensor.from_factors(s, (x,) * 6)
     assert u * u == _weave_sum(s, [(ring.one(), (x,) * 6)], [(ring.one(), (x,) * 6)], lam)
-    assert ways == ["paths"]
+    assert modes == [False]
 
 
 def _recursive_product(a, b, lam, one):
@@ -471,13 +498,13 @@ def test_merge_onto_an_interned_letter_collects_words(monkeypatch):
     expect = eval_text("(1 # 1 # x^2) + (1 # x # x) + 2*(1 # 1 # x # x) + (1 # x # 1 # x)", s)
     assert eval_text("(1 # 1 # x) * (1 # x)", s) == expect
     assert len(expect.terms) == 4
-    # the same collisions on a lattice above the size switch, path by path
-    ways = _kernel_ways(monkeypatch)
+    # the same collisions on a larger lattice, collected word by word
+    modes = _kernel_modes(monkeypatch)
     one, x = Poly.one(s.inner), Poly.variable(s.inner, "x")
     a, b = (one, one, one, x, one, one), (one, x, one, x)
     got = Tensor.from_factors(s, a) * Tensor.from_factors(s, b)
     assert got == _weave_sum(s, [(Q.one(), a)], [(Q.one(), b)], Q.one())
-    assert ways == ["paths"]
+    assert modes == [False]
 
 
 def test_words_from_pairs_of_unequal_length_collect_at_half_weight():
@@ -511,10 +538,11 @@ def test_whole_coefficients_are_stored_as_ints():
 
 def test_operands_of_unequal_tails_share_one_denominator(monkeypatch):
     # at -2/3 a word with d merges carries (-2)^d * 3^(top - d) over 3^top,
-    # top the most merges of any pair (here 4), through all three ways
+    # top the most merges of any pair (here 4), in bulk for the first pair
+    # and word by word for the pairs with repeated letters
     lam = Q.from_fraction(Fraction(-2, 3))
     s = parse_handle("sha(poly(x,y))", Q, lam, 4)
-    ways = _kernel_ways(monkeypatch)
+    modes = _kernel_modes(monkeypatch)
     x, y = Poly.variable(s.inner, "x"), Poly.variable(s.inner, "y")
     one = Poly.one(s.inner)
     xs = [(Q.from_fraction(Fraction(1, 2)),
@@ -525,7 +553,7 @@ def test_operands_of_unequal_tails_share_one_denominator(monkeypatch):
     got = (sum((Tensor.from_factors(s, a, c) for c, a in xs), Tensor.zero(s))
            * sum((Tensor.from_factors(s, b, c) for c, b in ys), Tensor.zero(s)))
     assert got == _weave_sum(s, xs, ys, lam)
-    assert set(ways) == {"paths", "cells"}
+    assert set(modes) == {True, False}
 
 
 def test_zero_operand_gives_the_zero_tensor(monkeypatch):
