@@ -16,12 +16,11 @@ the lattice of every pair of nonempty tails a cell at a time
 (``_shuffle_tails``): cell (i, j) holds the prefixes of all paths through
 it, one list per merge count, and extends each list into the up to three
 cells its steps reach, or finishes its words where a step leaves the
-interior.  Finished words go into the product in bulk when no other word
-can equal them (the pair's letters and merges are distinct, and no earlier
-pair had its head letter), else one by one, so equal words add up.  With
-the weight p/q, a word with d merges gets p^d * q^(top - d), top the most
-merges of any pair, so every word of a product shares the denominator q^top
-and its coefficients are reduced once per distinct value.
+interior, storing each (added to an equal word unless ``_Kernel.product``
+rules that out).  With the weight p/q, a word with d merges gets p^d *
+q^(top - d), top the most merges of any pair, so every word of a product
+shares the denominator q^top and its coefficients are reduced once per
+distinct value.
 ``row_products`` drives the kernel for every tensor carrier, on one pair
 in ``Tensor.__mul__`` and on all values of two series in a Hurwitz
 product, forming each distinct operand pair's product once
@@ -157,48 +156,53 @@ def _shuffle_tails(head: int, u: tuple, v: tuple, merged: dict, ks: list, out: d
     by the letter head, into out (word -> coefficient): a word with d merges
     adds ks[d], and none has len(ks) merges or more.  With bulk, out holds
     none of the words and the letters of u and v and their merges are
-    pairwise distinct (``_distinct``), so every path spells its own word and
-    a finished list goes into out whole; without it, each finished word is
-    collected into out, so equal words add up.
+    pairwise distinct (``_distinct``), so each finished word is stored as it
+    stands; without it, each is added to any equal word in out.
 
     A word is a lattice path from (0, 0) to (len(u), len(v)) whose steps take
     u's next letter, or v's, or (diagonally, one merge) their product
     ``merged[x, y]``.  The interior cell (i, j), i < len(u) and j < len(v),
-    holds the prefixes of the paths through it, one list per merge count;
-    prefixes of different merge counts differ in length, so no two lists
-    share one.  Cells are taken in row order, each complete by then: each of
-    its three steps extends every list at once into the next cell, or, out
-    of the interior, finishes it with the rest of the other word.  So the
-    last row and column are never built, and a cell is dropped as soon as it
-    is taken.
+    holds the prefixes of the paths through it, one list per merge count
+    (which fixes their length).  Row by row, every list of a cell takes each
+    step at once: into the next cell, or, out of the interior, to finished
+    words that end with the rest of the other word.  So the last row and
+    column are never built, and a cell is dropped as soon as it is taken.
     """
     a, b, top = len(u), len(v), len(ks) - 1
-    cells: dict = {(0, 0): {0: [(head,)]}}  # (i, j) -> merge count -> prefixes
+    row = {0: {0: [(head,)]}}  # column -> merge count -> prefixes
+    ends = []  # a cell's (prefixes, the rest of their words, coefficient)
     for i, x in enumerate(u):
+        below = {} if i + 1 < a else None
         for j, y in enumerate(v):
-            cell = cells.pop((i, j))
-            steps = [(i + 1, j, x, 0), (i, j + 1, y, 0)]  # (to, its letter, merges)
-            if top:
-                steps.append((i + 1, j + 1, merged[x, y], 1))
-            for p, r, z, e in steps:
-                if p < a and r < b:
-                    target = cells.setdefault((p, r), {})
-                    for d, g in cell.items():
-                        if d + e <= top:
-                            target.setdefault(d + e, []).extend(map(add, g, repeat((z,))))
-                    continue
-                rest = (z,) + (v[r:] if p == a else u[p:])
-                for d, g in cell.items():
-                    if d + e > top:
-                        continue
-                    if bulk:
-                        out.update(zip(map(add, g, repeat(rest)), repeat(ks[d + e])))
-                        continue
-                    k = ks[d + e]
+            xs, ys, zs = (x,), (y,), (merged[x, y],) if top else ()
+            for d, g in row.pop(j).items():
+                if below is None:
+                    ends.append((g, xs + v[j:], ks[d]))
+                else:
+                    below.setdefault(j, {}).setdefault(d, []).extend(map(add, g, repeat(xs)))
+                if j + 1 < b:
+                    row.setdefault(j + 1, {}).setdefault(d, []).extend(map(add, g, repeat(ys)))
+                else:
+                    ends.append((g, ys + u[i:], ks[d]))
+                if d < top:
+                    if below is None:
+                        ends.append((g, zs + v[j + 1:], ks[d + 1]))
+                    elif j + 1 < b:
+                        below.setdefault(j + 1, {}).setdefault(d + 1, []).extend(
+                            map(add, g, repeat(zs)))
+                    else:
+                        ends.append((g, zs + u[i + 1:], ks[d + 1]))
+            for g, rest, k in ends:
+                if bulk:
                     for w in g:
-                        w += rest
-                        s = out.get(w)
-                        out[w] = k if s is None else s + k
+                        out[w + rest] = k
+                    continue
+                for w in g:
+                    w += rest
+                    s = out.get(w)
+                    out[w] = k if s is None else s + k
+            ends.clear()
+        row = below
 
 
 def _distinct(u: tuple, v: tuple, merged: dict, merges: bool) -> bool:
@@ -281,20 +285,17 @@ class _Kernel:
     def product(self, left: list, right: list) -> dict:
         """The product of two spelled operands (of ``lefts`` and ``rights``),
         as word (head letter, then tail letters) -> bare coefficient over
-        the common denominator.  An empty tail adds one word here, and every
-        other pair goes by ``_shuffle_tails``: in bulk when its letters are
-        distinct and its head is new to the product, since words of
-        different heads differ, and word by word otherwise."""
+        the common denominator.  An empty tail adds one word here; any other
+        pair goes by ``_shuffle_tails``, in bulk when out is still empty, the
+        letters are distinct and both tails have two or more (n > 2: on one
+        row or column, bulk would save less than ``_distinct`` costs)."""
         heads, times, merged, powers, m = self.heads, self.times, self.merged, self.powers, self.m
         out: dict = {}
-        written: set = set()  # the head letters of the words in out
         for a0, u, ca in left:
             for b0, v, cb in right:
                 head = heads.get((a0, b0))
                 if head is None:
                     head = heads[a0, b0] = times(a0, b0)
-                new = head not in written
-                written.add(head)
                 c = ca * cb
                 if not (u and v):  # one word, with no merge
                     k = c * powers[0] % m if m else c * powers[0]
@@ -307,8 +308,8 @@ class _Kernel:
                 ks = ([k for t in powers[:n] if (k := c * t % m)] if m
                       else [c * t for t in powers[:n]])
                 if ks:
-                    _shuffle_tails(head, u, v, merged, ks, out,
-                                   new and _distinct(u, v, merged, len(ks) > 1))
+                    bulk = not out and n > 2 and _distinct(u, v, merged, len(ks) > 1)
+                    _shuffle_tails(head, u, v, merged, ks, out, bulk)
         return out
 
     def terms(self, words: dict, den: int) -> dict:

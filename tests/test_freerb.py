@@ -317,9 +317,10 @@ def test_product_matches_weighted_weave_enumeration(lam, monkeypatch):
                   for suffix in (factors(rng.randint(1, 2)), factors(rng.randint(1, 2))))
         check(xs, ys)
     # every pair of tail lengths up to 5, with the letters x^i and y^j, whose
-    # merges x^i*y^j are distinct from them and from each other (in bulk),
-    # and with every letter x, which collides with every other word's
-    # letters (word by word at every size)
+    # merges x^i*y^j are distinct from them and from each other (in bulk
+    # when both tails have two letters or more), and with every letter x,
+    # which collides with every other word's letters (word by word at every
+    # size)
     x, y = (Poly.variable(h, v) for v in h.variables)
     px = [Poly.monomial(h, (i, 0)) for i in range(6)]  # x^i
     py = [Poly.monomial(h, (0, j)) for j in range(6)]  # y^j
@@ -328,40 +329,30 @@ def test_product_matches_weighted_weave_enumeration(lam, monkeypatch):
         for lb in range(6):
             check([(lam.ring.from_int(5), (y, *px[1:la + 1]))],
                   [(lam.ring.from_int(-7), (x * y, *py[1:lb + 1]))])
-    assert modes == [True] * 25
+    assert modes == [la > 1 < lb for la in range(1, 6) for lb in range(1, 6)]
     modes.clear()
     for la in range(6):
         for lb in range(6):
             check([(one, (x,) * (la + 1))], [(one, (x,) * (lb + 1))])
     assert modes == [False] * 25
-    # two pairs of distinct letters and different heads spell disjoint
-    # words, so both go in bulk; a pair whose head repeats one written
-    # before collects, also when an empty tail wrote it: y^2 # x*y comes
-    # from (1)(y^2 # x*y) and from (y # y)(y # x)
+    # sums of pure tensors: the first pair of distinct letters goes in bulk,
+    # and every later pair word by word, since out already holds words that
+    # its words may equal: (x*y # x^2 # x^3)(1 # y^2 # y^3) spells every word
+    # of the first pair (x # x^2 # x^3)(y # y^2 # y^3) again, and y^2 # x*y
+    # comes from (1)(y^2 # x*y), an empty tail's word, and from (y # y)(y # x)
+    modes.clear()
+    check([(one, (x, px[2], px[3])), (one, (x * y, px[2], px[3]))],
+          [(one, (y, py[2], py[3])), (one, (px[0], py[2], py[3]))])
+    assert modes == [True, False, False, False]
     modes.clear()
     check([(one, (y, *px[1:4])), (one, (y * y, *px[4:6]))], [(one, (x * y, *py[1:4]))])
-    assert modes == [True, True]
+    assert modes == [True, False]
     modes.clear()
     check([(one, (y, *px[1:3])), (one, (y, px[3]))], [(one, (x * y, *py[1:3]))])
     assert modes == [True, False]
     modes.clear()
     check([(one, (px[0],)), (one, (y, y))], [(one, (y, x)), (one, (y * y, x * y))])
-    assert modes == [False, True]
-
-
-@pytest.mark.parametrize("lam", (Q.one(), HALF, residues(4).from_int(2)), ids=str)
-def test_pairs_of_different_heads_insert_in_bulk(lam, monkeypatch):
-    # (A + B) * C over 21 distinct variables, seven per tensor: the words of
-    # A * C and of B * C lead with different heads, so both pairs go in bulk
-    h = poly_handle(tuple(f"s{k}" for k in range(21)), lam.ring, lam)
-    s = ShaHandle(h)
-    letters = tuple(Poly.variable(h, v) for v in h.variables)
-    a, b, c = (Tensor.from_factors(s, letters[i:i + 7]) for i in (0, 7, 14))
-    modes = _kernel_modes(monkeypatch)
-    got = (a + b) * c
-    assert modes == [True, True]
-    assert got == a * c + b * c
-    assert len(got.terms) == 2 * len((a * c).terms)
+    assert modes == [False, False]
 
 
 def test_weight_zero_stratum_matches_interleavings_with_repeats():
