@@ -7,7 +7,7 @@ weight; every element points back at its handle and all operations require
 matching handles.
 
 Elements are immutable, hashable, and kept in canonical form: polynomials
-as sparse exponent-vector maps with no zero coefficients, tensors as linear
+as sparse maps from monomial codes to nonzero coefficients, tensors as linear
 combinations of tuples of basis factors, series as value prefixes of
 explicit precision.  Canonical form makes equality a syntactic check
 (precision-bounded for series).  Polynomials and tensors are both term maps,
@@ -17,7 +17,7 @@ public constructor and the read-only ``.terms`` view.  Sums, scaling, linear
 maps and products all work on the bare values.  ``bare_sum`` is the one
 accumulator of linear combinations sum c * v: linear maps, random draws,
 evaluations and the tensor rows off polynomial carriers build their output
-through it; only the hot inner loops (``Terms.__add__``, ``Poly.__mul__``,
+through it; only the hot inner loops (``Terms.__add__``, ``_key_products``,
 ``freerb``'s shuffle) sum inline.  ``row_products`` is every product
 kernel's one interface: this module owns the polynomial kernel, ``freerb``
 the tensor one, ``hurwitz`` the series branch.  On term maps it first drops
@@ -25,25 +25,36 @@ each row entry with a zero operand, so a product costs only its nonzero
 term pairs, and a call left with no entry builds no kernel.  Rows formed
 term by term (tensor rows, and polynomial rows where packing costs more)
 combine in ``_pair_sums``, each distinct operand pair's product once.
-The polynomial kernel works on int exponent keys and int coefficients, by
-Kronecker substitution: every operand of a call becomes one int, its
-coefficients packed as w-byte digits, so that a row is a sum of int
-products, which CPython multiplies in C.  The packed ints grow like
-B^(number of variables) for exponent base B, and their read-back like the
-key range, and packing has a fixed set-up cost per call, so a call whose
-estimated packed work exceeds that of its term pairs multiplies them term
-by term on the same keys instead; a small call decides so before any
-packing set-up.
+The polynomial kernel works on int coefficients, by Kronecker substitution:
+every operand of a call becomes one int, its coefficients packed as w-byte
+digits, so that a row is a sum of int products, which CPython multiplies in
+C.  The packed ints grow like B^(number of variables) for exponent base B,
+and their read-back like the key range, and packing has a fixed set-up cost
+per call, so a call whose estimated packed work exceeds that of its term
+pairs, and a small call before any packing set-up, multiplies them term by
+term on the stored keys (``_key_products``, as ``Poly.__mul__`` does).
+
+Monomial codes: a polynomial keys each term by the int code of its monomial,
+which holds the exponent of variable j (from 0) in the 32-bit slot j, so the
+unit's code is 0 and a product of monomials has the sum of their codes.
+Every exponent stays below 2^31, so a sum of two codes never carries from
+slot to slot, and its top slot bits show an exponent past the range, which
+raises ``ValueError``.  Only this module builds or takes apart a code: the
+public constructor encodes exponent vectors and the ``.terms`` view decodes
+them; every other layer, tensor keys over polynomials included, takes codes
+as they stand.
 """
 
 from __future__ import annotations
 
+import functools
 import random
-from collections.abc import Callable, ItemsView, Mapping, Sequence
+from collections.abc import Callable, ItemsView, Iterable, Mapping, Sequence
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
+from itertools import chain
 from math import comb, lcm
-from operator import mul
+from operator import mul, or_
 from typing import Union
 
 from .coeffs import RATIONALS, Ring, RingError, Scalar
@@ -183,7 +194,7 @@ class _ScalarView(Mapping):
     """A term map's coefficients as a read-only mapping to ``Scalar``s, each
     wrapped only when it is read.  Keys show as they are stored, or through
     shown (stored key -> shown key), each when it is read; stored is then
-    its inverse, which raises ``KeyError`` on a key it cannot store."""
+    its inverse, and a key it cannot store raises ``KeyError``."""
 
     __slots__ = ("_ring", "_bare", "_shown", "_stored")
 
@@ -192,7 +203,11 @@ class _ScalarView(Mapping):
         self._ring, self._bare, self._shown, self._stored = ring, bare, shown, stored
 
     def __getitem__(self, key) -> Scalar:
-        return Scalar(self._ring, self._bare[key if self._stored is None else self._stored(key)])
+        try:
+            stored = key if self._stored is None else self._stored(key)
+        except (AttributeError, TypeError, ValueError):
+            raise KeyError(key) from None
+        return Scalar(self._ring, self._bare[stored])
 
     def __iter__(self):
         return iter(self._bare) if self._shown is None else map(self._shown, self._bare)
@@ -219,8 +234,7 @@ class Terms:
     dropped, so equal elements have equal term maps.  The constructor takes
     key -> ``Scalar`` of the handle's ring.  Subclasses give the product, the
     key order (``_key_order``), the text of one term (``_term_str``), and
-    may store keys in another form than ``.terms`` shows them
-    (``_stored_keys``).
+    the keys stored for those ``.terms`` shows (``_stored_keys``).
     """
 
     __slots__ = ("handle", "_bare", "_hash")
@@ -231,12 +245,6 @@ class Terms:
         self.handle, self._hash = handle, None
         self._bare = self._stored_keys(handle, {k: v for k, c in terms.items()
                                                 if (v := ring.reduce(ring.unwrap(c)))})
-
-    @staticmethod
-    def _stored_keys(handle: Handle, bare: dict) -> dict:
-        """The canonical bare terms of bare, whose keys are as ``.terms``
-        shows them; keys are stored as shown unless a subclass says otherwise."""
-        return bare
 
     @classmethod
     def _trusted(cls, handle: Handle, bare: dict):
@@ -334,52 +342,97 @@ class Terms:
 
 
 # --------------------------------------------------------------------------
+# Monomial codes
+
+_SLOT = 32  # bits per exponent
+_MASK = (1 << _SLOT) - 1
+_LIMIT = 1 << _SLOT - 1  # every exponent stays below this
+
+
+@functools.cache
+def _places(n: int) -> tuple[int, ...]:
+    """The place of each slot in the codes of n variables."""
+    return tuple(1 << _SLOT * j for j in range(n))
+
+
+def _code(handle: PolyHandle, exps) -> int:
+    """The code of an exponent vector over handle; ``ValueError`` on one of
+    the wrong length, or with an exponent that is no int in the range."""
+    exps = tuple(exps)
+    if len(exps) != len(handle.variables) or not all(type(e) is int and 0 <= e < _LIMIT
+                                                     for e in exps):
+        raise ValueError(f"bad exponent vector {exps} for {handle} (each below 2^{_SLOT - 1})")
+    return sum(map(mul, exps, _places(len(exps))))
+
+
+def _exps(handle: PolyHandle) -> Callable:
+    """code -> its exponent vector over handle."""
+    shifts = range(0, _SLOT * len(handle.variables), _SLOT)
+    return lambda code: tuple([code >> s & _MASK for s in shifts])
+
+
+def _in_range(handle: PolyHandle, codes: Iterable[int]) -> None:
+    """``ValueError`` where an exponent of one of the codes over handle, each
+    a sum of two in range, leaves the range: read once off their OR, since
+    such a sum sets the top bit of a slot exactly then."""
+    if functools.reduce(or_, codes, 0) & _LIMIT * sum(_places(len(handle.variables))):
+        raise ValueError(f"exponent past the monomial code's range (below 2^{_SLOT - 1})")
+
+
+# --------------------------------------------------------------------------
 # Polynomials
 
 
 class Poly(Terms):
-    """Sparse multivariate polynomial: exponent vector -> nonzero scalar."""
+    """Sparse multivariate polynomial: monomial code -> nonzero scalar."""
 
     __slots__ = ()
     _TEXT_REVERSED = True
     # an entry of Poly's own, so that tracing can wrap the polynomial sum alone
     __add__ = Terms.__add__
 
+    @staticmethod
+    def _stored_keys(handle: PolyHandle, bare: dict) -> dict:
+        """bare keyed by the codes of its exponent vectors."""
+        return {_code(handle, k): v for k, v in bare.items()}
+
+    @property
+    def terms(self) -> Mapping:
+        """The coefficients as a read-only mapping exponent vector ->
+        ``Scalar``, each key decoded when it is read."""
+        return _ScalarView(self.handle.ring, self._bare, _exps(self.handle),
+                           functools.partial(_code, self.handle))
+
     @classmethod
     def one(cls, handle: PolyHandle) -> Poly:
-        return cls._trusted(handle, {(0,) * len(handle.variables): 1})
+        return cls._trusted(handle, {0: 1})
 
     @classmethod
     def monomial(cls, handle: PolyHandle, exps: Sequence[int],
                  coeff: Scalar | None = None) -> Poly:
-        exps = tuple(exps)
-        if len(exps) != len(handle.variables) or any(e < 0 for e in exps):
-            raise ValueError(f"bad exponent vector {exps} for {handle}")
-        return cls._trusted(handle, {exps: 1}) if coeff is None else cls(handle, {exps: coeff})
+        x = 1 if coeff is None else handle.ring.unwrap(coeff)
+        return cls._reduced(handle, {_code(handle, exps): x})
 
     @classmethod
     def variable(cls, handle: PolyHandle, name: str) -> Poly:
         if name not in handle.variables:
             raise ValueError(f"unknown variable {name!r} in {handle}")
-        exps = tuple(1 if v == name else 0 for v in handle.variables)
-        return cls.monomial(handle, exps)
+        places = _places(len(handle.variables))
+        return cls._trusted(handle, {places[handle.variables.index(name)]: 1})
 
     def __mul__(self, other: Poly) -> Poly:
         check_same_handle(self, other)
-        out: dict = {}
-        for m1, c1 in self._bare.items():
-            for m2, c2 in other._bare.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                c = c1 * c2
-                s = out.get(m)
-                out[m] = c if s is None else s + c
+        out = _key_products(self._bare.items(), other._bare.items())
+        _in_range(self.handle, out)
         return Poly._reduced(self.handle, out)
 
     def substitute(self, images: Mapping[str, Poly]) -> Poly:
         """Evaluate at variable -> polynomial (same handle), exactly."""
-        def image(m: tuple[int, ...]):
+        exps = _exps(self.handle)
+
+        def image(m: int):
             term = Poly.one(self.handle)
-            for name, e in zip(self.handle.variables, m):
+            for name, e in zip(self.handle.variables, exps(m)):
                 if e:
                     img = images.get(name, Poly.variable(self.handle, name))
                     for _ in range(e):
@@ -466,9 +519,9 @@ def _int_terms(side: Sequence) -> tuple[list, int]:
                                     for a, x in v._bare.items()} for v in side], d
 
 
-def _key_products(left: list, right: list) -> dict:
+def _key_products(left: Iterable, right: Iterable) -> dict:
     """One pair's product term by term on int keys: by key a + b, the sum of
-    x * y over the terms (a, x) of left and (b, y) of right."""
+    x * y over the terms (a, x) of left and (b, y) of right (re-iterable)."""
     p: dict = {}
     for a, x in left:
         for b, y in right:
@@ -514,21 +567,23 @@ def row_products(handle: Handle, lefts: Sequence, rights: Sequence, rows: list, 
     left returns zeros and builds no kernel; series operands go on value by
     value, and the next level drops their zeros.
 
-    Polynomials work on int keys and int coefficients: each exponent vector
-    packs into one int key k (base-B digits, B above every exponent a
-    product can reach), and each side's coefficients are scaled to ints by
-    their lcm of denominators.  The rows then run by Kronecker substitution:
-    each operand becomes one int that holds coefficient x in bytes w * k to
-    w * k + w - 1, the w-byte digit's top bit above the largest row bound
+    Polynomials work on their codes and int coefficients, each side's
+    coefficients scaled to ints by their lcm of denominators.  The rows then
+    run by Kronecker substitution: each code becomes one int key k (base-B
+    digits, B above every exponent a product can reach), and each operand
+    one int that holds coefficient x in bytes w * k to w * k + w - 1, the
+    w-byte digit's top bit above the largest row bound
     sum |c| * |f_i|_1 * |g_l|_1, so a row is a sum of int products whose
     bytes hold every output coefficient as a balanced digit, read once per
     possible output key (a left key plus a right key).  The packed ints grow
     like B^(number of variables) and the reads like the key range, where
     term pairs grow like the numbers of terms, so a call that would take
-    more work packed multiplies term by term instead (``_key_products``).
-    Packing also has a fixed set-up cost, ``_PACKING_COST`` term pairs, so a
-    call with no more entries and term pairs than that goes term by term
-    before any of it."""
+    more work packed multiplies term by term on the codes instead
+    (``_key_products``).  Packing also has a fixed set-up cost,
+    ``_PACKING_COST`` term pairs, so a call with no more entries and term
+    pairs than that goes term by term before any of it.  Either way a code
+    the call forms with an exponent past the range raises ``ValueError``
+    (``_in_range``)."""
     if isinstance(handle, HurwitzHandle):
         from . import hurwitz
         return hurwitz.row_products(handle, lefts, rights, rows, den)
@@ -541,9 +596,6 @@ def row_products(handle: Handle, lefts: Sequence, rights: Sequence, rows: list, 
     if isinstance(handle, ShaHandle):
         from . import freerb
         return freerb.row_products(handle, lefts, rights, rows, den)
-    base = 1 + sum(max([e for v in side for a in v._bare for e in a], default=0)
-                   for side in (lefts, rights))
-    places = [base ** j for j in range(len(handle.variables))]
     (lt, dl), (rt, dr) = _int_terms(lefts), _int_terms(rights)
     reduce, d = handle.ring.reduce, den * dl * dr
     # The work of each way, in units of one term pair multiplied term by
@@ -555,34 +607,36 @@ def row_products(handle: Handle, lefts: Sequence, rights: Sequence, rows: list, 
     entries = sum(map(len, rows))
     work = entries + sum([len(lt[i]) * len(rt[l]) for row in rows for _, i, l in row])
     if work > _PACKING_COST:
-        lkeys, rkeys = ({sum(map(mul, a, places)) for t in side for a in t} for side in (lt, rt))
-        keys = {a + b for a in lkeys for b in rkeys}
+        exps = _exps(handle)
+        lx, rx = ({a: exps(a) for a in set(chain.from_iterable(side))} for side in (lt, rt))
+        base = 1 + sum(max([e for es in x.values() for e in es], default=0) for x in (lx, rx))
+        places = [base ** j for j in range(len(handle.variables))]
+        lk, rk = ({a: sum(map(mul, es, places)) for a, es in x.items()} for x in (lx, rx))
+        keys = {k + l: a + b for a, k in lk.items() for b, l in rk.items()}  # key -> code
         ln, rn = ([sum(map(abs, t.values())) for t in side] for side in (lt, rt))
         w = 1 + max([sum([abs(c) * ln[i] * rn[l] for c, i, l in row]) for row in rows],
                     default=0).bit_length() // 8
-        lw, rw = (w * max(side, default=0) // 8 + 1 for side in (lkeys, rkeys))
+        lw, rw = (w * max(x.values(), default=0) // 8 + 1 for x in (lk, rk))
         packed = _PACKING_COST + len(rows) * len(keys) + entries * (lw * rw // 256)
     if work <= _PACKING_COST or packed > work:
-        lb, rb = ([[(sum(map(mul, a, places)), x) for a, x in t.items()] for t in side]
-                  for side in (lt, rt))
-        sums = _pair_sums(rows, lb, rb, _key_products)
-        exps = {k: tuple([k // p % base for p in places]) for k in set().union(*sums)}
-        return [Poly._trusted(handle, {exps[k]: v for k, x in s.items() if (v := reduce(
+        sums = _pair_sums(rows, [t.items() for t in lt], [t.items() for t in rt], _key_products)
+        _in_range(handle, chain.from_iterable(sums))
+        return [Poly._trusted(handle, {k: v for k, x in s.items() if (v := reduce(
             x // d if x % d == 0 else Fraction(x, d)))})
                 for s in sums]
-    shifts = [8 * w * p for p in places]
-    packed_l, packed_r = ([sum([x << sum(map(mul, a, shifts)) for a, x in t.items()])
-                           for t in side] for side in (lt, rt))
-    size = w * (max(lkeys, default=0) + max(rkeys, default=0) + 1)  # bytes of one row
+    _in_range(handle, keys.values())
+    packed_l, packed_r = ([sum([x << 8 * w * kx[a] for a, x in t.items()]) for t in side]
+                          for side, kx in ((lt, lk), (rt, rk)))
+    size = w * (max(lk.values(), default=0) + max(rk.values(), default=0) + 1)  # bytes of a row
     offset = int.from_bytes((bytes(w - 1) + b"\x80") * (size // w), "little")  # half per digit
     half = 1 << 8 * w - 1
-    reads = [(w * k, w * k + w, tuple([k // p % base for p in places])) for k in keys]
+    reads = [(w * k, w * k + w, a) for k, a in keys.items()]
     out = []
     for row in rows:
         h, terms = sum([c * packed_l[i] * packed_r[l] for c, i, l in row]), {}
         if h:
             buf = (h + offset).to_bytes(size, "little")
-            terms = {e: v for at, end, e in reads
+            terms = {a: v for at, end, a in reads
                      if (x := int.from_bytes(buf[at:end], "little") - half)
                      and (v := reduce(x // d if x % d == 0 else Fraction(x, d)))}
         out.append(Poly._trusted(handle, terms))
@@ -636,13 +690,13 @@ def _difference_image(handle: PolyHandle, var: str, w) -> Callable:
     needs no division, and at w = 0 the formal derivative n x^(n-1)."""
     if var not in handle.variables:
         raise ValueError(f"unknown variable {var!r} in {handle}")
-    i = handle.variables.index(var)
+    s = _SLOT * handle.variables.index(var)
 
-    def image(m: tuple[int, ...]) -> list:
-        n = m[i]
+    def image(m: int) -> list:
+        n = m >> s & _MASK
+        rest = m - (n << s)
         low = 0 if w else max(n - 1, 0)  # at w = 0 only k = n - 1 survives
-        return [(m[:i] + (k,) + m[i + 1:], comb(n, k) * w ** (n - 1 - k))
-                for k in range(low, n)]
+        return [(rest + (k << s), comb(n, k) * w ** (n - 1 - k)) for k in range(low, n)]
     return image
 
 
@@ -682,10 +736,11 @@ def poly_integrate(f: Poly, var: str) -> Poly:
         raise RingError("integration needs the rational coefficient ring")
     if var not in handle.variables:
         raise ValueError(f"unknown variable {var!r} in {handle}")
-    i = handle.variables.index(var)
+    s = _SLOT * handle.variables.index(var)
+    _in_range(handle, [m + (1 << s) for m in f._bare])
 
-    def image(m: tuple[int, ...]):
-        return ((m[:i] + (m[i] + 1,) + m[i + 1:], Fraction(1, m[i] + 1)),)
+    def image(m: int):
+        return ((m + (1 << s), Fraction(1, (m >> s & _MASK) + 1)),)
     return f.linear_map(image)
 
 
@@ -698,10 +753,10 @@ def exp_span_rb(f: Poly) -> Poly:
     e_k = exp(-kt), k >= 1, extended linearly; weight 0.  The modes are the
     powers E^k of E = exp(-t), so f is a polynomial in one variable E with no
     constant term; a constant term raises ``ValueError``."""
-    from_int = f.handle.ring.from_int
+    from_int, exps = f.handle.ring.from_int, _exps(f.handle)
 
-    def image(m: tuple[int, ...]):
-        k, = m
+    def image(m: int):
+        k, = exps(m)
         if k == 0:
             raise ValueError("decay modes are indexed by k >= 1")
         return ((m, -from_int(k).inverse().value),)
@@ -745,14 +800,14 @@ class SampleBudget:
     precision: int = 4
 
 
-def _random_monomial(handle: PolyHandle, budget: SampleBudget, rng: random.Random) -> tuple[int, ...]:
+def _random_monomial(handle: PolyHandle, budget: SampleBudget, rng: random.Random) -> int:
     total = rng.randint(0, budget.max_degree)
-    exps = [0] * len(handle.variables)
+    places, code = _places(len(handle.variables)), 0
     for _ in range(total):
-        if not exps:
+        if not places:
             break
-        exps[rng.randrange(len(exps))] += 1
-    return tuple(exps)
+        code += places[rng.randrange(len(places))]
+    return code
 
 
 def random_element(handle: Handle, budget: SampleBudget, seed):
@@ -781,7 +836,7 @@ def random_basis_factor(handle: Handle, budget: SampleBudget, rng: random.Random
     """Random tensor factor: a basis monomial where the carrier has a basis,
     otherwise (sequence carriers) a small random element."""
     if isinstance(handle, PolyHandle):
-        return Poly.monomial(handle, _random_monomial(handle, budget, rng))
+        return Poly._trusted(handle, {_random_monomial(handle, budget, rng): 1})
     from . import freerb
     if isinstance(handle, ShaHandle):
         length = rng.randint(1, budget.max_tensor_len)

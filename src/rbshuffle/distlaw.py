@@ -25,8 +25,10 @@ handle alone, for the expression evaluator and the law suites.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
-from operator import mul
+from itertools import accumulate
+from operator import or_
 
 from . import algebra, freerb, hurwitz
 from .algebra import Handle, HandleMismatchError, Hom, HurwitzHandle, PolyHandle, ShaHandle
@@ -65,12 +67,12 @@ def canonical_derivation(handle: Handle) -> Hom:
 def _head_row(row, lefts: list, rights: list) -> dict:
     """Value n of one level: the sum of c * lefts[i] . rights[l] over the
     pair-table row's (c, i, l), as word (head code, tail codes) -> int.  A
-    left value lists the (code, value) of length-1 tensors, so the product .
-    only multiplies heads, by adding their monomial codes."""
+    left value maps the codes of length-1 tensors to their values, so the
+    product . only multiplies heads, by adding their monomial codes."""
     s: dict = {}
     for c, i, l in row:
         right = rights[l].items()
-        for a, x in lefts[i]:
+        for a, x in lefts[i].items():
             cx = c * x
             for (h, w), y in right:
                 k = (a + h, w)
@@ -87,13 +89,15 @@ def beta(u: Tensor) -> Series:
     ``freerb.induced_rb_hom`` computes it so.  Over polynomials, its fast
     case, value n of a level is the pair-table sum of c * f_0(i) .
     P~(beta(t))(l), a product of heads alone (``_head_row``), on bare dicts
-    of words (head code, tail codes).  The letters are the monomial codes of
-    ``freerb`` (``freerb.code_places``, checked against every exponent a
-    word can reach), so heads multiply by adding codes and a word is the key
-    of its output term.  Values are ints, each factor's scaled by the lcm of
-    its denominators (``algebra._int_terms``), so each term is divided once
-    by its own denominator.  Output precision is the least factor precision,
-    capped at the handle's working precision; level j needs values 0..cap - j.
+    of words (head code, tail codes).  The letters are the factor values'
+    monomial codes as they stand, so heads multiply by adding codes and a word
+    is the key of its output term.  A head sums one code per factor, so the
+    running sums of the factors' ORs of codes bound it: past the code's range
+    they raise ``ValueError`` (``algebra._in_range``).  Values are ints, each
+    factor's scaled by the lcm of its denominators (``algebra._int_terms``),
+    so each term is divided once by its own denominator.  Output precision is
+    the least factor precision, capped at the handle's working precision;
+    level j needs values 0..cap - j.
     """
     hur_h = u.handle.inner
     if not isinstance(hur_h, HurwitzHandle):
@@ -110,22 +114,18 @@ def beta(u: Tensor) -> Series:
                                     canonical_rb(target), u)
         return out.truncate(cap) if out.precision > cap else out
     rows, d = hurwitz._pair_table(hur_h, cap)
-    reach = max([sum(max([e for v in f.values for a in v._bare for e in a], default=0)
-                     for f in t) for t in u._bare], default=0)
-    places = freerb.code_places(inner, reach)
-
-    def spelled(f: Series, top: int) -> tuple[list, int]:
-        values, den = algebra._int_terms(f.values[:top + 1])
-        return [[(sum(map(mul, a, places)), x) for a, x in v.items()] for v in values], den
+    for t in u._bare:
+        algebra._in_range(inner, accumulate(
+            [functools.reduce(or_, [a for v in f.values for a in v._bare], 0) for f in t]))
     sums: list = [{} for _ in range(cap + 1)]
     for t, c in u._bare.items():
         k = len(t) - 1
-        values, den = spelled(t[k], max(cap - k, 0))
-        words = [{(a, ()): c.numerator * x for a, x in v} for v in values]
+        values, den = algebra._int_terms(t[k].values[:max(cap - k, 0) + 1])
+        words = [{(a, ()): c.numerator * x for a, x in v.items()} for v in values]
         den *= c.denominator
         for j in range(k - 1, -1, -1):
             top = max(cap - j, 0)
-            lefts, dj = spelled(t[j], top)
+            lefts, dj = algebra._int_terms(t[j].values[:top + 1])
             # P~(v)(0) = 1 # v(0), the unit monomial's code being 0
             rights = [{(0, (h,) + w): y for (h, w), y in words[0].items()}] + words
             words = [_head_row(rows[n], lefts, rights) for n in range(top + 1)]

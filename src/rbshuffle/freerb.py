@@ -27,19 +27,11 @@ product, forming each distinct operand pair's product once
 (``algebra._pair_sums``).  Both reach it through ``algebra.row_products``,
 which first drops the entries with a zero operand.
 
-Monomial codes: over a polynomial algebra A a tensor keys each term by the
-tuple of its factors' int codes.  The code of a monomial holds the exponent
-of variable j (counted from 0) in the 32-bit slot j, bits 32j to 32j + 31,
-so the code of a product of monomials is the sum of their codes.  Every
-exponent stays below 2^31, so a sum of two codes never carries from one
-slot into the next, and its top slot bits show an exponent past the range,
-which raises ``ValueError`` (``_code_sum``).  The codes are the kernel's
-letters, so its output words are the product's keys as they stand.  Only
-this module knows the format: the ``.terms`` view and the maps that call a
-``Hom`` on factors decode keys to one-term monic ``Poly`` factors
-(``_key_factors``); the public constructor and ``pure_tensor_terms``
-encode them; ``distlaw``'s bare pass of beta takes the slot places from
-``code_places``.
+Over a polynomial algebra A a tensor keys each term by the tuple of its
+factors' monomial codes (``algebra``'s format), taken as they stand: they
+are the kernel's letters, so its output words are the product's keys, and
+the ``.terms`` view and the maps that call a ``Hom`` on factors turn a code
+into a one-term monic ``Poly`` factor (``_key_factors``) without decoding it.
 
 Canonical form: factors are expanded to basis monomials of A wherever A has
 a basis (monomial codes over polynomials, basis tensors over tensor
@@ -52,8 +44,8 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Mapping
 from fractions import Fraction
-from itertools import repeat
-from operator import add, mul
+from itertools import chain, repeat
+from operator import add
 
 from . import algebra
 from .algebra import (Handle, HandleMismatchError, Hom, Poly, PolyHandle,
@@ -64,44 +56,6 @@ from .coeffs import Ring, RingError, Scalar
 def _merge_weight(handle: ShaHandle) -> Scalar:
     """Coefficient of each merge of two tail letters in the product."""
     return handle.weight
-
-
-# --------------------------------------------------------------------------
-# Monomial codes
-
-_SLOT = 32  # bits per exponent
-_LIMIT = 1 << _SLOT - 1  # every exponent stays below this
-_RANGE = f"exponent past the monomial code's range (below 2^{_SLOT - 1})"
-
-
-def code_places(inner: PolyHandle, reach: int = 0) -> tuple[int, ...]:
-    """The place of each variable's slot in the monomial codes over inner:
-    sum(map(mul, exponents, places)) is the code of exponents up to reach,
-    and a reach past the range raises ``ValueError``."""
-    if reach >= _LIMIT:
-        raise ValueError(_RANGE)
-    return tuple(1 << _SLOT * j for j in range(len(inner.variables)))
-
-
-def _code_sum(x: int, y: int, overflow: int) -> int:
-    """The code of the product of two monomials, from their codes; overflow
-    holds the top bit of every slot, which the sum sets exactly when one of
-    its exponents leaves the range."""
-    z = x + y
-    if z & overflow:
-        raise ValueError(_RANGE)
-    return z
-
-
-def _encoder(inner: PolyHandle) -> Callable:
-    """exponent vector -> its code over inner."""
-    places = code_places(inner)
-
-    def code(exps: tuple) -> int:
-        if max(exps, default=0) >= _LIMIT:
-            raise ValueError(_RANGE)
-        return sum(map(mul, exps, places))
-    return code
 
 
 def _coded(handle) -> bool:
@@ -116,28 +70,22 @@ def _key_factors(handle: ShaHandle) -> Callable:
     if not _coded(handle):
         return tuple
     inner, factors = handle.inner, {}
-    shifts = range(0, _SLOT * len(inner.variables), _SLOT)
-    mask = (1 << _SLOT) - 1
 
     def factor(code: int) -> Poly:
         f = factors.get(code)
         if f is None:
-            exps = tuple([code >> s & mask for s in shifts])
-            f = factors[code] = Poly._trusted(inner, {exps: 1})
+            f = factors[code] = Poly._trusted(inner, {code: 1})
         return f
     return lambda t: tuple(map(factor, t))
 
 
 def _key_codes(handle: ShaHandle) -> Callable:
     """The inverse of ``_key_factors``: a tuple of monic one-term factors ->
-    its term key; ``KeyError`` on a key that no term of handle can have."""
+    its term key; ``ValueError`` on a key that no term of handle can have."""
     def codes(key) -> tuple:
-        try:
-            ((t, c),) = pure_tensor_terms(handle, key)
-        except (AttributeError, TypeError, ValueError):
-            raise KeyError(key) from None
+        ((t, c),) = pure_tensor_terms(handle, key)
         if c != 1:
-            raise KeyError(key)
+            raise ValueError(f"not a key of {handle}: {key}")
         return t
     return codes
 
@@ -245,9 +193,7 @@ class _Kernel:
         if type(lam) is Fraction:
             lam, q = lam.numerator, lam.denominator
         if _coded(handle):
-            self.factors = None
-            overflow = _LIMIT * sum(code_places(handle.inner))
-            self.times = lambda x, y: _code_sum(x, y, overflow)
+            self.factors, self.times = None, add
             self.lefts, self.rights = ([[(t[0], t[1:], c) for t, c in u._bare.items()]
                                         for u in side] for side in (lefts, rights))
         else:
@@ -330,13 +276,15 @@ def row_products(handle: ShaHandle, lefts: list, rights: list, rows: list, den: 
     row's (c, i, l), all on one ``_Kernel`` through ``algebra._pair_sums``.
 
     Over a polynomial carrier output words are monomial codes, which are
-    canonical as they stand, and distinct words are distinct terms.  Other
-    carriers have no monomial basis: output words are expanded back to
-    canonical factors, which drops every word with a zero factor.
+    canonical as they stand, and distinct words are distinct terms; a head
+    or merge past the code's range raises ``ValueError``.  Other carriers
+    have no monomial basis: output words are expanded back to canonical
+    factors, which drops every word with a zero factor.
     """
     kernel = _Kernel(handle, lefts, rights)
     sums = algebra._pair_sums(rows, kernel.lefts, kernel.rights, kernel.product)
     if kernel.factors is None:
+        algebra._in_range(handle.inner, chain(kernel.heads.values(), kernel.merged.values()))
         return [Tensor._trusted(handle, kernel.terms(words, den)) for words in sums]
     factor = kernel.factors.__getitem__
     return [algebra.bare_sum(handle, [(c, pure_tensor_terms(handle, tuple(map(factor, w))))
@@ -352,15 +300,12 @@ def pure_tensor_terms(handle: ShaHandle, factors: tuple) -> list:
     for f in factors:
         if f.handle != handle.inner:
             raise HandleMismatchError(f"factor over {f.handle}, expected {handle.inner}")
-    if _coded(handle):
-        code = _encoder(handle.inner)
-        parts = [[(c, code(a)) for a, c in f._bare.items()] for f in factors]
-    else:
-        parts = [f.basis_expansion() for f in factors]
-    head, *rest = parts
-    expanded = [((m,), c) for c, m in head]
+    coded = _coded(handle)
+    head, *rest = [f._bare.items() if coded else [(b, c) for c, b in f.basis_expansion()]
+                   for f in factors]
+    expanded = [((m,), c) for m, c in head]
     for part in rest:
-        expanded = [(t + (m,), c * ci) for t, c in expanded for ci, m in part]
+        expanded = [(t + (m,), c * ci) for t, c in expanded for m, ci in part]
     return expanded
 
 

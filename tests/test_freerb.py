@@ -8,7 +8,7 @@ from math import comb
 import pytest
 
 from rbshuffle.algebra import (Hom, HandleMismatchError, HurwitzHandle, Poly, SampleBudget,
-                               ShaHandle, alg_eq, integration_on, poly_handle,
+                               ShaHandle, alg_eq, integration_on, poly_handle, poly_integrate,
                                random_element, scaled_identity_on, subst_hom)
 from rbshuffle import freerb
 from rbshuffle.coeffs import INTEGERS, RATIONALS, RingError, residues
@@ -776,7 +776,7 @@ def test_hoffman_oracle_catches_a_doubled_merge_weight(monkeypatch):
 
 
 # --------------------------------------------------------------------------
-# Tensor keys over polynomial algebras: monomial codes behind the factor view
+# Polynomials and tensor keys over them: monomial codes behind the views
 
 def test_terms_view_round_trips_through_the_constructor():
     for ring, lam in ((Q, HALF), (Z, Z.from_int(2)), (Z6, Z6.from_int(3))):
@@ -792,6 +792,20 @@ def test_terms_view_round_trips_through_the_constructor():
                     assert len(f.terms) == 1 and 1 in f._bare.values()
             assert Tensor(u.handle, u.terms) == u
             assert hash(Tensor(u.handle, u.terms)) == hash(u)
+        # a polynomial's view shows exponent vectors, and only those are keys
+        rng, c = random.Random(f"poly-view:{ring}"), HALF if ring is Q else ring.from_int(5)
+        for _ in range(20):
+            p = random_element(s.inner, SampleBudget(max_degree=4, max_terms=5), rng)
+            p = p * p - p.scale(c)
+            assert all(type(k) is tuple and len(k) == 3 and all(type(e) is int and e >= 0
+                                                                 for e in k) for k in p.terms)
+            back = Poly(p.handle, p.terms)
+            assert back == p and hash(back) == hash(p)
+            assert ({k: type(v) for k, v in back._bare.items()}
+                    == {k: type(v) for k, v in p._bare.items()})
+            for bad in ((0, 0), (0, 0, 0, 0), (0, -1, 0), (2 ** 31, 0, 0)):
+                with pytest.raises(KeyError):
+                    p.terms[bad]
 
 
 def test_equal_tensors_from_every_constructor_are_equal_and_hash_equal():
@@ -843,3 +857,20 @@ def test_exponents_past_the_code_range_raise_value_error():
     half = Series.constant(Poly.monomial(h, (2 ** 30, 0)), hh)
     with pytest.raises(ValueError):  # beta's words can reach x^(2^31)
         beta(Tensor.from_factors(ShaHandle(hh), (half, half)))
+    # polynomials themselves, built, multiplied and integrated
+    with pytest.raises(ValueError):
+        Poly.monomial(h, (2 ** 31, 0))
+    with pytest.raises(ValueError):
+        Poly(h, {(0, 2 ** 31): Q.one()})
+    with pytest.raises(ValueError):  # an exponent that is no int has no code
+        Poly(h, {(0, 1.5): Q.one()})
+    x30 = Poly.monomial(h, (2 ** 30, 0))
+    assert x30 * Poly.monomial(h, (2 ** 30 - 1, 1)) == Poly.monomial(h, (top, 1))
+    with pytest.raises(ValueError):
+        x30 * x30
+    with pytest.raises(ValueError):
+        half * half
+    assert poly_integrate(Poly.monomial(h, (top - 1, 0)), "x") == Poly.monomial(
+        h, (top, 0), Q.from_fraction(Fraction(1, top)))
+    with pytest.raises(ValueError):
+        poly_integrate(Poly.monomial(h, (top, 0)), "x")

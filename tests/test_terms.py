@@ -174,8 +174,17 @@ def _assert_canonical(x):
             assert type(v) is int or (ring.is_rational and type(v) is Fraction
                                        and v.denominator > 1)
             assert not ring.modulus or 0 <= v < ring.modulus
-        assert type(p)(p.handle, p.terms) == p
+        back = type(p)(p.handle, p.terms)
+        assert back == p and hash(back) == hash(p)
+        assert ({k: type(v) for k, v in back._bare.items()}
+                == {k: type(v) for k, v in p._bare.items()})
         assert all(type(c) is Scalar and c.ring == ring for c in p.terms.values())
+        if isinstance(p, Poly):  # keys show as exponent vectors, and only those are keys
+            n = len(p.handle.variables)
+            assert all(type(k) is tuple and len(k) == n and min(k) >= 0 for k in p.terms)
+            for bad in ((0,) * (n + 1), (-1,) + (0,) * (n - 1), (2 ** 31,) + (0,) * (n - 1)):
+                with pytest.raises(KeyError):
+                    p.terms[bad]
         with pytest.raises(TypeError):
             p.terms[next(iter(p.terms), ())] = ring.one()
 
