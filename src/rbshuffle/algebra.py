@@ -192,25 +192,24 @@ def check_same_handle(x, y) -> None:
 
 class _ScalarView(Mapping):
     """A term map's coefficients as a read-only mapping to ``Scalar``s, each
-    wrapped only when it is read.  Keys show as they are stored, or through
-    shown (stored key -> shown key), each when it is read; stored is then
-    its inverse, and a key it cannot store raises ``KeyError``."""
+    wrapped only when it is read.  Keys show through shown (stored key ->
+    shown key), each when it is read; stored is its inverse, and a key it
+    cannot store raises ``KeyError``."""
 
     __slots__ = ("_ring", "_bare", "_shown", "_stored")
 
-    def __init__(self, ring: Ring, bare: dict, shown: Callable | None = None,
-                 stored: Callable | None = None):
+    def __init__(self, ring: Ring, bare: dict, shown: Callable, stored: Callable):
         self._ring, self._bare, self._shown, self._stored = ring, bare, shown, stored
 
     def __getitem__(self, key) -> Scalar:
         try:
-            stored = key if self._stored is None else self._stored(key)
+            stored = self._stored(key)
         except (AttributeError, TypeError, ValueError):
             raise KeyError(key) from None
         return Scalar(self._ring, self._bare[stored])
 
     def __iter__(self):
-        return iter(self._bare) if self._shown is None else map(self._shown, self._bare)
+        return map(self._shown, self._bare)
 
     def __len__(self) -> int:
         return len(self._bare)
@@ -225,7 +224,7 @@ class _ScalarItems(ItemsView):
     def __iter__(self):
         view = self._mapping
         shown, ring = view._shown, view._ring
-        return ((k if shown is None else shown(k), Scalar(ring, v)) for k, v in view._bare.items())
+        return ((shown(k), Scalar(ring, v)) for k, v in view._bare.items())
 
 
 class Terms:
@@ -233,8 +232,9 @@ class Terms:
     key -> nonzero coefficient, stored as a canonical bare value with zeros
     dropped, so equal elements have equal term maps.  The constructor takes
     key -> ``Scalar`` of the handle's ring.  Subclasses give the product, the
-    key order (``_key_order``), the text of one term (``_term_str``), and
-    the keys stored for those ``.terms`` shows (``_stored_keys``).
+    key order (``_key_order``), the text of one term (``_term_str``), the
+    ``.terms`` view with the keys it shows, and the keys stored for those
+    (``_stored_keys``).
     """
 
     __slots__ = ("handle", "_bare", "_hash")
@@ -263,11 +263,6 @@ class Terms:
     @classmethod
     def zero(cls, handle: Handle):
         return cls._trusted(handle, {})
-
-    @property
-    def terms(self) -> Mapping:
-        """The coefficients as a read-only mapping key -> ``Scalar``."""
-        return _ScalarView(self.handle.ring, self._bare)
 
     @property
     def is_zero(self) -> bool:
@@ -314,14 +309,6 @@ class Terms:
     def _ordered_terms(self, reverse: bool = False) -> list:
         return sorted(self.terms.items(), key=lambda kv: self._key_order(kv[0]),
                       reverse=reverse)
-
-    def basis_expansion(self) -> list:
-        """Decompose into (bare coefficient, basis element) pairs.  A monic
-        one-term element is its own basis element, shared rather than copied,
-        so tensor keys built from it keep its cached hash."""
-        if len(self._bare) == 1 and 1 in self._bare.values():
-            return [(1, self)]
-        return [(c, self._trusted(self.handle, {k: 1})) for k, c in self._bare.items()]
 
     def __str__(self) -> str:
         if self.is_zero:

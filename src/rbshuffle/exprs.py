@@ -44,11 +44,12 @@ from .hurwitz import Series
 MAX_PARSE_DEPTH = 100
 MAX_EXPONENT = 256
 # A dense series product at precision 64 takes about 0.1 s, but a law check
-# grows like N^2.8: ``check --suite hurwitz_algebra`` took 23.5 s at N = 32
-# (one run, 2-CPU Xeon).
+# grows like N^2.8: ``check --suite hurwitz_algebra`` took 15.3 and 17.8 s at
+# N = 32 (two runs, 2-CPU Xeon, Python 3.11).
 MAX_PRECISION = 64
 # Checked before each tensor product: a bound on its output terms, just above
-# the 265,729 of an 8x8 ``bench`` product (D(8,8); about 2 s and 130 MB).
+# the 265,729 of an 8x8 ``bench`` product (D(8,8); 0.25-0.26 s and 77 MB peak
+# RSS in two runs on the same host).
 MAX_TERMS = 300_000
 
 
@@ -491,19 +492,18 @@ def _eval_at(node, expected: Handle):
                 raise EvalError(f"eta embeds into a tensor carrier, not {expected}",
                                 node.pos)
             return freerb.eta(_eval_at(node.arg, expected.inner), expected)
-        if node.fn == "partial":
-            if not isinstance(expected, HurwitzHandle):
-                raise EvalError(f"partial acts on series carriers, not {expected}",
-                                node.pos)
-            arg = _eval_at(node.arg, expected)
-            if arg.precision < 1:
-                raise EvalError("cannot shift a precision-0 series", node.pos)
-            return hurwitz.shift(arg)
+        if node.fn == "partial" and not isinstance(expected, HurwitzHandle):
+            raise EvalError(f"partial acts on series carriers, not {expected}", node.pos)
         arg = _eval_at(node.arg, expected)
-        if node.fn == "P":
-            return distlaw.canonical_rb(expected)(arg)
-        if node.fn == "D":
-            return distlaw.canonical_derivation(expected)(arg)
+        try:  # a shift of a precision-0 series, here or inside a tensor factor
+            if node.fn == "partial":
+                return hurwitz.shift(arg)
+            if node.fn == "P":
+                return distlaw.canonical_rb(expected)(arg)
+            if node.fn == "D":
+                return distlaw.canonical_derivation(expected)(arg)
+        except hurwitz.PrecisionError as e:
+            raise EvalError(str(e), node.pos) from None
     raise EvalError(f"cannot evaluate node {node!r}", getattr(node, "pos", 0))
 
 

@@ -10,45 +10,50 @@ where a word of the tail shuffle is a lattice path from (0, 0) to
 (|a'|, |b'|) whose steps take the next letter of a', of b', or (a diagonal
 step, with the handle weight as its coefficient) their product in A, as in
 Hoffman's quasi-shuffles.  The weighted merge is what distinguishes this
-from the plain shuffle product.  The kernel, ``_Kernel``, runs on int
-letters and looks each merge up in one table of letter products.  It walks
-the lattice of every pair of nonempty tails a cell at a time
-(``_shuffle_tails``): cell (i, j) holds the prefixes of all paths through
-it, one list per merge count, and extends each list into the up to three
-cells its steps reach, or finishes its words where a step leaves the
-interior, storing each (added to an equal word unless ``_Kernel.product``
-rules that out).  With the weight p/q, a word with d merges gets p^d *
-q^(top - d), top the most merges of any pair, so every word of a product
-shares the denominator q^top and its coefficients are reduced once per
-distinct value.
+from the plain shuffle product.  The kernel, ``_Kernel``, looks each merge
+up in one table of letter products.  It walks the lattice of every pair of
+nonempty tails a cell at a time (``_shuffle_tails``): cell (i, j) holds
+the prefixes of all paths through it, one list per merge count, and
+extends each list into the up to three cells its steps reach, or finishes
+its words where a step leaves the interior, storing each (added to an
+equal word unless ``_Kernel.product`` rules that out).  With the weight
+p/q, a word with d merges gets p^d * q^(top - d), top the most merges of
+any pair, so every word of a product shares the denominator q^top and its
+coefficients are reduced once per distinct value.
 ``row_products`` drives the kernel for every tensor carrier, on one pair
 in ``Tensor.__mul__`` and on all values of two series in a Hurwitz
 product, forming each distinct operand pair's product once
 (``algebra._pair_sums``).  Both reach it through ``algebra.row_products``,
 which first drops the entries with a zero operand.
 
-Over a polynomial algebra A a tensor keys each term by the tuple of its
-factors' monomial codes (``algebra``'s format), taken as they stand: they
-are the kernel's letters, so its output words are the product's keys, and
-the ``.terms`` view and the maps that call a ``Hom`` on factors turn a code
-into a one-term monic ``Poly`` factor (``_key_factors``) without decoding it.
+Keys: a tensor keys each term by the tuple of its factors' basis keys
+(Guo-Keigher: a basis of the n-th tensor power of A is the tuples of basis
+elements of A).  Over a polynomial algebra that is the factors' monomial
+codes (``algebra``'s format), taken as they stand; over a tensor carrier,
+each factor's own key; a series carrier has no basis, so a series factor
+is its own key.  The ``.terms`` view and the maps that call a ``Hom`` on
+factors turn a basis key into a one-term monic ``Poly`` or ``Tensor``
+factor (``_key_factors``) without decoding it.  Over polynomials the
+kernel's letters are the codes and a merge adds them, so its output words
+are the product's keys; over other carriers its letters are the factor
+elements and a merge multiplies them, and each output word is expanded
+back into keys.
 
-Canonical form: factors are expanded to basis monomials of A wherever A has
-a basis (monomial codes over polynomials, basis tensors over tensor
-carriers); factors over sequence carriers are kept as canonical series
-values.  Coefficients are collected on equal keys and zeros dropped, so
-equality is syntactic.
+Canonical form: factors are expanded into basis keys wherever A has a
+basis; series factors are kept as canonical series values, and a zero one
+drops its term.  Coefficients are collected on equal keys and zeros
+dropped, so equality is syntactic.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from fractions import Fraction
 from itertools import chain, repeat
-from operator import add
+from operator import add, mul
 
 from . import algebra
-from .algebra import (Handle, HandleMismatchError, Hom, Poly, PolyHandle,
+from .algebra import (Handle, HandleMismatchError, Hom, HurwitzHandle, Poly, PolyHandle,
                       ShaHandle, Terms, _ScalarView, check_same_handle)
 from .coeffs import Ring, RingError, Scalar
 
@@ -58,50 +63,57 @@ def _merge_weight(handle: ShaHandle) -> Scalar:
     return handle.weight
 
 
-def _coded(handle) -> bool:
-    """Whether the tensors of handle key their terms by monomial codes."""
-    return isinstance(handle, ShaHandle) and isinstance(handle.inner, PolyHandle)
+def _basis_terms(f) -> Iterable:
+    """The (basis key, bare coefficient) pairs of a tensor factor: a term
+    map's own terms; a series has no basis, so a nonzero one is its own key
+    and a zero one has no terms."""
+    if isinstance(f, Terms):
+        return f._bare.items()
+    return () if f.is_zero else ((f, 1),)
 
 
 def _key_factors(handle: ShaHandle) -> Callable:
-    """A term key of handle's tensors -> its tuple of factor elements.  Over
-    polynomials each code becomes a monic one-term ``Poly``, built once per
-    call of this function and then shared."""
-    if not _coded(handle):
+    """A term key of handle's tensors -> its tuple of factor elements: each
+    basis key becomes a monic one-term ``Poly`` or ``Tensor``, built once per
+    call of this function and then shared; a series factor is its own key."""
+    inner = handle.inner
+    if isinstance(inner, HurwitzHandle):
         return tuple
-    inner, factors = handle.inner, {}
+    kind, factors = Poly if isinstance(inner, PolyHandle) else Tensor, {}
 
-    def factor(code: int) -> Poly:
-        f = factors.get(code)
+    def factor(key) -> Terms:
+        f = factors.get(key)
         if f is None:
-            f = factors[code] = Poly._trusted(inner, {code: 1})
+            f = factors[key] = kind._trusted(inner, {key: 1})
         return f
     return lambda t: tuple(map(factor, t))
 
 
-def _key_codes(handle: ShaHandle) -> Callable:
-    """The inverse of ``_key_factors``: a tuple of monic one-term factors ->
-    its term key; ``ValueError`` on a key that no term of handle can have."""
-    def codes(key) -> tuple:
-        ((t, c),) = pure_tensor_terms(handle, key)
+def _factors_key(handle: ShaHandle) -> Callable:
+    """The inverse of ``_key_factors``: a tuple of monic one-term factors (or
+    nonzero series) -> its term key; ``ValueError`` on a tuple that no term
+    of handle can have."""
+    def key(factors) -> tuple:
+        ((t, c),) = pure_tensor_terms(handle, factors)
         if c != 1:
-            raise ValueError(f"not a key of {handle}: {key}")
+            raise ValueError(f"not a key of {handle}: {factors}")
         return t
-    return codes
+    return key
 
 
 def _unit_key(inner: Handle):
-    """The key factor of the inner unit: the code 0 over polynomials."""
-    return 0 if isinstance(inner, PolyHandle) else algebra.unit(inner)
+    """The basis key of the inner unit: the code 0 over polynomials."""
+    ((key, _),) = _basis_terms(algebra.unit(inner))
+    return key
 
 
 # --------------------------------------------------------------------------
 # The mixable-shuffle kernel
 
-def _shuffle_tails(head: int, u: tuple, v: tuple, merged: dict, ks: list, out: dict,
+def _shuffle_tails(head, u: tuple, v: tuple, merged: dict, ks: list, out: dict,
                    bulk: bool) -> None:
-    """Add the mixable shuffle of two nonempty words of int letters, each led
-    by the letter head, into out (word -> coefficient): a word with d merges
+    """Add the mixable shuffle of two nonempty words of letters, each led by
+    the letter head, into out (word -> coefficient): a word with d merges
     adds ks[d], and none has len(ks) merges or more.  With bulk, out holds
     none of the words and the letters of u and v and their merges are
     pairwise distinct (``_distinct``), so each finished word is stored as it
@@ -165,13 +177,13 @@ def _distinct(u: tuple, v: tuple, merged: dict, merges: bool) -> bool:
 
 class _Kernel:
     """The mixable-shuffle kernel over a fixed set of left and right tensor
-    operands, on int letters.
+    operands.
 
     Over a polynomial carrier the letters are the monomial codes of the
-    operands' keys, and the product of two letters is their sum, so output
-    words are tensor keys.  Over other carriers the kernel interns the
-    factors to small ints (``factors`` lists them by letter) and multiplies
-    two letters through their factors' own product.
+    operands' keys, and the product of two letters (``times``) is their
+    sum, so output words are tensor keys.  Over other carriers the letters
+    are the factor elements that the keys decode to, and ``times`` is
+    their own product.
 
     All products of the operands share one table of merges (every left by
     every right tail letter) and one table of head products; a product adds
@@ -192,23 +204,14 @@ class _Kernel:
         lam, q = ring.unwrap(_merge_weight(handle)), 1
         if type(lam) is Fraction:
             lam, q = lam.numerator, lam.denominator
-        if _coded(handle):
-            self.factors, self.times = None, add
+        if isinstance(handle.inner, PolyHandle):  # letters are codes: a merge adds them
+            self.times = add
             self.lefts, self.rights = ([[(t[0], t[1:], c) for t, c in u._bare.items()]
                                         for u in side] for side in (lefts, rights))
-        else:
-            letters: dict = {}
-            factors = self.factors = []
-
-            def letter(f) -> int:
-                x = letters.setdefault(f, len(letters))
-                if x == len(factors):
-                    factors.append(f)
-                return x
-
-            self.times = lambda x, y: letter(factors[x] * factors[y])
-            self.lefts, self.rights = ([[(letter(t[0]), tuple(map(letter, t[1:])), c)
-                                         for t, c in u._bare.items()] for u in side]
+        else:  # letters are factor elements: a merge multiplies them
+            self.times, spell = mul, _key_factors(handle)
+            self.lefts, self.rights = ([[(w[0], w[1:], c) for t, c in u._bare.items()
+                                         for w in (spell(t),)] for u in side]
                                        for side in (lefts, rights))
         top = min(max([len(u) for items in side for _, u, _ in items], default=0)
                   for side in (self.lefts, self.rights))
@@ -277,32 +280,31 @@ def row_products(handle: ShaHandle, lefts: list, rights: list, rows: list, den: 
 
     Over a polynomial carrier output words are monomial codes, which are
     canonical as they stand, and distinct words are distinct terms; a head
-    or merge past the code's range raises ``ValueError``.  Other carriers
-    have no monomial basis: output words are expanded back to canonical
-    factors, which drops every word with a zero factor.
+    or merge past the code's range raises ``ValueError``.  Over other
+    carriers output words are words of factor elements, which
+    ``pure_tensor_terms`` expands into keys, dropping every word with a
+    zero factor.
     """
     kernel = _Kernel(handle, lefts, rights)
     sums = algebra._pair_sums(rows, kernel.lefts, kernel.rights, kernel.product)
-    if kernel.factors is None:
+    if kernel.times is add:
         algebra._in_range(handle.inner, chain(kernel.heads.values(), kernel.merged.values()))
         return [Tensor._trusted(handle, kernel.terms(words, den)) for words in sums]
-    factor = kernel.factors.__getitem__
-    return [algebra.bare_sum(handle, [(c, pure_tensor_terms(handle, tuple(map(factor, w))))
+    return [algebra.bare_sum(handle, [(c, pure_tensor_terms(handle, w))
                                       for w, c in kernel.terms(words, den).items()])
             for words in sums]
 
 
 def pure_tensor_terms(handle: ShaHandle, factors: tuple) -> list:
     """The (canonical key, bare coefficient) pairs of the pure tensor with
-    the given (at least one) arbitrary factors, expanded multilinearly; no
-    two pairs share a key.  A coefficient is a product of canonical values,
-    not yet reduced (it may be zero on Z/m)."""
+    the given (at least one) arbitrary factors, expanded multilinearly into
+    tuples of the factors' basis keys (``_basis_terms``); no two pairs share
+    a key.  A coefficient is a product of canonical values, not yet reduced
+    (it may be zero on Z/m)."""
     for f in factors:
         if f.handle != handle.inner:
             raise HandleMismatchError(f"factor over {f.handle}, expected {handle.inner}")
-    coded = _coded(handle)
-    head, *rest = [f._bare.items() if coded else [(b, c) for c, b in f.basis_expansion()]
-                   for f in factors]
+    head, *rest = map(_basis_terms, factors)
     expanded = [((m,), c) for m, c in head]
     for part in rest:
         expanded = [(t + (m,), c * ci) for t, c in expanded for m, ci in part]
@@ -310,30 +312,29 @@ def pure_tensor_terms(handle: ShaHandle, factors: tuple) -> list:
 
 
 class Tensor(Terms):
-    """Linear combination of pure tensors over the inner algebra.  Over a
-    polynomial algebra a term's key is the tuple of its factors' monomial
-    codes, which ``.terms`` shows as tuples of one-term monic ``Poly``
-    factors; over other algebras it is the tuple of its canonical factors."""
+    """Linear combination of pure tensors over the inner algebra.  A term's
+    key is the tuple of its factors' basis keys, which ``.terms`` shows as
+    tuples of factors: one-term monic ``Poly`` or ``Tensor`` factors, or
+    series.  The constructor takes factor tuples on a ``sha(...)`` handle
+    and expands them into keys, as ``from_factors`` does."""
 
     __slots__ = ()
 
     @staticmethod
     def _stored_keys(handle: ShaHandle, bare: dict) -> dict:
-        """Over a polynomial algebra, the terms of the sum of c times the pure
-        tensor of key's factors over bare, keyed by monomial codes."""
-        if not _coded(handle):
-            return bare
+        """The terms of the sum of c times the pure tensor of key's factors
+        over bare, keyed by their factors' basis keys."""
+        if not isinstance(handle, ShaHandle):
+            raise HandleMismatchError(f"tensors live on sha(...) handles, not {handle}")
         return algebra.bare_sum(handle, [(c, pure_tensor_terms(handle, k))
                                          for k, c in bare.items()])._bare
 
     @property
     def terms(self) -> Mapping:
         """The coefficients as a read-only mapping factor tuple -> ``Scalar``;
-        over a polynomial algebra each key is decoded when it is read."""
-        if not _coded(self.handle):
-            return super().terms
+        each key is decoded into factors when it is read."""
         return _ScalarView(self.handle.ring, self._bare, _key_factors(self.handle),
-                           _key_codes(self.handle))
+                           _factors_key(self.handle))
 
     @classmethod
     def one(cls, handle: ShaHandle) -> Tensor:

@@ -161,11 +161,6 @@ class Series:
             self._hash = hash((self.handle, self.values))
         return self._hash
 
-    def basis_expansion(self) -> list[tuple[int, Series]]:
-        # sequence carriers expose no basis: nonzero factors stay whole,
-        # while a zero factor annihilates its tensor
-        return [] if self.is_zero else [(1, self)]
-
     def __str__(self) -> str:
         return "[" + "; ".join(str(v) for v in self.values) + "]"
 

@@ -75,8 +75,14 @@ def test_eval_type_errors_carry_spans():
     hh = parse_handle("hur(poly(x),4)", Q, Q.zero(), 4)
     with pytest.raises(EvalError):
         eval_text("x # 1", hh)              # no tensor layer on a series carrier
-    with pytest.raises(EvalError):
-        eval_text("partial([x])", hh)       # nothing left to shift
+    # nothing left to shift: partial, or D as the shift, on a series or
+    # inside a tensor factor, fails at the call that shifts
+    h2, sh = (parse_handle(t, Q, Q.zero(), 4) for t in ("hur(poly(x),2)", "sha(hur(poly(x),2))"))
+    for text, carrier, col in (("partial([x])", hh, 1), ("D([x])", h2, 1),
+                               ("D([x] # [1; x])", sh, 1), ("D([x])", sh, 1),
+                               ("[1; x] + D([x])", h2, 10), ("[1; x] * D([x])", sh, 10)):
+        with pytest.raises(EvalError, match=f"^line 1, col {col}: cannot shift a precision-0"):
+            eval_text(text, carrier)
 
 
 def test_eval_mu_and_beta_shapes():

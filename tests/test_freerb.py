@@ -757,8 +757,8 @@ def test_product_matches_hoffman_exponential(ring, lam):
     assert _hoffman_agrees(ring, lam, random.Random(f"hoffman:{ring}:{lam}"), 8)
 
 
-# over sha(sha(poly(x))) the kernel interns inner tensors as letters, and a
-# merge or head product is an inner tensor product
+# over sha(sha(poly(x))) the kernel's letters are the inner tensor factors,
+# and a merge or head product is an inner tensor product
 @pytest.mark.parametrize("ring,lam", [(Q, 0), (Q, 1), (Q, Fraction(1, 2)), (Q, Fraction(-2, 3)),
                                       (Z, -1), (Z6, 3), (residues(4), 2)],
                          ids=lambda p: str(p))
@@ -806,6 +806,25 @@ def test_terms_view_round_trips_through_the_constructor():
             for bad in ((0, 0), (0, 0, 0, 0), (0, -1, 0), (2 ** 31, 0, 0)):
                 with pytest.raises(KeyError):
                     p.terms[bad]
+    # over nested inners a key is the tuple of the inner's keys (tensor keys,
+    # or whole series), and the view's factors rebuild it
+    for ring, lam in ((Q, Q.zero()), (Q, HALF), (Z6, Z6.from_int(3))):
+        for text in ("sha(sha(poly(x,y)))", "sha(hur(poly(x),2))"):
+            s = parse_handle(text, ring, lam, 3)
+            foreign = Poly.variable(poly_handle(("x", "y"), ring, lam), "x")
+            rng = random.Random(f"nested-view:{text}:{ring}:{lam}")
+            budget = SampleBudget(precision=2)
+            for _ in range(8):
+                u = random_element(s, budget, rng) * random_element(s, budget, rng)
+                back = Tensor(u.handle, u.terms)
+                assert back == u and hash(back) == hash(u)
+                for key in u.terms:
+                    f, rest = key[0], key[1:]
+                    odd = (f.scale(ring.from_int(2)) if isinstance(f, Tensor)
+                           else Series.zero(f.handle))  # non-monic, or no basis key
+                    for bad in ((odd,) + rest, (foreign,) + rest):
+                        with pytest.raises(KeyError):
+                            u.terms[bad]
 
 
 def test_equal_tensors_from_every_constructor_are_equal_and_hash_equal():
@@ -831,6 +850,19 @@ def test_equal_tensors_from_every_constructor_are_equal_and_hash_equal():
     prepended = Tensor.from_factors(s, (one,) + target)
     assert rb_prepend(built[0]) == prepended and hash(rb_prepend(built[0])) == hash(prepended)
     assert Tensor.one(s) == eta(one, s) and hash(Tensor.one(s)) == hash(eta(one, s))
+    # over nested inners the constructor expands scaled and summed factors
+    # as from_factors does, and a zero series factor gives the zero tensor
+    s2, sh = ShaHandle(s), ShaHandle(hh)
+    twice = Tensor.from_factors(s, (x, one), Q.from_int(2))
+    f = Series(hh, (x, one, y * y))
+    for outer, factors in ((s2, (twice,)), (s2, (twice, eta(x, s) + eta(y, s))),
+                           (sh, (f.scale(Q.from_int(2)), f)), (sh, (f, f + f))):
+        u, v = Tensor(outer, {factors: HALF}), Tensor.from_factors(outer, factors, HALF)
+        assert u == v and hash(u) == hash(v) and str(u) == str(v)
+    assert str(Tensor(s2, {(twice,): Q.one()})) == "2*eta(x # 1)"
+    for factors in ((Series.zero(hh),), (f, Series.zero(hh))):
+        u = Tensor(sh, {factors: Q.one()})
+        assert u.is_zero and u == Tensor.zero(sh) and hash(u) == hash(Tensor.zero(sh))
 
 
 def test_exponents_past_the_code_range_raise_value_error():

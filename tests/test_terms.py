@@ -7,12 +7,12 @@ from fractions import Fraction
 
 import pytest
 
-from rbshuffle.algebra import (HurwitzHandle, Poly, SampleBudget, ShaHandle, Terms,
-                               random_element)
+from rbshuffle.algebra import (HandleMismatchError, HurwitzHandle, Poly, SampleBudget,
+                               ShaHandle, Terms, random_element)
 from rbshuffle.coeffs import RATIONALS, Scalar, parse_ring, parse_scalar, residues
 from rbshuffle.distlaw import canonical_derivation
 from rbshuffle.exprs import eval_text, parse_handle
-from rbshuffle.freerb import Tensor, sha_map
+from rbshuffle.freerb import Tensor, eta, sha_map
 from rbshuffle.hurwitz import Series
 
 Q = RATIONALS
@@ -98,26 +98,34 @@ def test_poly_and_tensor_share_the_term_map():
 
 
 def test_monic_basis_elements_are_shared_not_copied():
-    # a monic one-term element is its own basis element, so tensor keys built
-    # from it hold the same object, with its cached hash
+    # a tensor key is the tuple of its factors' basis keys on every inner, and
+    # .terms decodes each distinct basis key into one monic factor, shared by
+    # every place in the view where that key occurs
     for text, handle_text in (("x^2*y", "poly(x,y)"), ("x # y", "sha(poly(x,y))"),
                               ("1", "poly(x,y)")):
         v = value(handle_text, text)
-        assert v.basis_expansion() == [(1, v)] and v.basis_expansion()[0][1] is v
+        u = eta(v)
+        assert u.terms == {(v,): Q.one()} and list(u.terms) == [(v,)]
+        assert list(u._bare) == [tuple(v._bare)]
     for ring, lam in ((Q, "0"), (Z6, "1")):
         v = value("sha(poly(x,y))", "2*(x # y) + y", ring, lam)
-        for c, b in v.basis_expansion():
-            assert b is not v and len(b.terms) == 1 and 1 in b._bare.values()
-        assert sorted(c for c, _ in v.basis_expansion()) == [1, 2]
+        u = eta(v)
+        for (b,) in u.terms:
+            assert b != v and len(b.terms) == 1 and 1 in b._bare.values()
+        assert sorted(c.value for c in u.terms.values()) == [1, 2]
+        assert set(u._bare) == {(k,) for k in v._bare}
     h = parse_handle("sha(sha(poly(x,y)))", Q, Q.zero(), 2)
     x = Poly.variable(h.inner.inner, "x")
     xy = x * Poly.variable(h.inner.inner, "y")
     inner = Tensor.from_factors(h.inner, (x, xy))
-    (outer,) = Tensor.from_factors(h, (inner, inner)).terms
-    assert outer[0] is inner and outer[1] is inner
-    # a scaled factor is expanded to a fresh monic element
+    u = Tensor.from_factors(h, (inner, inner))
+    (outer,) = u.terms
+    assert outer == (inner, inner) and outer[0] is outer[1]
+    (key,) = inner._bare
+    assert u._bare == {(key, key): 1}
+    # a scaled factor is expanded to the equal monic element
     (outer,) = Tensor.from_factors(h, (inner.scale(Q.from_int(3)), inner)).terms
-    assert outer[0] == inner and outer[0] is not inner and outer[1] is inner
+    assert outer[0] == inner and outer[1] == inner
     # over polynomials keys hold monomial codes, which the view shows as the
     # equal monic factors, scaled ones expanded
     for factors in ((x, xy), (x.scale(Q.from_int(3)), xy)):
@@ -142,9 +150,12 @@ def test_poly_never_equals_tensor():
     assert zeros[0] != zeros[1] and zeros[1] != zeros[0]
     # the same handle and the same term map still differ in kind
     x = Poly.variable(h.inner, "x")
-    fake = Tensor(h.inner, x.terms)
+    fake = Tensor._trusted(h.inner, x._bare)
     assert x != fake and fake != x
     assert x == Poly(h.inner, x.terms)
+    # the public constructor builds tensors on sha(...) handles only
+    with pytest.raises(HandleMismatchError):
+        Tensor(h.inner, x.terms)
 
 
 # (ring, weight): the weight 3 on Z/6 is a zero divisor, so merged words and
