@@ -52,7 +52,7 @@ import random
 from collections.abc import Callable, ItemsView, Iterable, Mapping, Sequence
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
-from itertools import chain
+from itertools import accumulate, chain
 from math import comb, lcm
 from operator import mul, or_
 from typing import Union
@@ -537,6 +537,21 @@ def _pair_sums(rows: list, lefts: list, rights: list, product: Callable) -> list
     return out
 
 
+def _newton_rows(powers: list, lefts: list, rights: list) -> list:
+    """Rows 0..N of the pair table over packed ints L_0..L_N and R_0..R_N by
+    the Newton transform, for the powers P_k = D * w^k, all nonzero: a_k =
+    sum_i C(k, i) P_i L_i and b_k alike by Pascal's rule, then row n =
+    (sum_k (-1)^(n-k) C(n, k) a_k b_k) // P_n, an exact division.  Row n is
+    the int sum of c * L_i * R_l over the table's unreduced (c, i, l)."""
+    a, b = ([p * x for p, x in zip(powers, side)] for side in (lefts, rights))
+    for s in range(1, len(powers)):
+        a[s:], b[s:] = ([x + y for x, y in zip(u[s:], u[s - 1:])] for u in (a, b))
+    h = list(map(mul, a, b))
+    for s in range(1, len(powers)):
+        h[s:] = [x - y for x, y in zip(h[s:], h[s - 1:])]
+    return [x // p for x, p in zip(h, powers)]
+
+
 # The packed side's fixed cost per call, in term pairs: the key sets, norms
 # and digit width it needs before it can estimate its own work, and the
 # packing.  Fitted on calls timed both ways, best of 5 each: of 1,445
@@ -547,7 +562,8 @@ def _pair_sums(rows: list, lefts: list, rights: list, product: Callable) -> list
 _PACKING_COST = 400
 
 
-def row_products(handle: Handle, lefts: Sequence, rights: Sequence, rows: list, den: int) -> list:
+def row_products(handle: Handle, lefts: Sequence, rights: Sequence, rows: list, den: int,
+                 newton: tuple | None = None) -> list:
     """One element per row: the sum of c * lefts[i] * rights[l] / den over the
     row's (c, i, l), for int c.  On term maps an entry whose lefts[i] or
     rights[l] is zero adds nothing and is dropped, and a call with no entry
@@ -570,7 +586,14 @@ def row_products(handle: Handle, lefts: Sequence, rights: Sequence, rows: list, 
     ``_PACKING_COST`` term pairs, so a call with no more entries and term
     pairs than that goes term by term before any of it.  Either way a code
     the call forms with an exponent past the range raises ``ValueError``
-    (``_in_range``)."""
+    (``_in_range``).
+
+    ``newton``, the Newton transform's data (P, S) that ``hurwitz`` caches
+    with the pair table at a nonzero weight, marks a call on that table's
+    rows 0..N over operands 0..N.  Packed, such rows come from N + 1 big
+    products (``_newton_rows``), and the digit width from the bound max_n
+    sum_i |f_i|_1 * S[n][i] * max_l |g_l|_1 in O(N^2): only the rows' final
+    coefficients must fit, as evaluation at the base commutes with + and *."""
     if isinstance(handle, HurwitzHandle):
         from . import hurwitz
         return hurwitz.row_products(handle, lefts, rights, rows, den)
@@ -591,8 +614,19 @@ def row_products(handle: Handle, lefts: Sequence, rights: Sequence, rows: list, 
     # term pair and one per entry; packed, the fixed set-up, one read per
     # row and possible key and 1/256 per product of two 64-bit words in
     # each row entry.  The packed side is estimated only where it can win.
+    # Given ``newton``, row n pairs i with l = n - i..n, so the term pairs
+    # are counted in O(N) from the prefix sums r of the right term counts
+    # and rr of r, exactly but on Z/m, where the pairs whose c vanishes
+    # count too; and the packed estimate still charges a big product per
+    # entry, where the transform forms N + 1, so it over-counts them.
     entries = sum(map(len, rows))
-    work = entries + sum([len(lt[i]) * len(rt[l]) for row in rows for _, i, l in row])
+    if newton:
+        rr = list(accumulate(accumulate(map(len, rt), initial=0), initial=0))
+        top = len(rows) + 1
+        work = entries + sum([len(t) * (rr[top] - rr[i + 1] - rr[top - 1 - i])
+                              for i, t in enumerate(lt)])
+    else:
+        work = entries + sum([len(lt[i]) * len(rt[l]) for row in rows for _, i, l in row])
     if work > _PACKING_COST:
         exps = _exps(handle)
         lx, rx = ({a: exps(a) for a in set(chain.from_iterable(side))} for side in (lt, rt))
@@ -601,8 +635,12 @@ def row_products(handle: Handle, lefts: Sequence, rights: Sequence, rows: list, 
         lk, rk = ({a: sum(map(mul, es, places)) for a, es in x.items()} for x in (lx, rx))
         keys = {k + l: a + b for a, k in lk.items() for b, l in rk.items()}  # key -> code
         ln, rn = ([sum(map(abs, t.values())) for t in side] for side in (lt, rt))
-        w = 1 + max([sum([abs(c) * ln[i] * rn[l] for c, i, l in row]) for row in rows],
-                    default=0).bit_length() // 8
+        if newton:
+            bound = max(rn) * max([sum(map(mul, ln, s)) for s in newton[1]])
+        else:
+            bound = max([sum([abs(c) * ln[i] * rn[l] for c, i, l in row]) for row in rows],
+                        default=0)
+        w = 1 + bound.bit_length() // 8
         lw, rw = (w * max(x.values(), default=0) // 8 + 1 for x in (lk, rk))
         packed = _PACKING_COST + len(rows) * len(keys) + entries * (lw * rw // 256)
     if work <= _PACKING_COST or packed > work:
@@ -618,14 +656,19 @@ def row_products(handle: Handle, lefts: Sequence, rights: Sequence, rows: list, 
     offset = int.from_bytes((bytes(w - 1) + b"\x80") * (size // w), "little")  # half per digit
     half = 1 << 8 * w - 1
     reads = [(w * k, w * k + w, a) for k, a in keys.items()]
-    out = []
-    for row in rows:
-        h, terms = sum([c * packed_l[i] * packed_r[l] for c, i, l in row]), {}
-        if h:
+    if newton:
+        sums = _newton_rows(newton[0], packed_l, packed_r)
+    else:
+        sums = [sum([c * packed_l[i] * packed_r[l] for c, i, l in row]) for row in rows]
+    m, out = handle.ring.modulus, []
+    for h in sums:
+        terms = {}
+        if h:  # the bare value x / d, which only Z/m reduces
             buf = (h + offset).to_bytes(size, "little")
             terms = {a: v for at, end, a in reads
                      if (x := int.from_bytes(buf[at:end], "little") - half)
-                     and (v := reduce(x // d if x % d == 0 else Fraction(x, d)))}
+                     and (v := x % m if m else x if d == 1 else
+                          x // d if x % d == 0 else Fraction(x, d))}
         out.append(Poly._trusted(handle, terms))
     return out
 

@@ -17,13 +17,17 @@ import sys
 import time
 from math import comb, factorial
 
-from . import exprs, laws
+from . import algebra, exprs, laws
+from .algebra import HurwitzHandle, Poly, poly_handle
 from .coeffs import Ring, RingError, Scalar, parse_ring, parse_scalar
 from .exprs import EvalError, ParseError
 from .freerb import Tensor, distinct_symbol_factors
+from .hurwitz import Series
 
 SCHEMA = "rb-shuffle/1"
 BENCH_MAX = 9
+# bench --series: the exponents and coefficients of a and b in x
+SERIES_OPERANDS = ({0: 1, 1: 2, 2: -1}, {0: 2, 1: -1, 2: 3})
 
 
 def _json_print(obj: dict) -> None:
@@ -173,7 +177,69 @@ def bench_product(m: int, n: int, ring: Ring, lam: Scalar) -> dict:
             "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}
 
 
+def bench_series(n: int, ring: Ring, lam: Scalar) -> dict:
+    """Time one product e_a * e_b on hur(poly(x), n), e_a the series
+    k -> a^k, and check it against the closed form e_c, c = a + b + lam*a*b:
+    the shift is a lam-derivation, so it maps e_a e_b to c * e_a e_b.  The
+    report names the way the polynomial kernel went: by the Newton
+    transform, by packed pair-table rows, or term by term."""
+    h = poly_handle(("x",), ring, lam)
+    a, b = (Poly(h, {(e,): ring.from_int(c) for e, c in t.items()}) for t in SERIES_OPERANDS)
+
+    def exponential(p: Poly) -> Series:
+        values = [Poly.one(h)]
+        for _ in range(n):
+            values.append(values[-1] * p)
+        return Series(HurwitzHandle(h, n), values)
+    left, right = exponential(a), exponential(b)
+    calls = {"_newton_rows": 0, "_key_products": 0}
+    real = {name: getattr(algebra, name) for name in calls}
+
+    def counted(name):
+        def run(*args):
+            calls[name] += 1
+            return real[name](*args)
+        return run
+    try:
+        for name in calls:
+            setattr(algebra, name, counted(name))
+        started = time.perf_counter()
+        product = left * right
+        elapsed_ms = (time.perf_counter() - started) * 1e3
+    finally:
+        for name, fn in real.items():
+            setattr(algebra, name, fn)
+    ok = product == exponential(a + b + (a * b).scale(lam))
+    kernel = ("newton" if calls["_newton_rows"] else
+              "term by term" if calls["_key_products"] else "rows")
+    return {"precision": n, "weight": str(lam), "a": str(a), "b": str(b),
+            "kernel": kernel, "matches_closed_form": ok, "elapsed_ms": round(elapsed_ms, 3),
+            "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}
+
+
+def cmd_bench_series(args) -> int:
+    if not 0 <= args.series <= exprs.MAX_PRECISION:
+        return _usage_error(f"series precision must be between 0 and {exprs.MAX_PRECISION}")
+    ring = _ring_of(args)
+    lam = _weight(args.weight if args.weight is not None else "1", ring)
+    report = bench_series(args.series, ring, lam)
+    if args.json:
+        _json_print(report)
+    else:
+        print(f"e_a * e_b at precision {args.series}, weight {report['weight']}: "
+              f"{report['elapsed_ms']:.2f} ms, kernel {report['kernel']}")
+        print(f"  a = {report['a']}, b = {report['b']}")
+        print(f"  equals e_c, c = a + b + weight*a*b: {report['matches_closed_form']}")
+        print(f"  peak RSS {report['peak_rss_mb']:.1f} MB (whole process)")
+    if not report["matches_closed_form"]:
+        print("error: the product differs from the closed form e_c", file=sys.stderr)
+        return 1
+    return 0
+
+
 def cmd_bench(args) -> int:
+    if args.series is not None:
+        return cmd_bench_series(args)
     if args.m > BENCH_MAX or args.n > BENCH_MAX or args.m < 0 or args.n < 0:
         return _usage_error(f"tensor tail lengths must be between 0 and {BENCH_MAX}")
     ring = _ring_of(args)
@@ -259,10 +325,13 @@ def build_parser() -> argparse.ArgumentParser:
                          help="master seed (default RB_SEED or 0)")
     p_check.set_defaults(fn=cmd_check)
 
-    p_bench = sub.add_parser("bench", help="profile one pure-tensor product")
+    p_bench = sub.add_parser("bench", help="profile one pure-tensor or series product")
     _add_common(p_bench, with_handle=False, with_precision=False)
     p_bench.add_argument("-m", type=int, default=3, help=f"left tail length (<= {BENCH_MAX})")
     p_bench.add_argument("-n", type=int, default=3, help=f"right tail length (<= {BENCH_MAX})")
+    p_bench.add_argument("--series", type=int, metavar="N",
+                         help="instead, time and check one series product e_a*e_b at "
+                              f"precision N (<= {exprs.MAX_PRECISION})")
     p_bench.set_defaults(fn=cmd_bench)
 
     p_repl = sub.add_parser("repl", help="interactive evaluator")

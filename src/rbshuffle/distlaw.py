@@ -113,7 +113,7 @@ def beta(u: Tensor) -> Series:
         out = freerb.induced_rb_hom(Hom(hur_h, target, embed, name="embed^seq"),
                                     canonical_rb(target), u)
         return out.truncate(cap) if out.precision > cap else out
-    rows, d = hurwitz._pair_table(hur_h, cap)
+    rows, d, _ = hurwitz._pair_table(hur_h, cap)
     for t in u._bare:
         algebra._in_range(inner, accumulate(
             [functools.reduce(or_, [a for v in f.values for a in v._bare], 0) for f in t]))

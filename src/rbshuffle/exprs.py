@@ -43,9 +43,10 @@ from .hurwitz import Series
 # a series literal holds at most MAX_PRECISION + 1 values (indices 0..N).
 MAX_PARSE_DEPTH = 100
 MAX_EXPONENT = 256
-# A dense series product at precision 64 takes about 0.1 s, but a law check
-# grows like N^2.8: ``check --suite hurwitz_algebra`` took 15.3 and 17.8 s at
-# N = 32 (two runs, 2-CPU Xeon, Python 3.11).
+# A dense series product at precision 64 takes under 0.1 s (``bench --series
+# 64``), but a law check grows faster than N^3: ``check --suite
+# hurwitz_algebra`` took 7.2 and 7.9 s at N = 32 and 67.6 and 74.1 s at
+# N = 64 (two runs each, 2-CPU Xeon, Python 3.11).
 MAX_PRECISION = 64
 # Checked before each tensor product: a bound on its output terms, just above
 # the 265,729 of an 8x8 ``bench`` product (D(8,8); 0.25-0.26 s and 77 MB peak

@@ -14,10 +14,19 @@ the inner carrier's ``algebra.row_products``: ``algebra`` owns the
 polynomial kernel, ``freerb`` the tensor one, and this module the series
 branch, which turns each row into rows over the operands' values for its
 inner carrier, so a product at any depth is one bare pass of the innermost
-kernel.  Every operation records its exact output precision:
-products take the minimum, the shift loses one, the
-Rota-Baxter lift gains one, comultiplication fills the triangle m+n <= N.
-Comparisons are relative to the common precision.
+kernel.  At a nonzero weight the map a(k) = sum_{i<=k} C(k,i) w^i f(i),
+the index-0 value of (1 + w d)^k f for the shift d, takes this product to
+the pointwise one (series are the cofree w-differential algebra, Guo and
+Keigher), and w^n f(n) = sum_k (-1)^(n-k) C(n,k) a(k) inverts it.  The
+table carries this Newton transform's integer data, which
+``algebra.row_products`` uses on polynomial values that it packs: N + 1
+big-int products per series product, not one per table entry.  Weight 0
+keeps the binomial rows, which have only (N+1)(N+2)/2 entries.
+
+Every operation records its exact output precision: products take the
+minimum, the shift loses one, the Rota-Baxter lift gains one,
+comultiplication fills the triangle m+n <= N.  Comparisons are relative to
+the common precision.
 """
 
 from __future__ import annotations
@@ -29,7 +38,7 @@ from typing import Sequence
 
 from . import algebra
 from .algebra import Handle, HandleMismatchError, Hom, HurwitzHandle, check_same_handle
-from .coeffs import Scalar
+from .coeffs import INTEGERS, Scalar
 
 
 class PrecisionError(ValueError):
@@ -42,27 +51,34 @@ def _lambda_power(lam: Scalar, k: int) -> Scalar:
 
 
 @lru_cache(maxsize=64)
-def _weighted_table(power, lam: Scalar, top: int) -> tuple[tuple, int]:
+def _weighted_table(power, lam: Scalar, top: int) -> tuple[tuple, int, tuple | None]:
     """Rows 0..top of the pair table at weight lam, with power(lam, k) the
-    weight powers, and D.  Row n holds (c, i, l) for every i, l <= n <= i + l
-    with nonzero c = D * n! / (k! (n-i)! (n-l)!) * lam^k, k = i + l - n; a
-    rational weight runs as ints, each power scaled by the lcm D of their
-    denominators."""
+    weight powers, D, and the Newton transform's data.  Row n holds (c, i, l)
+    for every i, l <= n <= i + l with nonzero c = D * n! / (k! (n-i)! (n-l)!)
+    * lam^k, k = i + l - n; a rational weight runs as ints, each power scaled
+    by the lcm D of their denominators.  The transform's data is (P, S):
+    P_k = D * lam^k as ints and S[n][i] the sum of |c| over row n's pairs
+    (i, l), both before reduction, on Z/m from the weight's lift to [0, m);
+    None where some P_k is zero, as at weight 0."""
     ring = lam.ring
-    powers = [ring.unwrap(power(lam, k)) for k in range(top + 1)]
+    lift = INTEGERS.from_int(lam.value) if ring.is_residue else lam
+    powers = [lift.ring.unwrap(power(lift, k)) for k in range(top + 1)]
     den = lcm(*(w.denominator for w in powers))
     powers = [w.numerator * (den // w.denominator) for w in powers]
     fact = [factorial(j) for j in range(top + 1)]
-    return tuple(tuple((c, i, l) for i in range(n + 1) for l in range(n - i, n + 1)
-                       if (c := ring.reduce(fact[n] // (fact[i + l - n] * fact[n - i]
-                                                        * fact[n - l]) * powers[i + l - n])))
-                 for n in range(top + 1)), den
+    coeffs = [[[fact[n] // (fact[i + l - n] * fact[n - i] * fact[n - l]) * powers[i + l - n]
+                for l in range(n - i, n + 1)] for i in range(n + 1)] for n in range(top + 1)]
+    rows = tuple(tuple((c, i, l) for i, cs in enumerate(row)
+                       for l, x in enumerate(cs, n - i) if (c := ring.reduce(x)))
+                 for n, row in enumerate(coeffs))
+    sums = [[sum(map(abs, cs)) for cs in row] for row in coeffs]
+    return rows, den, (powers, sums) if all(powers) else None
 
 
-def _pair_table(handle: Handle, top: int) -> tuple[tuple, int]:
-    """The pair table's rows 0..top at the handle's weight, and D, cached per
-    seam, weight and top: ``_lambda_power`` is looked up per call, so a
-    patched seam builds its own table."""
+def _pair_table(handle: Handle, top: int) -> tuple[tuple, int, tuple | None]:
+    """The pair table's rows 0..top at the handle's weight, D and the Newton
+    transform's data, cached per seam, weight and top: ``_lambda_power`` is
+    looked up per call, so a patched seam builds its own table."""
     return _weighted_table(_lambda_power, handle.weight, top)
 
 
@@ -73,7 +89,7 @@ def row_products(handle: HurwitzHandle, lefts: list, rights: list, rows: list, d
     tops = [min([handle.precision] + [min(lefts[i].precision, rights[l].precision)
                                       for _, i, l in row]) for row in rows]
     n_max = max(tops)
-    table, d = _pair_table(handle, n_max)
+    table, d, _ = _pair_table(handle, n_max)
 
     def flat(side: Sequence) -> tuple[list, list]:
         # every operand's values up to n_max in one list, and where each starts
@@ -146,9 +162,9 @@ class Series:
     def __mul__(self, other: Series) -> Series:
         check_same_handle(self, other)
         n, inner = min(self.precision, other.precision), self.handle.inner
-        rows, den = _pair_table(inner, n)
+        rows, den, newton = _pair_table(inner, n)
         return Series(self.handle, algebra.row_products(inner, self.values[:n + 1],
-                                                        other.values[:n + 1], rows, den))
+                                                        other.values[:n + 1], rows, den, newton))
 
     def __eq__(self, other) -> bool:
         # strict: same precision and identical values (hash-compatible);
@@ -276,5 +292,5 @@ def higher_leibniz(x, y, d: Hom, n: int):
     """
     dx = derivation_series(x, d, n).values
     dy = derivation_series(y, d, n).values
-    rows, den = _pair_table(d.src, n)
+    rows, den, _ = _pair_table(d.src, n)
     return algebra.row_products(d.src, dx, dy, rows[n:], den)[0]

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import rbshuffle
-from rbshuffle import exprs, freerb
+from rbshuffle import exprs, freerb, hurwitz
 from rbshuffle.algebra import (HurwitzHandle, Poly, SampleBudget, ShaHandle,
                                alg_eq, random_element)
 from rbshuffle.cli import BENCH_MAX, bench_product, main
@@ -160,6 +160,26 @@ def test_bench_gate_trips_on_wrong_merge_weight(monkeypatch, capsys):
     assert report["terms_by_length"] == report["expected_by_length"]
     assert main(["bench", "-m", "2", "-n", "2"]) == 1
     assert "mismatch" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ring,lam,kernel", [("q", "1/2", "newton"), ("q", "0", "rows"),
+                                              ("zmod:4", "2", "newton"), ("z", "-3", "newton")])
+def test_bench_series_matches_the_closed_form(ring, lam, kernel, capsys):
+    assert main(["bench", "--series", "16", "--ring", ring, f"--lambda={lam}", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["matches_closed_form"] and report["kernel"] == kernel
+    assert report["precision"] == 16 and report["elapsed_ms"] > 0 and report["peak_rss_mb"] > 0
+    assert main(["bench", "--series", "0"]) == 0  # 1 * 1: one term pair, below packing's cost
+    assert "kernel term by term" in capsys.readouterr().out
+
+
+def test_bench_series_gate_trips_on_a_wrong_weight_power(monkeypatch, capsys):
+    original = hurwitz._lambda_power
+    monkeypatch.setattr(hurwitz, "_lambda_power", lambda lam, k: original(lam + lam.ring.one(), k))
+    assert main(["bench", "--series", "4", "--lambda", "1/2"]) == 1
+    assert "differs from the closed form" in capsys.readouterr().err
+    for n in ("-1", "65"):
+        assert main(["bench", "--series", n]) == 2
 
 
 def test_check_exits_1_on_a_broken_law(monkeypatch, capsys):

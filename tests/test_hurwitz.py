@@ -411,6 +411,65 @@ def test_polynomial_kernel_packs_above_its_fixed_cost(monkeypatch, ring, lam):
     assert fg == triple_sum_product(f, g)
 
 
+def newton_counter(monkeypatch) -> tuple[list, list]:
+    """Lists that record, from now on, the operand count of each Newton
+    transform call and each pair product on int keys."""
+    newton, pairs = [], []
+    monkeypatch.setattr(algebra, "_newton_rows", lambda p, lefts, rights, real=algebra._newton_rows:
+                        newton.append(len(lefts)) or real(p, lefts, rights))
+    monkeypatch.setattr(algebra, "_key_products", lambda *a, real=algebra._key_products:
+                        pairs.append(a) or real(*a))
+    return newton, pairs
+
+
+@pytest.mark.parametrize("lam", [HALF, Q.from_fraction(Fraction(-2, 3))], ids=str)
+def test_dense_products_at_precision_12_run_the_newton_transform(monkeypatch, lam):
+    # 455 row entries of 100 term pairs each pack; at a nonzero weight the
+    # rows come from one transform of the 13 values a side, whose powers of
+    # the weight and the digit width grow with N
+    rng = random.Random(f"newton:{lam}")
+    hh = HurwitzHandle(poly_handle(("x", "y"), Q, lam), 12)
+    f, g = dense_series(hh, rng, Q.from_fraction(Fraction(-5, 7))), dense_series(hh, rng, THIRD)
+    newton, pairs = newton_counter(monkeypatch)
+    fg = f * g
+    assert (newton, pairs) == ([13], [])
+    assert fg == triple_sum_product(f, g)
+
+
+def exponential(a, n: int) -> Series:
+    """e_a at precision n: the series k -> a^k."""
+    values = [Poly.one(a.handle)]
+    for _ in range(n):
+        values.append(values[-1] * a)
+    return Series(HurwitzHandle(a.handle, n), values)
+
+
+@pytest.mark.parametrize("ring,lam", [(Q, Q.zero()), (Q, HALF),
+                                      (Q, Q.from_fraction(Fraction(-2, 3))),
+                                      (INTEGERS, INTEGERS.from_int(-3)),
+                                      (residues(6), residues(6).from_int(5)),
+                                      (residues(4), residues(4).from_int(2))],
+                         ids=["q-0", "q-1/2", "q--2/3", "z--3", "zmod:6-5", "zmod:4-2"])
+@pytest.mark.parametrize("n", [4, 8, 16])
+def test_exponentials_multiply_in_closed_form(monkeypatch, ring, lam, n):
+    # The shift is a lam-derivation of the product (Guo-Keigher), so it maps
+    # e_a e_b to c * e_a e_b, c = a + b + lam*a*b, and e_a e_b = e_c.  Dense
+    # values in x (a and b of degree 8) pack at every N here: by the
+    # transform at a nonzero weight, one call with the N + 1 values a side,
+    # and by the pair-table rows at weight 0
+    h = poly_handle(("x",), ring, lam)
+    a, b = (Poly(h, {(e,): ring.from_int(c) for e, c in enumerate(cs)})
+            for cs in ((1, 3, -1, 2, -2, 1, 3, -1, 1), (-2, -1, 2, 1, 3, -3, 1, 2, 1)))
+    f, g, want = exponential(a, n), exponential(b, n), exponential(a + b + (a * b).scale(lam), n)
+    original = hurwitz._lambda_power
+    with monkeypatch.context() as mp:
+        newton, pairs = newton_counter(mp)
+        assert f * g == want
+        assert (newton, pairs) == ([] if lam.is_zero else [n + 1], [])
+        mp.setattr(hurwitz, "_lambda_power", lambda lam, k: original(lam + lam.ring.one(), k))
+        assert f * g != want
+
+
 def test_zero_operands_reach_no_pair_product(monkeypatch):
     # the unit series has zero values: only the pairs of nonzero values are
     # multiplied, and f * 1 is f; the operands are built before counting
@@ -559,20 +618,41 @@ def test_series_inner_product_reaches_the_lambda_power(monkeypatch):
 
 
 def test_cached_pair_table_follows_the_lambda_power(monkeypatch):
-    # the weighted pair table is cached across products; a patched seam is a
-    # new cache key, so the same product changes and, once restored, comes back
+    # the weighted pair table and the transform's powers are cached across
+    # products; a patched seam is a new cache key, so the same products
+    # change and, once restored, come back: the dense one by the transform
     h, hh = make(HALF, 3)
     x = Poly.variable(h, "x")
     f, g = rnd(hh, random.Random(15)), rnd(hh, random.Random(16))
+    dense = HurwitzHandle(poly_handle(("x", "y"), Q, HALF), 6)
+    u, v = (dense_series(dense, random.Random(s), THIRD) for s in (17, 18))
     d = derivative_on(h, "x")
-    before = f * g, higher_leibniz(x * x, x * x * x, d, 3)
-    assert before == (f * g, higher_leibniz(x * x, x * x * x, d, 3))
+    before = f * g, higher_leibniz(x * x, x * x * x, d, 3), u * v
+    assert before == (f * g, higher_leibniz(x * x, x * x * x, d, 3), u * v)
     original = hurwitz._lambda_power
     with monkeypatch.context() as mp:
+        newton, _ = newton_counter(mp)
         mp.setattr(hurwitz, "_lambda_power", lambda lam, k: original(lam + lam.ring.one(), k))
         assert f * g != before[0]
         assert higher_leibniz(x * x, x * x * x, d, 3) != before[1]
-    assert (f * g, higher_leibniz(x * x, x * x * x, d, 3)) == before
+        assert u * v != before[2]
+        assert newton == [7]
+    assert (f * g, higher_leibniz(x * x, x * x * x, d, 3), u * v) == before
+
+
+def test_newton_transform_needs_every_weight_power_nonzero(monkeypatch):
+    # a seam whose powers vanish past w^0 gives the weight-0 table: its rows
+    # divide by no power, and the dense product is the one at weight 0
+    dense = HurwitzHandle(poly_handle(("x", "y"), Q, HALF), 6)
+    u, v = (dense_series(dense, random.Random(s), THIRD) for s in (19, 20))
+    at_zero = HurwitzHandle(poly_handle(("x", "y"), Q, Q.zero()), 6)
+    want = (dense_series(at_zero, random.Random(19), THIRD)
+            * dense_series(at_zero, random.Random(20), THIRD))
+    newton, pairs = newton_counter(monkeypatch)
+    monkeypatch.setattr(hurwitz, "_lambda_power", lambda lam, k: lam.pow_nat(k) if k == 0
+                        else lam.ring.zero())
+    assert [w.terms for w in (u * v).values] == [w.terms for w in want.values]
+    assert (newton, pairs) == ([], [])
 
 
 def test_mixed_ring_coefficients_rejected():
